@@ -24,6 +24,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -120,6 +121,29 @@ def vectorize(tokens, vocabulary: Vocabulary) -> np.ndarray:
     return bow
 
 
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Token lists as integers: one flat int32 id array plus int64 document
+    offsets, so document ``d`` is ``ids[offsets[d]:offsets[d + 1]]``.
+    ``index`` maps every distinct token string, in-vocabulary or not, to
+    its id; ids follow first appearance."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    index: dict[str, int] = field(repr=False)
+
+    @classmethod
+    def from_token_lists(cls, token_lists) -> "TokenIds":
+        token_lists = list(token_lists)
+        offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
+        np.cumsum([len(tokens) for tokens in token_lists], out=offsets[1:])
+        index: dict[str, int] = {}
+        ids = np.fromiter((index.setdefault(t, len(index))
+                           for tokens in token_lists for t in tokens),
+                          dtype=np.int32, count=int(offsets[-1]))
+        return cls(ids=ids, offsets=offsets, index=index)
+
+
 @dataclass(frozen=True)
 class MultimodalDocument:
     id: str
@@ -201,6 +225,15 @@ class Corpus:
 
     def token_lists(self) -> list[tuple[str, ...]]:
         return [d.tokens for d in self.documents]
+
+    @cached_property
+    def token_ids(self) -> TokenIds:
+        """The documents' tokens as :class:`TokenIds`, built on first use
+        and kept in the instance ``__dict__``, outside the dataclass fields
+        (so out of ``==`` and ``repr``). Threads that race on the first use
+        each build complete arrays before the one assignment, so every
+        caller sees a whole value."""
+        return TokenIds.from_token_lists(self.token_lists())
 
 
 def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -93,10 +94,20 @@ def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
     return path
 
 
+_HEADER_FIELDS = ("kind", "config", "vocabulary", "matrices", "loss_trace")
+
+
+def _is_matrix_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"]))
+
+
 def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTopicModel:
     """Load a checkpoint, verifying the payload checksum. Raises
     :class:`CheckpointError` on a version mismatch, corruption, truncation,
-    or when ``expected_kind`` differs from the stored kind."""
+    a malformed header, or when ``expected_kind`` differs from the stored
+    kind."""
     raw = Path(path).read_bytes()
     magic_end = raw.find(b"\n")
     if magic_end < 0 or raw[:magic_end].decode("utf-8", "replace") != _CHECKPOINT_MAGIC:
@@ -106,21 +117,41 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[magic_end + 1:header_end].decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: invalid header JSON ({exc.msg})")
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: invalid header JSON ({exc})")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     payload = raw[header_end + 1:]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch "
                               "(file truncated or corrupt)")
+    missing = [name for name in _HEADER_FIELDS if name not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     if expected_kind is not None and header["kind"] != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {header['kind']!r} "
                               f"does not match expected {expected_kind!r}")
+    matrices = header["matrices"]
+    if not (isinstance(matrices, list) and all(map(_is_matrix_entry, matrices))):
+        raise CheckpointError(f"{path}: header matrices are not a list of "
+                              "{name, shape} entries")
+    names = [entry["name"] for entry in matrices]
+    if "doc_topics" not in names or len(set(names)) != len(names):
+        raise CheckpointError(f"{path}: header matrices must name doc_topics "
+                              "and each matrix once")
+    if not isinstance(header["loss_trace"], list):
+        raise CheckpointError(f"{path}: header loss_trace is not a list")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        vocabulary = Vocabulary.from_terms(header["vocabulary"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid config or vocabulary ({exc})")
 
     arrays = {}
     offset = 0
-    for entry in header["matrices"]:
+    for entry in matrices:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload shorter than declared matrices")
@@ -131,13 +162,8 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
         raise CheckpointError(f"{path}: payload longer than declared matrices")
 
     doc_topics = arrays.pop("doc_topics")
-    return TrainedTopicModel(
-        config=ModelConfig.from_dict(header["config"]),
-        vocabulary=Vocabulary.from_terms(header["vocabulary"]),
-        params=arrays,
-        loss_trace=header["loss_trace"],
-        doc_topics=doc_topics,
-    )
+    return TrainedTopicModel(config=config, vocabulary=vocabulary, params=arrays,
+                             loss_trace=header["loss_trace"], doc_topics=doc_topics)
 
 
 def corpus_fingerprint(path: str | Path) -> str:

@@ -22,6 +22,7 @@ per layer and validated by finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -527,7 +528,8 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     flows from ``config.seed`` through separate named streams, so identical
     (corpus, config) pairs produce bit-identical parameters. The loss trace
     records, per epoch, the batch-size-weighted mean of every objective
-    component per document.
+    component per document. Raises ``ValueError`` naming the epoch and
+    batch (counted from 1) whose loss is not finite.
     """
     kind = config.kind
     inputs = prepare_inputs(corpus, kind)
@@ -544,17 +546,22 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     adam = AdamState(learning_rate=config.learning_rate)
     trace: list[dict[str, float]] = []
 
-    for _ in range(config.epochs):
+    batches = math.ceil(n / config.batch_size)
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sums: dict[str, float] = {}
-        for start in range(0, n, config.batch_size):
+        for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = _slice_inputs(inputs, idx)
             noise = _draw_noise(kind, noise_rng, idx.size, k)
             masks = _draw_masks(kind, dropout_rng, idx.size, config.hidden_dim,
                                 config.dropout_rate)
-            _, grads, comps = batch_objective(kind, batch, params, config, noise,
-                                              dropout_masks=masks)
+            total, grads, comps = batch_objective(kind, batch, params, config, noise,
+                                                  dropout_masks=masks)
+            if not math.isfinite(total):
+                raise ValueError(
+                    f"training diverged: loss {total} at epoch {epoch + 1}/{config.epochs}, "
+                    f"batch {batch_no + 1}/{batches}")
             adam_step(params, grads, adam)
             for name, rows in comps.items():
                 sums[name] = sums.get(name, 0.0) + float(np.sum(rows))

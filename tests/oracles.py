@@ -39,6 +39,22 @@ def windows_reference(tokens, window):
     return [list(tokens[i:i + window]) for i in range(len(tokens) - window + 1)]
 
 
+def window_counts_reference(docs, window, terms):
+    """Boolean presence counts by full enumeration: ({term: windows holding
+    it}, {(a, b) with a < b: windows holding both}, total windows). Terms
+    and pairs that occur in no window are left out."""
+    word_counts, pair_counts, total = {}, {}, 0
+    for doc in docs:
+        for win in windows_reference(doc, window):
+            total += 1
+            present = sorted(t for t in set(terms) if t in win)
+            for t in present:
+                word_counts[t] = word_counts.get(t, 0) + 1
+            for a, b in combinations(present, 2):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
+    return word_counts, pair_counts, total
+
+
 def npmi_reference(topics, docs, window, eps=1e-12):
     """Boolean sliding-window NPMI, counted by full enumeration."""
     all_windows = []

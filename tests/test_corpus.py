@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mmtopic.corpus import (
     Corpus,
     DatasetFormatError,
     SyntheticSpec,
+    TokenIds,
     Vocabulary,
     build_vocabulary,
     generate_synthetic,
@@ -91,6 +94,50 @@ class TestCorpusValidation:
     def test_corpus_without_in_vocab_tokens_rejected(self):
         with pytest.raises(ValueError, match="in-vocabulary"):
             make_corpus([["only"]], vocabulary=Vocabulary.from_terms(["other"]))
+
+
+class TestTokenIds:
+    def test_ids_and_offsets_rebuild_every_token(self):
+        docs = [("b", "oov", "b"), (), ("a", "oov")]
+        ids = TokenIds.from_token_lists(docs)
+        assert ids.ids.dtype == np.int32 and ids.offsets.dtype == np.int64
+        assert ids.offsets.tolist() == [0, 3, 3, 5]
+        assert ids.index == {"b": 0, "oov": 1, "a": 2}
+        terms = list(ids.index)
+        assert [tuple(terms[i] for i in ids.ids[a:b])
+                for a, b in zip(ids.offsets[:-1], ids.offsets[1:])] == docs
+
+    def test_corpus_builds_once_on_first_use(self, tmp_path, tiny_corpus):
+        loaded = load_corpus(save_corpus(tiny_corpus, tmp_path / "c.jsonl"))
+        assert "token_ids" not in vars(loaded)
+        first = loaded.token_ids
+        assert loaded.token_ids is first
+        assert loaded == Corpus(vocabulary=loaded.vocabulary,
+                                documents=loaded.documents, meta=loaded.meta)
+        assert "token_ids" not in repr(loaded)
+
+    def test_threads_racing_on_first_use_see_whole_arrays(self, tiny_planted):
+        corpus, _ = tiny_planted
+        expected = TokenIds.from_token_lists(corpus.token_lists())
+        fresh = Corpus(vocabulary=corpus.vocabulary, documents=corpus.documents)
+        seen = []
+        threads = [threading.Thread(target=lambda: seen.append(fresh.token_ids))
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 6
+        for ids in seen:
+            np.testing.assert_array_equal(ids.ids, expected.ids)
+            np.testing.assert_array_equal(ids.offsets, expected.offsets)
+            assert ids.index == expected.index
+        assert fresh.token_ids in seen
 
 
 class TestDatasetIO:

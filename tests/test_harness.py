@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmtopic.corpus import SyntheticSpec, generate_synthetic, save_corpus
 from mmtopic.harness import (
@@ -86,6 +88,74 @@ class TestCheckpoint:
         path.write_bytes(b"MMTM1\n")
         with pytest.raises(CheckpointError, match="truncated header"):
             load_model(path)
+
+    @pytest.mark.parametrize("field", ["kind", "matrices", "config", "vocabulary",
+                                       "loss_trace"])
+    def test_missing_header_field_named(self, small_model, tmp_path, field):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        del header[field]
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match=f"bad.mmtm: header lacks {field}"):
+            load_model(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "model.mmtm"
+        path.write_bytes(b"MMTM1\n[1, 2]\n")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_model(path)
+
+    def test_missing_doc_topics_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["matrices"] = [m for m in header["matrices"] if m["name"] != "doc_topics"]
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="doc_topics"):
+            load_model(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupted_checkpoints_raise_checkpoint_error(self, small_model, tmp_path, data):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        how = data.draw(st.sampled_from(["drop", "replace", "matrix", "whole", "payload"]))
+        if how == "drop":
+            del header[data.draw(st.sampled_from(sorted(header)))]
+        elif how == "replace":
+            header[data.draw(st.sampled_from(sorted(header)))] = data.draw(JSON_VALUES)
+        elif how == "matrix":
+            entry = data.draw(st.sampled_from(header["matrices"]))
+            entry[data.draw(st.sampled_from(["name", "shape"]))] = data.draw(JSON_VALUES)
+        elif how == "whole":
+            header = data.draw(JSON_VALUES)
+        else:
+            cut = data.draw(st.integers(0, len(payload)))
+            payload = payload[:cut] + data.draw(st.binary(max_size=24))
+        if isinstance(header, dict) and data.draw(st.booleans()):
+            header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path = write_checkpoint(tmp_path / "fuzz.mmtm", header, payload)
+        try:
+            load_model(path)
+        except CheckpointError:
+            pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 40) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def split_checkpoint(path):
+    """A checkpoint's header (parsed) and payload bytes."""
+    raw = path.read_bytes()
+    _, header, payload = raw.split(b"\n", 2)
+    return json.loads(header), payload
+
+
+def write_checkpoint(path, header, payload):
+    path.write_bytes(b"MMTM1\n" + json.dumps(header).encode() + b"\n" + payload)
+    return path
 
 
 class TestPlanParsing:

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmtopic.corpus import TokenIds, Vocabulary
+from mmtopic.descriptors import top_keywords
 from mmtopic.metrics import (
     MetricReport,
+    _boolean_window_counts,
     compute_metric_report,
     iec,
     ieps,
@@ -28,6 +31,7 @@ from oracles import (
     rbo_reference,
     topic_diversity_reference,
     we_coherence_reference,
+    window_counts_reference,
 )
 
 
@@ -85,6 +89,33 @@ class TestNpmi:
             npmi([["a", "b"]], [], window=5)
         with pytest.raises(ValueError, match="window"):
             npmi([["a", "b"]], [["a", "b"]], window=0)
+
+
+WINDOW_TOKENS = ["a", "b", "c", "d", "e"]
+
+
+class TestWindowCounts:
+    @given(docs=st.lists(st.lists(st.sampled_from(WINDOW_TOKENS), max_size=12),
+                         min_size=1, max_size=6),
+           terms=st.lists(st.sampled_from(WINDOW_TOKENS + ["absent", "gone"]),
+                          min_size=1, max_size=7, unique=True),
+           window=st.integers(1, 6))
+    # empty document, documents shorter than the window, a term repeated
+    # inside one window, window 1, topic words missing from the corpus
+    @example(docs=[[], ["a"], ["a", "b", "a", "c", "a", "a", "d", "e"]],
+             terms=["a", "absent", "c", "b"], window=3)
+    @example(docs=[["a", "a", "b"], [], ["b"]], terms=["b", "a", "gone"], window=1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration_reference(self, docs, terms, window):
+        words, pairs, total = _boolean_window_counts(
+            TokenIds.from_token_lists(docs), terms, window)
+        ref_words, ref_pairs, ref_total = window_counts_reference(docs, window, terms)
+        assert total == ref_total
+        assert {t: int(c) for t, c in zip(terms, words) if c} == ref_words
+        assert not np.tril(pairs).any()
+        got_pairs = {tuple(sorted((terms[i], terms[j]))): int(pairs[i, j])
+                     for i, j in zip(*np.nonzero(pairs))}
+        assert got_pairs == ref_pairs
 
 
 class TestWeCoherence:
@@ -348,6 +379,23 @@ class TestMetricReport:
                                        n_descriptors=3)
         assert report.we is not None
         assert len(report.per_topic["we"]) == 2
+
+    def test_npmi_uses_corpus_tokens_not_model_vocabulary(self, report_corpus):
+        # The model knows "comet", which the corpus lacks; the corpus
+        # vocabulary drops "star" and "tide", which its tokens still hold.
+        trained_on = make_corpus([
+            ["sun", "comet", "moon"], ["star", "comet", "tide"],
+            ["sun", "star", "moon"], ["tide", "comet", "star"],
+        ])
+        model = train(trained_on, ModelConfig(kind="zeroshot", num_topics=2,
+                                               epochs=1, hidden_dim=8))
+        corpus = make_corpus([d.tokens for d in report_corpus.documents],
+                             vocabulary=Vocabulary.from_terms(["sun", "moon"]))
+        report = compute_metric_report(model, corpus, n_descriptors=4)
+        topics = [top_keywords(model.topic_word_matrix, model.vocabulary, t, 4)
+                  for t in range(model.num_topics)]
+        assert {w for t in topics for w in t} - set(corpus.vocabulary.terms)
+        assert report.npmi == npmi(topics, corpus.token_lists(), 10)
 
     def test_dict_round_trip(self, report_corpus):
         model = train(report_corpus, ModelConfig(kind="multimodal_contrast",

@@ -309,7 +309,9 @@ class TestGradients:
             total, grads, _ = batch_objective(kind, inputs, p, config, noise)
             return total, grads
 
-        return gradcheck(loss, params, rng=np.random.default_rng(7))
+        report = gradcheck(loss, params, rng=np.random.default_rng(7))
+        assert report.ok
+        return report
 
     @pytest.mark.parametrize("kind", ["zeroshot", "combined"])
     def test_unimodal_gradients(self, kind):
@@ -332,6 +334,13 @@ class TestTraining:
         expected = init_params(config, tiny_corpus.text_dim, tiny_corpus.image_dim,
                                len(tiny_corpus.vocabulary), named_rng(config.seed, "init"))
         np.testing.assert_array_equal(model.topic_word_matrix, expected["beta"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_stops_naming_epoch_and_batch(self, tiny_corpus):
+        config = ModelConfig(kind="multimodal_zeroshot", num_topics=2, epochs=3,
+                             hidden_dim=8, batch_size=2, learning_rate=1e6)
+        with pytest.raises(ValueError, match=r"loss nan at epoch 1/3, batch 2/2"):
+            train(tiny_corpus, config)
 
     def test_same_seed_reproduces_bit_identical_model(self, tiny_corpus):
         config = ModelConfig(kind="multimodal_contrast", num_topics=3, epochs=3,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mmtopic.nncore import (
     AdamState,
     GaussianPrior,
+    GradcheckReport,
     activation,
     adam_step,
     dirichlet_laplace_prior,
@@ -325,6 +326,12 @@ class TestGradcheck:
 
         report = gradcheck(loss, {"w": np.array([1.0, -2.0])})
         assert report.max_relative_error > 0.1
+        assert report.ok is False
+
+    def test_non_finite_error_fails(self):
+        report = GradcheckReport(per_block={"w": float("nan")},
+                                 max_relative_error=float("nan"), step=1e-5)
+        assert not report.ok
 
     def test_caller_parameters_untouched(self):
         w = np.array([1.0, 2.0])

@@ -13,32 +13,39 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import harness
-from .corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
+from .corpus import (SyntheticSpec, atomic_write_text, generate_synthetic, load_corpus,
+                     save_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import KINDS, ModelConfig, train
 from .overlap import overlap_report
 
 
+# ModelConfig fields set by flags of their own name; ``train`` takes kind
+# and num_topics as required arguments.
+_CONFIG_FLAGS = tuple(f for f in dataclasses.fields(ModelConfig)
+                      if f.name not in ("kind", "num_topics"))
+_CONFIG_HELP = {
+    "batch_size": "default: 64, or 32 for multimodal_contrast",
+    "image_loss_weight": "weight of the image cosine reconstruction loss",
+    "contrastive_weight": "weight of the cross-modal InfoNCE term",
+    "prior_alpha": "Dirichlet concentration of the prior; default 1/num_topics",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="default: 64, or 32 for multimodal_contrast")
-    parser.add_argument("--learning-rate", type=float, default=2e-3)
-    parser.add_argument("--dropout-rate", type=float, default=0.2)
-    parser.add_argument("--hidden-dim", type=int, default=100)
-    parser.add_argument("--image-loss-weight", type=float, default=1.0,
-                        help="weight of the image cosine reconstruction loss")
-    parser.add_argument("--contrastive-weight", type=float, default=100.0,
-                        help="weight of the cross-modal InfoNCE term")
-    parser.add_argument("--temperature", type=float, default=0.07)
-    parser.add_argument("--prior-alpha", type=float, default=None,
-                        help="Dirichlet concentration of the prior; default 1/num_topics")
-    parser.add_argument("--seed", type=int, default=0)
+    hints = typing.get_type_hints(ModelConfig)
+    for f in _CONFIG_FLAGS:
+        # ``int | None`` parses as int; a None default is resolved by ModelConfig
+        parse = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                     if t is not type(None))
+        parser.add_argument("--" + f.name.replace("_", "-"), type=parse,
+                            default=f.default, help=_CONFIG_HELP.get(f.name))
 
 
 def _cmd_synth(args) -> int:
@@ -69,14 +76,8 @@ def _cmd_prep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = ModelConfig(
-        kind=args.kind, num_topics=args.num_topics, epochs=args.epochs,
-        batch_size=args.batch_size, learning_rate=args.learning_rate,
-        dropout_rate=args.dropout_rate, hidden_dim=args.hidden_dim,
-        image_loss_weight=args.image_loss_weight,
-        contrastive_weight=args.contrastive_weight,
-        temperature=args.temperature, prior_alpha=args.prior_alpha,
-        seed=args.seed)
+    config = ModelConfig(kind=args.kind, num_topics=args.num_topics,
+                         **{f.name: getattr(args, f.name) for f in _CONFIG_FLAGS})
     corpus = load_corpus(args.data)
     model = train(corpus, config)
     harness.save_model(model, args.out)
@@ -96,8 +97,7 @@ def _cmd_eval(args) -> int:
     report = compute_metric_report(
         model, corpus, word_vectors=vectors, n_descriptors=args.top_n,
         window=args.window, rbo_p=args.rbo_p)
-    Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                              encoding="utf-8")
+    atomic_write_text(Path(args.out), json.dumps(report.to_dict(), indent=2) + "\n")
     if args.descriptors:
         write_descriptors(describe_topics(model, corpus, args.top_n), args.descriptors)
     shown = {k: v for k, v in report.values().items() if v is not None}

@@ -16,12 +16,18 @@ already been done elsewhere; a line must carry exactly one of the two. A
 sidecar vocabulary file (``<stem>.vocab.txt`` next to the dataset, or
 ``vocab.txt`` in the same directory, one term per line) pins the vocabulary;
 otherwise it is built from the data.
+
+Every output file the package writes, except a saved dataset, goes through
+:func:`atomic_write_bytes`: a temp file plus rename, so a failed write keeps
+the previous file whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import string
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -350,6 +356,25 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
     )
     meta = {"name": path.stem, "path": str(path), "vocab_source": vocab_source}
     return Corpus(vocabulary=vocabulary, documents=documents, meta=meta)
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write via a temp file in the same directory plus rename, so readers
+    never observe a partial file and concurrent writers cannot interleave."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, atomic_write_text
 from .models import TrainedTopicModel
 
 DEFAULT_DESCRIPTOR_SIZE = 10
@@ -87,12 +87,9 @@ def write_descriptors(descriptors: list[TopicDescriptors], path: str | Path) -> 
     """One JSON object per topic: id, keywords, and image document ids with
     their refs. Embeddings stay in the corpus; only references are written."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for d in descriptors:
-            fh.write(json.dumps({
-                "topic_id": d.topic_id,
-                "keywords": list(d.keywords),
-                "images": [{"doc_id": im.doc_id, "image_ref": im.image_ref}
-                           for im in d.images],
-            }) + "\n")
+    atomic_write_text(path, "".join(json.dumps({
+        "topic_id": d.topic_id,
+        "keywords": list(d.keywords),
+        "images": [{"doc_id": im.doc_id, "image_ref": im.image_ref} for im in d.images],
+    }) + "\n" for d in descriptors))
     return path

@@ -15,10 +15,12 @@ A plan is a JSON file::
 
 ``seeds`` is either a count (expanded to 0..n-1) or an explicit list. Every
 (dataset, model, topic count, seed) cell trains one model, writes its
-checkpoint, descriptors, and metrics, and records a manifest. Cells with a
-valid manifest are skipped on re-runs, and a completed plan re-run leaves
-every output byte untouched. Aggregation averages metrics over seeds within
-each topic count, then over topic counts.
+checkpoint, descriptors, and metrics, and records a manifest. Cells are
+named by dataset file stem and model label, so both must be unique within a
+plan. A cell whose manifest records a completed run over the same corpus
+bytes and the same resolved config is skipped on re-runs, and a completed
+plan re-run leaves every output byte untouched. Aggregation averages
+metrics over seeds within each topic count, then over topic counts.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ import hashlib
 import json
 import logging
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, load_corpus
+from .corpus import (Corpus, Vocabulary, atomic_write_bytes, atomic_write_text,
+                     load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, train
@@ -50,25 +51,6 @@ METRIC_COLUMNS = ("npmi", "we", "iec", "td", "irbo", "ieps")
 
 class CheckpointError(ValueError):
     """A checkpoint file is unreadable, corrupt, or of the wrong kind."""
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename, so readers
-    never observe a partial file and concurrent writers cannot interleave."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
@@ -172,9 +154,9 @@ def corpus_fingerprint(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_CONFIG_OVERRIDES = ("epochs", "batch_size", "learning_rate", "dropout_rate",
-                     "hidden_dim", "image_loss_weight", "contrastive_weight",
-                     "temperature", "prior_alpha")
+# Every ModelConfig field but those a plan's axes set.
+_CONFIG_OVERRIDES = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                          if f.name not in ("kind", "num_topics", "seed"))
 
 
 @dataclass(frozen=True)
@@ -223,6 +205,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one topic count and one seed")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # Cell ids and output files are named by dataset stem and entry name.
+        for what, names in (("model entry name", [m.name for m in self.models]),
+                            ("dataset file stem", [Path(d).stem for d in self.datasets])):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {what}s {repeated}; give each a distinct "
+                                 "label or file name")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -288,14 +277,19 @@ def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) ->
     return ModelConfig(kind=entry.kind, num_topics=k, seed=seed, **kwargs)
 
 
-def _manifest_is_valid(manifest_path: Path, fingerprint: str) -> RunManifest | None:
+def _manifest_is_valid(manifest_path: Path, fingerprint: str,
+                       config: ModelConfig) -> RunManifest | None:
+    """The completed manifest at ``manifest_path`` if it was made from the
+    same corpus bytes and the same resolved config and its artifacts still
+    exist, else None."""
     if not manifest_path.exists():
         return None
     try:
         manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
     except (json.JSONDecodeError, TypeError):
         return None
-    if manifest.status != "ok" or manifest.corpus_fingerprint != fingerprint:
+    if (manifest.status != "ok" or manifest.corpus_fingerprint != fingerprint
+            or manifest.config != config.to_dict()):
         return None
     for artifact in manifest.artifacts.values():
         if not Path(artifact).exists():
@@ -348,10 +342,10 @@ def _run_cell(corpus: Corpus, fingerprint: str, plan: ExperimentPlan,
 
 def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     """Execute every cell of a plan, skipping cells whose manifest already
-    records a completed run over the same corpus bytes. Independent cells
-    may run on up to ``plan.workers`` threads; all outputs are written
-    atomically. Emits aggregate tables in all formats and returns the
-    manifests in plan order."""
+    records a completed run over the same corpus bytes and config.
+    Independent cells may run on up to ``plan.workers`` threads; all outputs
+    are written atomically. Emits aggregate tables in all formats and
+    returns the manifests in plan order."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -368,7 +362,8 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                 for seed in plan.seeds:
                     cell = _cell_id(dataset, entry, k, seed)
                     manifest_path = manifest_dir / f"{cell}.json"
-                    existing = _manifest_is_valid(manifest_path, fingerprint)
+                    existing = _manifest_is_valid(manifest_path, fingerprint,
+                                                  _build_config(plan, entry, k, seed))
                     if existing is not None:
                         logger.info("cell %s already complete; skipping", cell)
                         manifests.append(existing)

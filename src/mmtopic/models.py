@@ -1,23 +1,28 @@
 """VAE-style neural topic models over precomputed embeddings.
 
-Four kinds share one substrate:
+The four kinds share one objective and differ in what :data:`ENCODERS`
+lists for them and in the terms that follow from it. Each table entry is
+one inference network: its parameter prefix, the prepared input it reads,
+and the name of its KL component.
 
-- ``zeroshot``: encodes the text embedding alone.
-- ``combined``: encodes the text embedding concatenated with the
+- ``zeroshot``: one encoder over the text embedding.
+- ``combined``: one encoder over the text embedding concatenated with the
   L1-normalized bag-of-words.
-- ``multimodal_zeroshot``: encodes the concatenation of text and image
-  embeddings and adds a cosine loss that makes a per-topic image-feature
-  matrix reconstruct the document's image embedding from its topic mixture.
-- ``multimodal_contrast``: one encoder per modality, bag-of-words
-  reconstruction from the text-side mixture, a KL term per modality, and a
+- ``multimodal_zeroshot``: one encoder over the concatenated text and image
+  embeddings, plus a cosine loss that makes a per-topic image-feature matrix
+  reconstruct the document's image embedding from its topic mixture.
+- ``multimodal_contrast``: a text encoder and an image encoder, plus a
   temperature-scaled InfoNCE term that pulls the two mixtures of the same
   document together against every mixture in the batch.
 
-All kinds reconstruct the raw bag-of-words counts through a shared
-topic-word weight matrix. Objectives are minimized; every reported
-component (reconstruction, KL, image cosine, contrastive) carries its
-sign so the components sum to the total. Gradients are derived manually
-per layer and validated by finite differences.
+:func:`batch_objective` runs every listed encoder, reconstructs the raw
+bag-of-words counts from the first encoder's mixture through a shared
+topic-word weight matrix, adds one KL term per encoder, then the image
+term or the InfoNCE term, and back-propagates the same way. The first
+encoder's posterior mean is a document's topic mixture. Objectives are
+minimized; every reported component carries its sign so the components
+sum to the total. Gradients are derived manually per layer and validated
+by finite differences.
 """
 
 from __future__ import annotations
@@ -47,6 +52,17 @@ from .nncore import (
 
 KINDS = ("zeroshot", "combined", "multimodal_zeroshot", "multimodal_contrast")
 MULTIMODAL_KINDS = ("multimodal_zeroshot", "multimodal_contrast")
+
+# Per kind, one (parameter prefix, input key, KL component) per encoder.
+# Table order is the order of initialization draws, noise and dropout
+# draws, and KL components.
+ENCODERS = {
+    "zeroshot": (("enc", "x", "kl"),),
+    "combined": (("enc", "x", "kl"),),
+    "multimodal_zeroshot": (("enc", "x", "kl"),),
+    "multimodal_contrast": (("enc_text", "x_text", "kl_text"),
+                            ("enc_image", "x_image", "kl_image")),
+}
 
 # Norm products below this are treated as degenerate in cosine terms.
 _COSINE_TINY = 1e-12
@@ -136,14 +152,12 @@ def init_params(config: ModelConfig, text_dim: int, image_dim: int,
     a seeded generator reproduces the same initialization."""
     k = config.num_topics
     params = {}
-    if config.kind == "multimodal_contrast":
-        for prefix, dim in (("enc_text", text_dim), ("enc_image", image_dim)):
-            block = init_inference_network(dim, k, rng, hidden_dim=config.hidden_dim)
-            params.update({f"{prefix}.{name}": arr for name, arr in block.items()})
-    else:
-        dim = encoder_input_dim(config.kind, text_dim, image_dim, vocab_size)
+    widths = {"x_text": text_dim, "x_image": image_dim}
+    for prefix, key, _ in ENCODERS[config.kind]:
+        dim = widths[key] if key in widths else encoder_input_dim(
+            config.kind, text_dim, image_dim, vocab_size)
         block = init_inference_network(dim, k, rng, hidden_dim=config.hidden_dim)
-        params.update({f"enc.{name}": arr for name, arr in block.items()})
+        params.update({f"{prefix}.{name}": arr for name, arr in block.items()})
     params["beta"] = glorot_uniform(rng, (k, vocab_size))
     if config.kind == "multimodal_zeroshot":
         params["gamma"] = glorot_uniform(rng, (k, image_dim))
@@ -173,54 +187,6 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray):
     nb = np.linalg.norm(b, axis=-1)
     q = na * nb + _COSINE_TINY
     return dots / q, (dots, na, nb, q)
-
-
-def _vae_objective(x, bows, params, config: ModelConfig, prior: GaussianPrior,
-                   eps, dropout_mask=None, image_targets=None, want_grads=True):
-    """Shared single-encoder objective, summed over the batch.
-
-    Per document: recon + KL (+ image_loss_weight * (1 - cos) against the
-    image target when one is supplied). Returns (total, grads, components)
-    where components holds per-document arrays.
-    """
-    mu, logvar, cache = inference_forward(params, "enc", x, dropout_mask)
-    sigma = np.exp(0.5 * logvar)
-    theta = softmax(mu + sigma * eps, axis=-1)
-    recon, logits = _recon_forward(theta, params["beta"], bows)
-    kl = kl_rows(mu, logvar, prior)
-    components = {"recon": recon, "kl": kl}
-
-    if image_targets is not None:
-        recon_img = theta @ params["gamma"]
-        cos, cos_cache = _cosine_rows(image_targets, recon_img)
-        image_dist = 1.0 - cos
-        components["image_dist"] = image_dist
-        components["image"] = config.image_loss_weight * image_dist
-    total_rows = recon + kl + components.get("image", 0.0)
-    components["total"] = total_rows
-    total = float(np.sum(total_rows))
-    if not want_grads:
-        return total, None, components
-
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    d_theta = _recon_backward(theta, params["beta"], bows, logits, grads)
-    if image_targets is not None:
-        dots, _, nr, q = cos_cache
-        nr_safe = np.maximum(nr, _COSINE_TINY)
-        # d cos / d r for r = theta @ gamma, target u fixed:
-        #   u / q - dots * |u| * (r / |r|) / q^2
-        nu = np.linalg.norm(image_targets, axis=-1)
-        d_cos_dr = (image_targets / q[:, None]
-                    - (dots * nu / (q * q * nr_safe))[:, None] * recon_img)
-        d_img_dr = -config.image_loss_weight * d_cos_dr
-        grads["gamma"] += theta.T @ d_img_dr
-        d_theta = d_theta + d_img_dr @ params["gamma"].T
-    d_z = softmax_backward(theta, d_theta)
-    d_mu_kl, d_logvar_kl = kl_grads(mu, logvar, prior)
-    d_mu = d_z + d_mu_kl
-    d_logvar = d_z * eps * 0.5 * sigma + d_logvar_kl
-    inference_backward(params, "enc", cache, d_mu, d_logvar, grads)
-    return total, grads, components
 
 
 def _nce_terms(theta_text: np.ndarray, theta_image: np.ndarray, temperature: float):
@@ -280,75 +246,85 @@ def infonce(theta_text: np.ndarray, theta_image: np.ndarray,
     return float(weight * np.mean(nce))
 
 
-def _contrast_objective(x_text, x_image, bows, params, config: ModelConfig,
-                        prior: GaussianPrior, eps_text, eps_image,
-                        dropout_masks=(None, None), want_grads=True):
-    """Two-encoder contrastive objective, summed over the batch.
+def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
+                    noise, dropout_masks=None, want_grads=True):
+    """Evaluate one kind's training objective on a prepared batch, summed
+    over the batch.
 
-    Per document: recon (from the text-side mixture) + KL per modality +
-    contrastive_weight * nce. The contrastive term couples documents, so
-    gradients are computed for the batch as a whole.
+    ``inputs`` holds ``bow`` plus each encoder's input key from
+    :data:`ENCODERS` (and ``image_target`` for ``multimodal_zeroshot``).
+    ``noise`` is the standard-normal draw matching the mixture shape, one
+    per encoder: a bare array for single-encoder kinds, a (text, image) pair
+    for the contrastive kind; ``dropout_masks`` follows the same shape, or
+    is None for no dropout. Per document the objective is recon + one KL per
+    encoder (+ image_loss_weight * (1 - cos) for ``multimodal_zeroshot``,
+    + contrastive_weight * nce for two encoders). The contrastive term
+    couples documents, so gradients are computed for the batch as a whole.
+    Returns (total, grads, components) where components holds per-document
+    arrays.
     """
-    mask_t, mask_m = dropout_masks
-    mu_t, logvar_t, cache_t = inference_forward(params, "enc_text", x_text, mask_t)
-    mu_m, logvar_m, cache_m = inference_forward(params, "enc_image", x_image, mask_m)
-    sigma_t = np.exp(0.5 * logvar_t)
-    sigma_m = np.exp(0.5 * logvar_m)
-    theta_t = softmax(mu_t + sigma_t * eps_text, axis=-1)
-    theta_m = softmax(mu_m + sigma_m * eps_image, axis=-1)
+    encoders = ENCODERS[kind]
+    if isinstance(noise, np.ndarray):
+        noise = (noise,)
+    if dropout_masks is None or isinstance(dropout_masks, np.ndarray):
+        dropout_masks = (dropout_masks,) * len(encoders)
+    prior = config.prior()
+    passes = []  # (mu, logvar, sigma, theta, cache) per encoder
+    for (prefix, key, _), eps, mask in zip(encoders, noise, dropout_masks,
+                                            strict=True):
+        mu, logvar, cache = inference_forward(params, prefix, inputs[key], mask)
+        sigma = np.exp(0.5 * logvar)
+        passes.append((mu, logvar, sigma, softmax(mu + sigma * eps, axis=-1), cache))
+    thetas = [theta for _, _, _, theta, _ in passes]
+    bows = inputs["bow"]
 
-    recon, logits = _recon_forward(theta_t, params["beta"], bows)
-    kl_t = kl_rows(mu_t, logvar_t, prior)
-    kl_m = kl_rows(mu_m, logvar_m, prior)
-    nce, weights = _nce_terms(theta_t, theta_m, config.temperature)
-    contrastive = config.contrastive_weight * nce
-    total_rows = recon + kl_t + kl_m + contrastive
-    components = {"recon": recon, "kl_text": kl_t, "kl_image": kl_m,
-                  "contrastive": contrastive, "nce": nce, "total": total_rows}
+    recon, logits = _recon_forward(thetas[0], params["beta"], bows)
+    components = {"recon": recon}
+    total_rows = recon
+    for (_, _, kl_name), (mu, logvar, _, _, _) in zip(encoders, passes):
+        components[kl_name] = kl_rows(mu, logvar, prior)
+        total_rows = total_rows + components[kl_name]
+    if kind == "multimodal_zeroshot":
+        image_targets = inputs["image_target"]
+        recon_img = thetas[0] @ params["gamma"]
+        cos, (dots, _, nr, q) = _cosine_rows(image_targets, recon_img)
+        components["image_dist"] = 1.0 - cos
+        components["image"] = config.image_loss_weight * components["image_dist"]
+        total_rows = total_rows + components["image"]
+    if len(encoders) == 2:
+        nce, weights = _nce_terms(thetas[0], thetas[1], config.temperature)
+        components["contrastive"] = config.contrastive_weight * nce
+        components["nce"] = nce
+        total_rows = total_rows + components["contrastive"]
+    components["total"] = total_rows
     total = float(np.sum(total_rows))
     if not want_grads:
         return total, None, components
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    d_theta_t = _recon_backward(theta_t, params["beta"], bows, logits, grads)
-    d_nce_t, d_nce_m = _nce_theta_grads(theta_t, theta_m, config.temperature, weights)
-    d_theta_t = d_theta_t + config.contrastive_weight * d_nce_t
-    d_theta_m = config.contrastive_weight * d_nce_m
-
-    d_z_t = softmax_backward(theta_t, d_theta_t)
-    d_z_m = softmax_backward(theta_m, d_theta_m)
-    d_mu_kl_t, d_logvar_kl_t = kl_grads(mu_t, logvar_t, prior)
-    d_mu_kl_m, d_logvar_kl_m = kl_grads(mu_m, logvar_m, prior)
-    inference_backward(params, "enc_text", cache_t,
-                       d_z_t + d_mu_kl_t,
-                       d_z_t * eps_text * 0.5 * sigma_t + d_logvar_kl_t, grads)
-    inference_backward(params, "enc_image", cache_m,
-                       d_z_m + d_mu_kl_m,
-                       d_z_m * eps_image * 0.5 * sigma_m + d_logvar_kl_m, grads)
+    d_thetas = [_recon_backward(thetas[0], params["beta"], bows, logits, grads)]
+    if kind == "multimodal_zeroshot":
+        nr_safe = np.maximum(nr, _COSINE_TINY)
+        # d cos / d r for r = theta @ gamma, target u fixed:
+        #   u / q - dots * |u| * (r / |r|) / q^2
+        nu = np.linalg.norm(image_targets, axis=-1)
+        d_cos_dr = (image_targets / q[:, None]
+                    - (dots * nu / (q * q * nr_safe))[:, None] * recon_img)
+        d_img_dr = -config.image_loss_weight * d_cos_dr
+        grads["gamma"] += thetas[0].T @ d_img_dr
+        d_thetas[0] = d_thetas[0] + d_img_dr @ params["gamma"].T
+    if len(encoders) == 2:
+        d_nce_t, d_nce_m = _nce_theta_grads(thetas[0], thetas[1], config.temperature,
+                                            weights)
+        d_thetas[0] = d_thetas[0] + config.contrastive_weight * d_nce_t
+        d_thetas.append(config.contrastive_weight * d_nce_m)
+    for (prefix, _, _), (mu, logvar, sigma, theta, cache), eps, d_theta in zip(
+            encoders, passes, noise, d_thetas):
+        d_z = softmax_backward(theta, d_theta)
+        d_mu_kl, d_logvar_kl = kl_grads(mu, logvar, prior)
+        inference_backward(params, prefix, cache, d_z + d_mu_kl,
+                           d_z * eps * 0.5 * sigma + d_logvar_kl, grads)
     return total, grads, components
-
-
-def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
-                    noise, dropout_masks=None, want_grads=True):
-    """Evaluate one kind's training objective on a prepared batch.
-
-    ``inputs`` uses the keys ``x``/``bow`` (plus ``image_target`` for
-    ``multimodal_zeroshot``) for single-encoder kinds, or
-    ``x_text``/``x_image``/``bow`` for ``multimodal_contrast``. ``noise`` is
-    the standard-normal draw matching the mixture shape, a (text, image)
-    pair for the contrastive kind. Returns (total, grads, components).
-    """
-    prior = config.prior()
-    if kind == "multimodal_contrast":
-        eps_t, eps_m = noise
-        masks = dropout_masks if dropout_masks is not None else (None, None)
-        return _contrast_objective(inputs["x_text"], inputs["x_image"], inputs["bow"],
-                                   params, config, prior, eps_t, eps_m,
-                                   dropout_masks=masks, want_grads=want_grads)
-    image_targets = inputs.get("image_target") if kind == "multimodal_zeroshot" else None
-    return _vae_objective(inputs["x"], inputs["bow"], params, config, prior, noise,
-                          dropout_mask=dropout_masks, image_targets=image_targets,
-                          want_grads=want_grads)
 
 
 @dataclass(frozen=True)
@@ -389,8 +365,8 @@ def loss_zeroshot(embedding, bow, params, config: ModelConfig, noise_draw) -> Ze
     _check_dim("embedding", x[0], params["enc.W_hidden"].shape[1])
     bows = np.atleast_2d(np.asarray(bow, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(noise_draw, dtype=np.float64))
-    _, _, comps = _vae_objective(x, bows, params, config, config.prior(), eps,
-                                 want_grads=False)
+    _, _, comps = batch_objective("zeroshot", {"x": x, "bow": bows}, params, config,
+                                  eps, want_grads=False)
     return ZeroshotLoss(total=float(comps["total"][0]),
                         recon=float(comps["recon"][0]),
                         kl=float(comps["kl"][0]))
@@ -409,9 +385,10 @@ def loss_multimodal_zeroshot(doc: MultimodalDocument, params, config: ModelConfi
     _check_dim("concatenated embeddings", x, params["enc.W_hidden"].shape[1])
     bows = np.atleast_2d(np.asarray(doc.bow, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(noise_draw, dtype=np.float64))
-    _, _, comps = _vae_objective(np.atleast_2d(x), bows, params, config, config.prior(),
-                                 eps, image_targets=np.atleast_2d(doc.image_embedding),
-                                 want_grads=False)
+    inputs = {"x": np.atleast_2d(x), "bow": bows,
+              "image_target": np.atleast_2d(doc.image_embedding)}
+    _, _, comps = batch_objective("multimodal_zeroshot", inputs, params, config, eps,
+                                  want_grads=False)
     # Recompute the reconstruction norm to reject the degenerate direction.
     mu, logvar, _ = inference_forward(params, "enc", np.atleast_2d(x))
     theta = softmax(mu + np.exp(0.5 * logvar) * eps, axis=-1)
@@ -502,25 +479,6 @@ def _slice_inputs(inputs: dict, idx: np.ndarray) -> dict:
     return {key: arr[idx] for key, arr in inputs.items()}
 
 
-def _draw_noise(kind: str, rng: np.random.Generator, n: int, k: int):
-    if kind == "multimodal_contrast":
-        return rng.standard_normal((n, k)), rng.standard_normal((n, k))
-    return rng.standard_normal((n, k))
-
-
-def _draw_masks(kind: str, rng: np.random.Generator, n: int, hidden: int, rate: float):
-    if rate == 0.0:
-        return (None, None) if kind == "multimodal_contrast" else None
-    scale = 1.0 / (1.0 - rate)
-
-    def one():
-        return (rng.random((n, hidden)) >= rate) * scale
-
-    if kind == "multimodal_contrast":
-        return one(), one()
-    return one()
-
-
 def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     """Train a topic model with minibatch Adam.
 
@@ -532,6 +490,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     batch (counted from 1) whose loss is not finite.
     """
     kind = config.kind
+    encoders = ENCODERS[kind]
     inputs = prepare_inputs(corpus, kind)
     n = corpus.num_documents
     k = config.num_topics
@@ -545,6 +504,8 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
                          len(corpus.vocabulary), init_rng)
     adam = AdamState(learning_rate=config.learning_rate)
     trace: list[dict[str, float]] = []
+    rate = config.dropout_rate
+    scale = 1.0 / (1.0 - rate)  # inverted dropout keeps expected activations
 
     batches = math.ceil(n / config.batch_size)
     for epoch in range(config.epochs):
@@ -553,9 +514,10 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             batch = _slice_inputs(inputs, idx)
-            noise = _draw_noise(kind, noise_rng, idx.size, k)
-            masks = _draw_masks(kind, dropout_rng, idx.size, config.hidden_dim,
-                                config.dropout_rate)
+            noise = tuple(noise_rng.standard_normal((idx.size, k)) for _ in encoders)
+            masks = None if rate == 0.0 else tuple(
+                (dropout_rng.random((idx.size, config.hidden_dim)) >= rate) * scale
+                for _ in encoders)
             total, grads, comps = batch_objective(kind, batch, params, config, noise,
                                                   dropout_masks=masks)
             if not math.isfinite(total):
@@ -567,7 +529,8 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
                 sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
         trace.append({name: value / n for name, value in sums.items()})
 
-    doc_topics = _mean_doc_topics(kind, inputs, params)
+    prefix, key, _ = encoders[0]
+    doc_topics = _mean_theta(params, prefix, inputs[key])
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 
@@ -575,12 +538,6 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
 def _mean_theta(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:
     mu, _, _ = inference_forward(params, prefix, x)
     return softmax(mu, axis=-1)
-
-
-def _mean_doc_topics(kind: str, inputs: dict, params: dict) -> np.ndarray:
-    if kind == "multimodal_contrast":
-        return _mean_theta(params, "enc_text", inputs["x_text"])
-    return _mean_theta(params, "enc", inputs["x"])
 
 
 def infer_topic_distribution(model: TrainedTopicModel, *,

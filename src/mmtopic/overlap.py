@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import atomic_write_text
 from .metrics import rbo
 
 
@@ -125,7 +126,7 @@ class OverlapReport:
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
         return path
 
 

@@ -1,3 +1,5 @@
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -53,3 +55,28 @@ def tiny_corpus():
         ["apple", "durian", "durian", "cherry", "banana"],
         ["cherry", "apple", "banana"],
     ])
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every file opened with ``os.fdopen`` accept half of its first
+    write and then fail as a full disk does."""
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda fd, *args, **kw: HalfWriter(real_fdopen(fd, *args, **kw)))

@@ -1,0 +1,65 @@
+import dataclasses
+import json
+
+import pytest
+
+from mmtopic import cli
+from mmtopic.corpus import load_corpus, save_corpus
+from mmtopic.harness import load_model, save_model
+from mmtopic.models import ModelConfig, train
+
+from conftest import make_corpus
+
+CONFIG_FIELDS = [f for f in dataclasses.fields(ModelConfig)
+                 if f.name not in ("kind", "num_topics")]
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    corpus = make_corpus([
+        ["sun", "moon", "sun", "tide"],
+        ["moon", "star", "tide"],
+        ["sun", "star", "star", "moon"],
+        ["moon", "tide", "sun"],
+    ])
+    return save_corpus(corpus, tmp_path / "toy.jsonl")
+
+
+class TestTrainFlags:
+    def test_one_flag_per_config_field_with_its_default(self):
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "d.jsonl", "--kind", "combined", "--num-topics", "3",
+             "--out", "m.mmtm"])
+        for f in CONFIG_FIELDS:
+            assert getattr(args, f.name) == f.default
+
+    def test_every_flag_reaches_the_config(self, dataset, tmp_path):
+        values = {"epochs": 1, "batch_size": 3, "learning_rate": 0.01,
+                  "dropout_rate": 0.1, "hidden_dim": 4, "image_loss_weight": 2.0,
+                  "contrastive_weight": 5.0, "temperature": 0.5, "prior_alpha": 0.25,
+                  "seed": 9}
+        assert sorted(values) == sorted(f.name for f in CONFIG_FIELDS)
+        out = tmp_path / "m.mmtm"
+        argv = ["train", "--data", str(dataset), "--kind", "multimodal_zeroshot",
+                "--num-topics", "2", "--out", str(out)]
+        for name, value in values.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert cli.main(argv) == 0
+        assert load_model(out).config == ModelConfig(
+            kind="multimodal_zeroshot", num_topics=2, **values)
+
+
+def test_failed_eval_report_write_keeps_previous_report(dataset, tmp_path, request):
+    model = train(load_corpus(dataset),
+                  ModelConfig(kind="zeroshot", num_topics=2, epochs=1, hidden_dim=4))
+    checkpoint = save_model(model, tmp_path / "m.mmtm")
+    report = tmp_path / "report.json"
+    argv = ["eval", "--model", str(checkpoint), "--data", str(dataset),
+            "--out", str(report), "--top-n", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(report.read_text())["model_id"] == model.label
+    report.write_bytes(b"previous report\n")
+    request.getfixturevalue("full_disk")
+    with pytest.raises(OSError, match="No space"):
+        cli.main(argv)
+    assert report.read_bytes() == b"previous report\n"

@@ -13,6 +13,7 @@ from mmtopic.corpus import (
     SyntheticSpec,
     TokenIds,
     Vocabulary,
+    atomic_write_bytes,
     build_vocabulary,
     generate_synthetic,
     load_corpus,
@@ -138,6 +139,23 @@ class TestTokenIds:
             np.testing.assert_array_equal(ids.offsets, expected.offsets)
             assert ids.index == expected.index
         assert fresh.token_ids in seen
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_and_creates_its_directory(self, tmp_path):
+        path = tmp_path / "out" / "a.bin"
+        atomic_write_bytes(path, b"one")
+        atomic_write_bytes(path, b"two")
+        assert path.read_bytes() == b"two"
+        assert [p.name for p in path.parent.iterdir()] == ["a.bin"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, full_disk):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"previous contents")
+        with pytest.raises(OSError, match="No space"):
+            atomic_write_bytes(path, b"new contents that do not fit")
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
 
 class TestDatasetIO:

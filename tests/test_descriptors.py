@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -136,3 +137,14 @@ class TestDescribeAndWrite:
                                       "image_ref": descriptors[0].images[0].image_ref}
         # embeddings are deliberately not serialized
         assert "embedding" not in first["images"][0]
+
+    def test_failed_write_keeps_previous_file(self, described, tmp_path):
+        _, _, descriptors = described
+        path = write_descriptors(descriptors, tmp_path / "topics.jsonl")
+        before = path.read_bytes()
+        # the second topic cannot be serialized, so the write fails partway
+        broken = [descriptors[1], dataclasses.replace(descriptors[0], keywords=(object(),))]
+        with pytest.raises(TypeError):
+            write_descriptors(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["topics.jsonl"]

@@ -200,6 +200,25 @@ class TestPlanParsing:
             ExperimentPlan.from_dict({"datasets": ["d"], "models": [{"kind": "zeroshot"}],
                                       "workers": 0})
 
+    def test_duplicate_entry_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate model entry names"):
+            ExperimentPlan.from_dict({
+                "datasets": ["d.jsonl"],
+                "models": [{"kind": "multimodal_zeroshot"},
+                           {"kind": "multimodal_zeroshot", "image_loss_weight": 60}]})
+        plan = ExperimentPlan.from_dict({
+            "datasets": ["d.jsonl"],
+            "models": [{"kind": "multimodal_zeroshot"},
+                       {"kind": "multimodal_zeroshot", "image_loss_weight": 60,
+                        "label": "w60"}]})
+        assert [m.name for m in plan.models] == ["multimodal_zeroshot", "w60"]
+
+    def test_colliding_dataset_stems_rejected(self):
+        with pytest.raises(ValueError, match="duplicate dataset file stems"):
+            ExperimentPlan.from_dict({
+                "datasets": ["a/corpus.jsonl", "b/corpus.jsonl"],
+                "models": [{"kind": "zeroshot"}]})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"datasets": ["d.jsonl"],
@@ -284,6 +303,15 @@ class TestRunPlan:
         assert all(m.status == "ok" for m in second)
         assert second[0].corpus_fingerprint != first[0].corpus_fingerprint
         assert checkpoint.stat().st_mtime_ns != stamp
+
+    def test_changed_config_invalidates_cells(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        run_plan(make_plan(tmp_path, dataset, epochs=2))
+        manifests = run_plan(make_plan(tmp_path, dataset, epochs=3))
+        assert [m.config["epochs"] for m in manifests] == [3, 3, 3, 3]
+        for m in manifests:
+            model = load_model(m.artifacts["checkpoint"])
+            assert model.config.epochs == 3 and len(model.loss_trace) == 3
 
     def test_failed_cell_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
         import mmtopic.harness as harness_module

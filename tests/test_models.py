@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mmtopic.models as models_module
 from mmtopic.corpus import MultimodalDocument
 from mmtopic.models import (
     ContrastLoss,
@@ -357,18 +358,39 @@ class TestTraining:
         b = train(tiny_corpus, ModelConfig(seed=1, **base))
         assert not np.array_equal(a.topic_word_matrix, b.topic_word_matrix)
 
+    # Key order is part of the checkpoint bytes.
     @pytest.mark.parametrize("kind,keys", [
-        ("zeroshot", {"total", "recon", "kl"}),
-        ("combined", {"total", "recon", "kl"}),
-        ("multimodal_zeroshot", {"total", "recon", "kl", "image", "image_dist"}),
+        ("zeroshot", ["recon", "kl", "total"]),
+        ("combined", ["recon", "kl", "total"]),
+        ("multimodal_zeroshot", ["recon", "kl", "image_dist", "image", "total"]),
         ("multimodal_contrast",
-         {"total", "recon", "kl_text", "kl_image", "contrastive", "nce"}),
+         ["recon", "kl_text", "kl_image", "contrastive", "nce", "total"]),
     ])
     def test_trace_records_every_component(self, tiny_corpus, kind, keys):
         config = ModelConfig(kind=kind, num_topics=3, epochs=2, hidden_dim=8)
         model = train(tiny_corpus, config)
         assert len(model.loss_trace) == 2
-        assert set(model.loss_trace[0]) == keys
+        assert [list(epoch) for epoch in model.loss_trace] == [keys, keys]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_objective_and_adam_step_per_batch(self, tiny_corpus, kind, monkeypatch):
+        calls = {"batch_objective": 0, "adam_step": 0, "inference_forward": 0}
+        for name in calls:
+            real = getattr(models_module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(models_module, name, counted)
+        config = ModelConfig(kind=kind, num_topics=3, epochs=3, hidden_dim=8,
+                             batch_size=3)
+        train(tiny_corpus, config)
+        batches = config.epochs * math.ceil(tiny_corpus.num_documents / config.batch_size)
+        encoders = 2 if kind == "multimodal_contrast" else 1
+        # one more encoder pass computes the posterior-mean doc_topics
+        assert calls == {"batch_objective": batches, "adam_step": batches,
+                         "inference_forward": batches * encoders + 1}
 
     def test_loss_descends_on_planted_data(self, tiny_planted):
         corpus, _ = tiny_planted

@@ -149,3 +149,12 @@ class TestOverlapReport:
             assignment=tuple(data["assignment"]), mean=data["mean"], sd=data["sd"],
             rbo_p=data["rbo_p"], descriptor_size=data["descriptor_size"])
         assert clone.mean == report.mean
+
+    def test_failed_write_keeps_previous_file(self, two_models, tmp_path, full_disk):
+        a, b = two_models
+        path = tmp_path / "overlap.json"
+        path.write_bytes(b"previous report\n")
+        with pytest.raises(OSError, match="No space"):
+            overlap_report(a, b, n=3).write_json(path)
+        assert path.read_bytes() == b"previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["overlap.json"]

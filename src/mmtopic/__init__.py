@@ -47,9 +47,6 @@ from .models import (
     TrainedTopicModel,
     infer_topic_distribution,
     infonce,
-    loss_multimodal_contrast,
-    loss_multimodal_zeroshot,
-    loss_zeroshot,
     reconstruct_image_features,
     train,
 )
@@ -60,7 +57,6 @@ from .nncore import (
     dirichlet_laplace_prior,
     gradcheck,
     kl_diag_gaussian,
-    reparameterize,
     softmax,
     softplus,
 )

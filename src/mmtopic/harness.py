@@ -171,6 +171,8 @@ class ModelEntry:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelEntry":
         d = dict(d)
+        if "kind" not in d:
+            raise ValueError(f"model entry {d} lacks kind")
         kind = d.pop("kind")
         label = d.pop("label", None)
         unknown = set(d) - set(_CONFIG_OVERRIDES)
@@ -212,28 +214,35 @@ class ExperimentPlan:
             if repeated:
                 raise ValueError(f"duplicate {what}s {repeated}; give each a distinct "
                                  "label or file name")
+        # Reject an entry that cannot configure a model before any cell runs.
+        for entry in self.models:
+            for k in self.topic_counts:
+                try:
+                    _build_config(self, entry, k, self.seeds[0])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"model entry {entry.name!r} at {k} topics: "
+                                     f"{exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        d = dict(d)
-        seeds = d.get("seeds", 5)
-        if isinstance(seeds, int):
-            seeds = list(range(seeds))
-        models = tuple(ModelEntry.from_dict(m) for m in d["models"])
-        return cls(
-            datasets=tuple(d["datasets"]),
-            models=models,
-            topic_counts=tuple(d.get("topic_counts", (25, 50, 75, 100))),
-            seeds=tuple(seeds),
-            output_dir=d.get("output_dir", "runs"),
-            epochs=d.get("epochs"),
-            vocab_cap=d.get("vocab_cap"),
-            word_vectors=d.get("word_vectors"),
-            descriptor_size=d.get("descriptor_size", 10),
-            npmi_window=d.get("npmi_window", 10),
-            rbo_p=d.get("rbo_p", 0.9),
-            workers=d.get("workers", 1),
-        )
+        """A plan from its JSON form: one key per field, each optional key
+        defaulting to its field's default; ``seeds`` may be a count."""
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(d) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown plan keys: {unknown}")
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"plan lacks {', '.join(missing)}")
+        kwargs = dict(d)
+        if isinstance(kwargs.get("seeds"), int):
+            kwargs["seeds"] = range(kwargs["seeds"])
+        kwargs["models"] = [ModelEntry.from_dict(m) for m in kwargs["models"]]
+        for f in fields:
+            if str(f.type).startswith("tuple") and f.name in kwargs:
+                kwargs[f.name] = tuple(kwargs[f.name])
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentPlan":
@@ -491,9 +500,16 @@ def emit_report(manifests, fmt: str, out_dir: str | Path) -> Path:
 
 
 def load_manifests(runs_dir: str | Path) -> list[RunManifest]:
-    """Read every cell manifest under a run directory."""
+    """Read every cell manifest under a run directory. Raises ``ValueError``
+    naming the file when a manifest is not JSON or not a complete manifest."""
     manifest_dir = Path(runs_dir) / "manifests"
     paths = sorted(manifest_dir.glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no manifests under {manifest_dir}")
-    return [RunManifest.from_dict(json.loads(p.read_text("utf-8"))) for p in paths]
+    manifests = []
+    for path in paths:
+        try:
+            manifests.append(RunManifest.from_dict(json.loads(path.read_text("utf-8"))))
+        except (TypeError, ValueError) as exc:  # bad UTF-8 or JSON, wrong fields
+            raise ValueError(f"{path}: not a run manifest ({exc})") from exc
+    return manifests

@@ -3,7 +3,9 @@
 The four kinds share one objective and differ in what :data:`ENCODERS`
 lists for them and in the terms that follow from it. Each table entry is
 one inference network: its parameter prefix, the prepared input it reads,
-and the name of its KL component.
+the document features stacked into that input, and the name of its KL
+component. The features alone set the encoder's input width, the training
+matrices and the inputs inference needs.
 
 - ``zeroshot``: one encoder over the text embedding.
 - ``combined``: one encoder over the text embedding concatenated with the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .corpus import Corpus, MultimodalDocument, Vocabulary
+from .corpus import Corpus, Vocabulary
 from .nncore import (
     AdamState,
     GaussianPrior,
@@ -53,16 +55,21 @@ from .nncore import (
 KINDS = ("zeroshot", "combined", "multimodal_zeroshot", "multimodal_contrast")
 MULTIMODAL_KINDS = ("multimodal_zeroshot", "multimodal_contrast")
 
-# Per kind, one (parameter prefix, input key, KL component) per encoder.
-# Table order is the order of initialization draws, noise and dropout
-# draws, and KL components.
+# Per kind, one (parameter prefix, input key, features, KL component) per
+# encoder. Features are "text" and "image" (the embeddings) and "bow" (the
+# L1-normalized bag-of-words), concatenated in the listed order. Table order
+# is the order of initialization, noise and dropout draws and KL components;
+# inference runs the first encoder whose features are all given.
 ENCODERS = {
-    "zeroshot": (("enc", "x", "kl"),),
-    "combined": (("enc", "x", "kl"),),
-    "multimodal_zeroshot": (("enc", "x", "kl"),),
-    "multimodal_contrast": (("enc_text", "x_text", "kl_text"),
-                            ("enc_image", "x_image", "kl_image")),
+    "zeroshot": (("enc", "x", ("text",), "kl"),),
+    "combined": (("enc", "x", ("text", "bow"), "kl"),),
+    "multimodal_zeroshot": (("enc", "x", ("text", "image"), "kl"),),
+    "multimodal_contrast": (("enc_text", "x_text", ("text",), "kl_text"),
+                            ("enc_image", "x_image", ("image",), "kl_image")),
 }
+
+# The infer_topic_distribution argument that carries each feature.
+_FEATURE_ARGUMENTS = {"text": "text_embedding", "image": "image_embedding", "bow": "bow"}
 
 # Norm products below this are treated as degenerate in cosine terms.
 _COSINE_TINY = 1e-12
@@ -135,14 +142,12 @@ def l1_normalize_bow(bow: np.ndarray) -> np.ndarray:
     return np.divide(bow, totals, out=np.zeros_like(bow), where=totals > 0)
 
 
-def encoder_input_dim(kind: str, text_dim: int, image_dim: int, vocab_size: int) -> int:
-    if kind == "zeroshot":
-        return text_dim
-    if kind == "combined":
-        return text_dim + vocab_size
-    if kind == "multimodal_zeroshot":
-        return text_dim + image_dim
-    raise ValueError(f"single-encoder input undefined for kind {kind!r}")
+def _encoder_input(features: tuple[str, ...], columns: dict) -> np.ndarray:
+    """One encoder's input: its feature columns side by side along the last
+    axis. A single feature is passed through as is, not copied."""
+    if len(features) == 1:
+        return columns[features[0]]
+    return np.concatenate([columns[f] for f in features], axis=-1)
 
 
 def init_params(config: ModelConfig, text_dim: int, image_dim: int,
@@ -152,10 +157,9 @@ def init_params(config: ModelConfig, text_dim: int, image_dim: int,
     a seeded generator reproduces the same initialization."""
     k = config.num_topics
     params = {}
-    widths = {"x_text": text_dim, "x_image": image_dim}
-    for prefix, key, _ in ENCODERS[config.kind]:
-        dim = widths[key] if key in widths else encoder_input_dim(
-            config.kind, text_dim, image_dim, vocab_size)
+    widths = {"text": text_dim, "image": image_dim, "bow": vocab_size}
+    for prefix, _, features, _ in ENCODERS[config.kind]:
+        dim = sum(widths[f] for f in features)
         block = init_inference_network(dim, k, rng, hidden_dim=config.hidden_dim)
         params.update({f"{prefix}.{name}": arr for name, arr in block.items()})
     params["beta"] = glorot_uniform(rng, (k, vocab_size))
@@ -270,8 +274,8 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
         dropout_masks = (dropout_masks,) * len(encoders)
     prior = config.prior()
     passes = []  # (mu, logvar, sigma, theta, cache) per encoder
-    for (prefix, key, _), eps, mask in zip(encoders, noise, dropout_masks,
-                                            strict=True):
+    for (prefix, key, _, _), eps, mask in zip(encoders, noise, dropout_masks,
+                                               strict=True):
         mu, logvar, cache = inference_forward(params, prefix, inputs[key], mask)
         sigma = np.exp(0.5 * logvar)
         passes.append((mu, logvar, sigma, softmax(mu + sigma * eps, axis=-1), cache))
@@ -281,7 +285,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
     recon, logits = _recon_forward(thetas[0], params["beta"], bows)
     components = {"recon": recon}
     total_rows = recon
-    for (_, _, kl_name), (mu, logvar, _, _, _) in zip(encoders, passes):
+    for (_, _, _, kl_name), (mu, logvar, _, _, _) in zip(encoders, passes):
         components[kl_name] = kl_rows(mu, logvar, prior)
         total_rows = total_rows + components[kl_name]
     if kind == "multimodal_zeroshot":
@@ -318,7 +322,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
                                             weights)
         d_thetas[0] = d_thetas[0] + config.contrastive_weight * d_nce_t
         d_thetas.append(config.contrastive_weight * d_nce_m)
-    for (prefix, _, _), (mu, logvar, sigma, theta, cache), eps, d_theta in zip(
+    for (prefix, _, _, _), (mu, logvar, sigma, theta, cache), eps, d_theta in zip(
             encoders, passes, noise, d_thetas):
         d_z = softmax_backward(theta, d_theta)
         d_mu_kl, d_logvar_kl = kl_grads(mu, logvar, prior)
@@ -327,102 +331,9 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
     return total, grads, components
 
 
-@dataclass(frozen=True)
-class ZeroshotLoss:
-    total: float
-    recon: float
-    kl: float
-
-
-@dataclass(frozen=True)
-class MultimodalZeroshotLoss:
-    total: float
-    recon: float
-    kl: float
-    image: float
-    image_dist: float
-
-
-@dataclass(frozen=True)
-class ContrastLoss:
-    total: float
-    recon: float
-    kl_text: float
-    kl_image: float
-    contrastive: float
-    per_document: np.ndarray
-
-
 def _check_dim(name: str, vec: np.ndarray, expected: int):
     if vec.shape != (expected,):
         raise ValueError(f"{name} has shape {vec.shape}, expected ({expected},)")
-
-
-def loss_zeroshot(embedding, bow, params, config: ModelConfig, noise_draw) -> ZeroshotLoss:
-    """Unimodal objective for one document: reconstruction of the raw counts
-    plus KL against the logistic-normal Dirichlet prior."""
-    x = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
-    _check_dim("embedding", x[0], params["enc.W_hidden"].shape[1])
-    bows = np.atleast_2d(np.asarray(bow, dtype=np.float64))
-    eps = np.atleast_2d(np.asarray(noise_draw, dtype=np.float64))
-    _, _, comps = batch_objective("zeroshot", {"x": x, "bow": bows}, params, config,
-                                  eps, want_grads=False)
-    return ZeroshotLoss(total=float(comps["total"][0]),
-                        recon=float(comps["recon"][0]),
-                        kl=float(comps["kl"][0]))
-
-
-def loss_multimodal_zeroshot(doc: MultimodalDocument, params, config: ModelConfig,
-                             noise_draw) -> MultimodalZeroshotLoss:
-    """Objective for one document of the concatenated-embedding multimodal
-    kind: recon + KL + image_loss_weight * (1 - cosine(image embedding,
-    reconstructed image features)).
-
-    Raises if the reconstructed image feature vector is exactly zero, where
-    the cosine is undefined.
-    """
-    x = np.concatenate([doc.text_embedding, doc.image_embedding])
-    _check_dim("concatenated embeddings", x, params["enc.W_hidden"].shape[1])
-    bows = np.atleast_2d(np.asarray(doc.bow, dtype=np.float64))
-    eps = np.atleast_2d(np.asarray(noise_draw, dtype=np.float64))
-    inputs = {"x": np.atleast_2d(x), "bow": bows,
-              "image_target": np.atleast_2d(doc.image_embedding)}
-    _, _, comps = batch_objective("multimodal_zeroshot", inputs, params, config, eps,
-                                  want_grads=False)
-    # Recompute the reconstruction norm to reject the degenerate direction.
-    mu, logvar, _ = inference_forward(params, "enc", np.atleast_2d(x))
-    theta = softmax(mu + np.exp(0.5 * logvar) * eps, axis=-1)
-    if np.linalg.norm(theta @ params["gamma"]) == 0.0:
-        raise ValueError("reconstructed image features are exactly zero; "
-                         "cosine loss is undefined")
-    return MultimodalZeroshotLoss(total=float(comps["total"][0]),
-                                  recon=float(comps["recon"][0]),
-                                  kl=float(comps["kl"][0]),
-                                  image=float(comps["image"][0]),
-                                  image_dist=float(comps["image_dist"][0]))
-
-
-def loss_multimodal_contrast(docs, params, config: ModelConfig,
-                             noise_draws) -> ContrastLoss:
-    """Batch objective for the two-encoder contrastive kind. ``noise_draws``
-    is a (text, image) pair of standard-normal matrices. Components are
-    batch sums; ``per_document`` carries each document's own contribution
-    (its reconstruction, KL terms, and weighted InfoNCE term)."""
-    if len(docs) < 1:
-        raise ValueError("batch must contain at least one document")
-    x_text = np.stack([d.text_embedding for d in docs])
-    x_image = np.stack([d.image_embedding for d in docs])
-    bows = np.stack([d.bow for d in docs]).astype(np.float64)
-    eps_t, eps_m = (np.asarray(e, dtype=np.float64) for e in noise_draws)
-    inputs = {"x_text": x_text, "x_image": x_image, "bow": bows}
-    _, _, comps = batch_objective("multimodal_contrast", inputs, params, config,
-                                  (eps_t, eps_m), want_grads=False)
-    return ContrastLoss(total=float(np.sum(comps["total"])),
-                        recon=float(np.sum(comps["recon"])),
-                        kl_text=float(np.sum(comps["kl_text"])),
-                        kl_image=float(np.sum(comps["kl_image"])),
-                        contrastive=float(np.sum(comps["contrastive"])),
-                        per_document=comps["total"].copy())
 
 
 @dataclass
@@ -459,20 +370,22 @@ class TrainedTopicModel:
 
 
 def prepare_inputs(corpus: Corpus, kind: str) -> dict[str, np.ndarray]:
-    """Stack the corpus into the input matrices a kind trains on."""
+    """Stack the corpus into the input matrices a kind trains on: each
+    encoder's features under its input key, the raw counts under ``bow``,
+    and the image embeddings under ``image_target`` for
+    ``multimodal_zeroshot``."""
+    if kind not in ENCODERS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    encoders = ENCODERS[kind]
     bows = corpus.bow_matrix()
-    text = corpus.text_matrix()
-    image = corpus.image_matrix()
-    if kind == "zeroshot":
-        return {"x": text, "bow": bows}
-    if kind == "combined":
-        return {"x": np.concatenate([text, l1_normalize_bow(bows)], axis=1), "bow": bows}
+    columns = {"text": corpus.text_matrix(), "image": corpus.image_matrix()}
+    if any("bow" in features for _, _, features, _ in encoders):
+        columns["bow"] = l1_normalize_bow(bows)
+    inputs = {key: _encoder_input(features, columns) for _, key, features, _ in encoders}
+    inputs["bow"] = bows
     if kind == "multimodal_zeroshot":
-        return {"x": np.concatenate([text, image], axis=1), "bow": bows,
-                "image_target": image}
-    if kind == "multimodal_contrast":
-        return {"x_text": text, "x_image": image, "bow": bows}
-    raise ValueError(f"unknown model kind {kind!r}")
+        inputs["image_target"] = columns["image"]
+    return inputs
 
 
 def _slice_inputs(inputs: dict, idx: np.ndarray) -> dict:
@@ -529,7 +442,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
                 sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
         trace.append({name: value / n for name, value in sums.items()})
 
-    prefix, key, _ = encoders[0]
+    prefix, key, _, _ = encoders[0]
     doc_topics = _mean_theta(params, prefix, inputs[key])
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
@@ -545,39 +458,26 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
                              bow=None) -> np.ndarray:
     """Posterior-mean topic distribution for one document.
 
-    The contrastive kind accepts either modality and prefers the text
-    encoder when both are given; the other kinds require their full input
-    and raise on anything less.
+    Runs the first encoder in :data:`ENCODERS` order whose features are all
+    given, so the contrastive kind accepts either modality and prefers text,
+    and the other kinds need their full input. Raises ``ValueError`` naming
+    the inputs the kind needs when no encoder's features are all given.
     """
-    kind = model.kind
-    text = None if text_embedding is None else np.asarray(text_embedding, dtype=np.float64)
-    image = None if image_embedding is None else np.asarray(image_embedding, dtype=np.float64)
-
-    if kind == "multimodal_contrast":
-        if text is not None:
-            _check_dim("text_embedding", text, model.params["enc_text.W_hidden"].shape[1])
-            return _mean_theta(model.params, "enc_text", np.atleast_2d(text))[0]
-        if image is not None:
-            _check_dim("image_embedding", image, model.params["enc_image.W_hidden"].shape[1])
-            return _mean_theta(model.params, "enc_image", np.atleast_2d(image))[0]
-        raise ValueError("multimodal_contrast inference needs a text or image embedding")
-
-    if kind == "zeroshot":
-        if text is None:
-            raise ValueError("zeroshot models support text input only; "
-                             "a text_embedding is required")
-        x = text
-    elif kind == "combined":
-        if text is None or bow is None:
-            raise ValueError("combined models require text_embedding and bow")
-        x = np.concatenate([text, l1_normalize_bow(np.asarray(bow, dtype=np.float64))])
-    else:  # multimodal_zeroshot
-        if text is None or image is None:
-            raise ValueError("multimodal_zeroshot models require both "
-                             "text_embedding and image_embedding")
-        x = np.concatenate([text, image])
-    _check_dim("encoder input", x, model.params["enc.W_hidden"].shape[1])
-    return _mean_theta(model.params, "enc", np.atleast_2d(x))[0]
+    given = {feature: np.asarray(value, dtype=np.float64) for feature, value in
+             (("text", text_embedding), ("image", image_embedding), ("bow", bow))
+             if value is not None}
+    if "bow" in given:
+        given["bow"] = l1_normalize_bow(given["bow"])
+    encoders = ENCODERS[model.kind]
+    for prefix, _, features, _ in encoders:
+        if all(f in given for f in features):
+            x = _encoder_input(features, given)
+            _check_dim(" + ".join(_FEATURE_ARGUMENTS[f] for f in features), x,
+                       model.params[f"{prefix}.W_hidden"].shape[1])
+            return _mean_theta(model.params, prefix, np.atleast_2d(x))[0]
+    needs = " or ".join(" and ".join(_FEATURE_ARGUMENTS[f] for f in features)
+                        for _, _, features, _ in encoders)
+    raise ValueError(f"{model.kind} inference needs {needs}")
 
 
 def reconstruct_image_features(model: TrainedTopicModel, topic_dist) -> np.ndarray:

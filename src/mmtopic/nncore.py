@@ -1,6 +1,6 @@
-"""Dense neural substrate: activations, the reparameterized Gaussian draw,
-closed-form KL terms, the logistic-normal Dirichlet prior approximation,
-Adam, and a finite-difference gradient checker.
+"""Dense neural substrate: activations, the encoder network, closed-form
+KL terms, the logistic-normal Dirichlet prior approximation, Adam, and a
+finite-difference gradient checker.
 
 Everything runs in float64 on plain numpy arrays. Parameter sets are flat
 dicts of named arrays so the optimizer and the gradient checker can treat
@@ -42,29 +42,6 @@ def log_softmax(x, axis=-1):
     x = np.asarray(x, dtype=np.float64)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def activation(kind: str, x):
-    """Apply a named activation. Supported kinds: ``softplus``, ``softmax``."""
-    if kind == "softplus":
-        return softplus(x)
-    if kind == "softmax":
-        return softmax(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def reparameterize(mu, logvar, eps):
-    """Map a diagonal-Gaussian draw onto the probability simplex.
-
-    z = mu + exp(logvar / 2) * eps, theta = softmax(z). With ``eps == 0``
-    this is the posterior-mean topic distribution. Works on single vectors
-    or row-stacked batches.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    z = mu + np.exp(0.5 * logvar) * eps
-    return softmax(z, axis=-1)
 
 
 @dataclass(frozen=True)

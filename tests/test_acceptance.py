@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from mmtopic.corpus import MultimodalDocument, SyntheticSpec, generate_synthetic, save_corpus
+from mmtopic.corpus import SyntheticSpec, generate_synthetic, save_corpus
 from mmtopic.descriptors import top_keywords
 from mmtopic.harness import ExperimentPlan, load_model, run_plan, save_model
 from mmtopic.metrics import iec, ieps, irbo, npmi, rbo, topic_diversity
@@ -23,9 +23,6 @@ from mmtopic.models import (
     infer_topic_distribution,
     infonce,
     init_params,
-    loss_multimodal_contrast,
-    loss_multimodal_zeroshot,
-    loss_zeroshot,
     train,
 )
 from mmtopic.nncore import gradcheck
@@ -248,37 +245,43 @@ def test_c06_objective_reductions():
                            image_loss_weight=0.0, dropout_rate=0.0)
     worst_reduction = 0.0
     for _ in range(20):
-        doc = MultimodalDocument(
-            id="d", tokens=(), bow=rng.integers(0, 5, size=50).astype(np.float64),
-            text_embedding=rng.normal(size=16), image_embedding=rng.normal(size=16))
-        eps = rng.normal(size=5)
-        multi = loss_multimodal_zeroshot(doc, params, zero_cfg, eps)
-        x = np.concatenate([doc.text_embedding, doc.image_embedding])
-        uni = loss_zeroshot(x, doc.bow, params, zero_cfg, eps)
+        bow = rng.integers(0, 5, size=(1, 50)).astype(np.float64)
+        text, image = rng.normal(size=(1, 16)), rng.normal(size=(1, 16))
+        eps = rng.normal(size=(1, 5))
+        x = np.concatenate([text, image], axis=1)
+        _, _, multi = batch_objective("multimodal_zeroshot",
+                                      {"x": x, "bow": bow, "image_target": image},
+                                      params, zero_cfg, eps, want_grads=False)
+        _, _, uni = batch_objective("zeroshot", {"x": x, "bow": bow}, params, zero_cfg,
+                                    eps, want_grads=False)
         worst_reduction = max(worst_reduction,
-                              abs(multi.total - uni.total),
-                              abs(multi.recon - uni.recon),
-                              abs(multi.kl - uni.kl),
-                              abs(multi.image))
+                              abs(multi["total"][0] - uni["total"][0]),
+                              abs(multi["recon"][0] - uni["recon"][0]),
+                              abs(multi["kl"][0] - uni["kl"][0]),
+                              abs(multi["image"][0]))
 
     # contrastive weight 0: no document's loss depends on any other document
     c_config, c_params, _, _ = random_objective_instance("multimodal_contrast", 6002)
     free_cfg = ModelConfig(kind="multimodal_contrast", num_topics=5,
                            contrastive_weight=0.0, dropout_rate=0.0)
-    docs = [MultimodalDocument(
-        id=f"d{i}", tokens=(), bow=rng.integers(0, 5, size=50).astype(np.float64),
-        text_embedding=rng.normal(size=16), image_embedding=rng.normal(size=16))
-        for i in range(8)]
+    docs = [(rng.integers(0, 5, size=50).astype(np.float64),
+             rng.normal(size=16), rng.normal(size=16)) for _ in range(8)]
+    bows, texts, images = (np.stack(column) for column in zip(*docs))
     eps = (rng.normal(size=(8, 5)), rng.normal(size=(8, 5)))
-    base = loss_multimodal_contrast(docs, c_params, free_cfg, eps).per_document
+
+    def per_document(x_text, x_image):
+        _, _, comps = batch_objective(
+            "multimodal_contrast", {"x_text": x_text, "x_image": x_image, "bow": bows},
+            c_params, free_cfg, eps, want_grads=False)
+        return comps["total"]
+
+    base = per_document(texts, images)
     worst_coupling = 0.0
     for j in (0, 3, 7):
-        bumped = list(docs)
-        bumped[j] = MultimodalDocument(
-            id=f"d{j}", tokens=(), bow=docs[j].bow,
-            text_embedding=docs[j].text_embedding + 2.0,
-            image_embedding=docs[j].image_embedding - 2.0)
-        after = loss_multimodal_contrast(bumped, c_params, free_cfg, eps).per_document
+        bumped_texts, bumped_images = texts.copy(), images.copy()
+        bumped_texts[j] += 2.0
+        bumped_images[j] -= 2.0
+        after = per_document(bumped_texts, bumped_images)
         others = [i for i in range(8) if i != j]
         worst_coupling = max(worst_coupling,
                              float(np.max(np.abs(after[others] - base[others]))))

@@ -219,6 +219,30 @@ class TestPlanParsing:
                 "datasets": ["a/corpus.jsonl", "b/corpus.jsonl"],
                 "models": [{"kind": "zeroshot"}]})
 
+    def test_unknown_plan_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown plan keys: \\['topic_count'\\]"):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
+                                      "models": [{"kind": "zeroshot"}],
+                                      "topic_count": [3]})
+
+    @pytest.mark.parametrize("plan,message", [
+        ({"models": [{"kind": "zeroshot"}]}, "plan lacks datasets"),
+        ({"datasets": ["d.jsonl"]}, "plan lacks models"),
+        ({"datasets": ["d.jsonl"], "models": [{"label": "z"}]}, "lacks kind"),
+    ], ids=["datasets", "models", "entry-kind"])
+    def test_missing_keys_rejected(self, plan, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_dict(plan)
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"kind": "zeroshot", "epochs": "5"}, "'zeroshot' at 25 topics"),
+        ({"kind": "pagerank"}, "'pagerank' at 25 topics: unknown model kind"),
+        ({"kind": "combined", "label": "c", "batch_size": 0}, "'c' at 25 topics: batch_size"),
+    ], ids=["string-epochs", "unknown-kind", "zero-batch-size"])
+    def test_entries_that_cannot_configure_a_model_rejected(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"datasets": ["d.jsonl"],
@@ -358,6 +382,15 @@ class TestRunPlan:
         assert sorted(m.cell_id for m in loaded) == sorted(m.cell_id for m in manifests)
         with pytest.raises(FileNotFoundError, match="no manifests"):
             load_manifests(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("text", ['{"cell_id": "x",', '{"cell_id": "x"}', '[1, 2]'],
+                             ids=["truncated", "missing-fields", "not-an-object"])
+    def test_load_manifests_names_a_broken_manifest(self, tmp_path, text):
+        manifest_dir = tmp_path / "runs" / "manifests"
+        manifest_dir.mkdir(parents=True)
+        (manifest_dir / "broken.json").write_text(text)
+        with pytest.raises(ValueError, match="broken.json: not a run manifest"):
+            load_manifests(tmp_path / "runs")
 
 
 def manifest_stub(model, k, seed, metrics, status="ok", dataset="d.jsonl"):

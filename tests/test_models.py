@@ -6,17 +6,13 @@ import pytest
 import mmtopic.models as models_module
 from mmtopic.corpus import MultimodalDocument
 from mmtopic.models import (
-    ContrastLoss,
+    ENCODERS,
     ModelConfig,
     batch_objective,
-    encoder_input_dim,
     infer_topic_distribution,
     infonce,
     init_params,
     l1_normalize_bow,
-    loss_multimodal_contrast,
-    loss_multimodal_zeroshot,
-    loss_zeroshot,
     prepare_inputs,
     reconstruct_image_features,
     train,
@@ -87,12 +83,15 @@ class TestInputs:
         np.testing.assert_array_equal(out[1], 0.0)
         assert out[2].sum() == pytest.approx(1.0)
 
-    def test_encoder_input_dim_per_kind(self):
-        assert encoder_input_dim("zeroshot", 10, 7, 99) == 10
-        assert encoder_input_dim("combined", 10, 7, 99) == 109
-        assert encoder_input_dim("multimodal_zeroshot", 10, 7, 99) == 17
-        with pytest.raises(ValueError, match="single-encoder"):
-            encoder_input_dim("multimodal_contrast", 10, 7, 99)
+    def test_encoder_input_dim_per_kind(self, tiny_corpus):
+        # each encoder's width is the column count training feeds it
+        for kind in KINDS:
+            config = ModelConfig(kind=kind, num_topics=3, hidden_dim=6)
+            params = init_params(config, tiny_corpus.text_dim, tiny_corpus.image_dim,
+                                 len(tiny_corpus.vocabulary), np.random.default_rng(0))
+            inputs = prepare_inputs(tiny_corpus, kind)
+            for prefix, key, _, _ in ENCODERS[kind]:
+                assert params[f"{prefix}.W_hidden"].shape[1] == inputs[key].shape[1]
 
     def test_prepare_inputs_shapes(self, tiny_corpus):
         n = tiny_corpus.num_documents
@@ -121,33 +120,42 @@ class TestInputs:
         assert p["enc_image.W_hidden"].shape == (6, 4)
 
 
+def one_doc_components(kind, doc, params, config, eps):
+    """One document's objective components for a single-encoder kind fed
+    the concatenated text and image embeddings."""
+    x = np.concatenate([doc.text_embedding, doc.image_embedding])
+    inputs = {"x": x[None], "bow": doc.bow[None], "image_target": doc.image_embedding[None]}
+    _, _, comps = batch_objective(kind, inputs, params, config, eps[None],
+                                  want_grads=False)
+    return {name: float(rows[0]) for name, rows in comps.items()}
+
+
 class TestMultimodalZeroshotLoss:
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(21)
         config, params = make_params("multimodal_zeroshot", image_loss_weight=3.0)
         doc = make_doc(rng)
         eps = rng.normal(size=3)
-        out = loss_multimodal_zeroshot(doc, params, config, eps)
+        out = one_doc_components("multimodal_zeroshot", doc, params, config, eps)
         x = np.concatenate([doc.text_embedding, doc.image_embedding])
         total, recon, kl, image = mzs_loss_reference(
             x, doc.bow, doc.image_embedding, params, 3, config.prior_alpha, 3.0, eps)
-        assert out.total == pytest.approx(total, rel=1e-9)
-        assert out.recon == pytest.approx(recon, rel=1e-9)
-        assert out.kl == pytest.approx(kl, rel=1e-9)
-        assert out.image == pytest.approx(image, rel=1e-9)
+        assert out["total"] == pytest.approx(total, rel=1e-9)
+        assert out["recon"] == pytest.approx(recon, rel=1e-9)
+        assert out["kl"] == pytest.approx(kl, rel=1e-9)
+        assert out["image"] == pytest.approx(image, rel=1e-9)
 
     def test_zero_image_weight_reduces_to_unimodal_objective(self):
         rng = np.random.default_rng(22)
         config, params = make_params("multimodal_zeroshot", image_loss_weight=0.0)
         doc = make_doc(rng)
         eps = rng.normal(size=3)
-        multi = loss_multimodal_zeroshot(doc, params, config, eps)
-        x = np.concatenate([doc.text_embedding, doc.image_embedding])
-        uni = loss_zeroshot(x, doc.bow, params, config, eps)
-        assert multi.image == 0.0
-        assert abs(multi.total - uni.total) <= 1e-12
-        assert abs(multi.recon - uni.recon) <= 1e-12
-        assert abs(multi.kl - uni.kl) <= 1e-12
+        multi = one_doc_components("multimodal_zeroshot", doc, params, config, eps)
+        uni = one_doc_components("zeroshot", doc, params, config, eps)
+        assert multi["image"] == 0.0
+        assert abs(multi["total"] - uni["total"]) <= 1e-12
+        assert abs(multi["recon"] - uni["recon"]) <= 1e-12
+        assert abs(multi["kl"] - uni["kl"]) <= 1e-12
 
     def test_parallel_reconstruction_zeroes_image_term(self):
         rng = np.random.default_rng(23)
@@ -156,9 +164,10 @@ class TestMultimodalZeroshotLoss:
         # every topic maps to the same image vector, so any mixture
         # reconstructs it exactly and the cosine penalty vanishes
         params["gamma"] = np.tile(doc.image_embedding, (3, 1))
-        out = loss_multimodal_zeroshot(doc, params, config, rng.normal(size=3))
-        assert out.image_dist == pytest.approx(0.0, abs=1e-9)
-        assert out.image == pytest.approx(0.0, abs=1e-8)
+        out = one_doc_components("multimodal_zeroshot", doc, params, config,
+                                 rng.normal(size=3))
+        assert out["image_dist"] == pytest.approx(0.0, abs=1e-9)
+        assert out["image"] == pytest.approx(0.0, abs=1e-8)
 
     def test_orthogonal_reconstruction_pays_full_weight(self):
         rng = np.random.default_rng(24)
@@ -170,23 +179,10 @@ class TestMultimodalZeroshotLoss:
             image_embedding=np.array([2.0, 0.0, 0.0, 0.0]),
         )
         params["gamma"] = np.tile(np.array([0.0, 3.0, 0.0, 0.0]), (3, 1))
-        out = loss_multimodal_zeroshot(doc, params, config, rng.normal(size=3))
-        assert out.image_dist == pytest.approx(1.0, abs=1e-12)
-        assert out.image == pytest.approx(5.0, abs=1e-9)
-
-    def test_zero_reconstruction_rejected(self):
-        rng = np.random.default_rng(25)
-        config, params = make_params("multimodal_zeroshot")
-        params["gamma"] = np.zeros_like(params["gamma"])
-        with pytest.raises(ValueError, match="exactly zero"):
-            loss_multimodal_zeroshot(make_doc(rng), params, config, rng.normal(size=3))
-
-    def test_wrong_embedding_width_rejected(self):
-        rng = np.random.default_rng(26)
-        config, params = make_params("multimodal_zeroshot")
-        doc = make_doc(rng, text_dim=9)
-        with pytest.raises(ValueError, match="expected"):
-            loss_multimodal_zeroshot(doc, params, config, rng.normal(size=3))
+        out = one_doc_components("multimodal_zeroshot", doc, params, config,
+                                 rng.normal(size=3))
+        assert out["image_dist"] == pytest.approx(1.0, abs=1e-12)
+        assert out["image"] == pytest.approx(5.0, abs=1e-9)
 
 
 class TestInfonce:
@@ -240,52 +236,54 @@ class TestContrastLoss:
     def make_batch(self, rng, n=4):
         return [make_doc(rng, doc_id=f"d{i}") for i in range(n)]
 
+    def components(self, docs, params, config, eps):
+        inputs = {"x_text": np.stack([d.text_embedding for d in docs]),
+                  "x_image": np.stack([d.image_embedding for d in docs]),
+                  "bow": np.stack([d.bow for d in docs])}
+        _, _, comps = batch_objective("multimodal_contrast", inputs, params, config, eps,
+                                      want_grads=False)
+        return comps
+
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(41)
         config, params = make_params("multimodal_contrast", contrastive_weight=50.0)
         docs = self.make_batch(rng)
         eps_t = rng.normal(size=(4, 3))
         eps_m = rng.normal(size=(4, 3))
-        out = loss_multimodal_contrast(docs, params, config, (eps_t, eps_m))
+        out = self.components(docs, params, config, (eps_t, eps_m))
         ref = contrast_loss_reference(
             [d.text_embedding for d in docs], [d.image_embedding for d in docs],
             [d.bow for d in docs], params, 3, config.prior_alpha,
             config.temperature, 50.0, eps_t, eps_m)
-        assert out.total == pytest.approx(ref, rel=1e-9)
+        assert np.sum(out["total"]) == pytest.approx(ref, rel=1e-9)
 
     def test_components_sum_to_total(self):
         rng = np.random.default_rng(42)
         config, params = make_params("multimodal_contrast")
         docs = self.make_batch(rng)
-        out = loss_multimodal_contrast(docs, params, config,
-                                       (rng.normal(size=(4, 3)), rng.normal(size=(4, 3))))
-        assert isinstance(out, ContrastLoss)
-        assert out.total == pytest.approx(
-            out.recon + out.kl_text + out.kl_image + out.contrastive, rel=1e-12)
-        assert out.per_document.shape == (4,)
-        assert out.per_document.sum() == pytest.approx(out.total, rel=1e-12)
+        out = self.components(docs, params, config,
+                              (rng.normal(size=(4, 3)), rng.normal(size=(4, 3))))
+        assert out["total"].shape == (4,)
+        np.testing.assert_allclose(
+            out["total"],
+            out["recon"] + out["kl_text"] + out["kl_image"] + out["contrastive"],
+            rtol=1e-12)
 
     def test_zero_weight_decouples_documents(self):
         rng = np.random.default_rng(43)
         config, params = make_params("multimodal_contrast", contrastive_weight=0.0)
         docs = self.make_batch(rng)
         eps = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
-        before = loss_multimodal_contrast(docs, params, config, eps).per_document
+        before = self.components(docs, params, config, eps)["total"]
         bumped = list(docs)
         bumped[2] = MultimodalDocument(
             id="d2", tokens=(), bow=docs[2].bow,
             text_embedding=docs[2].text_embedding + 1.0,
             image_embedding=docs[2].image_embedding - 1.0)
-        after = loss_multimodal_contrast(bumped, params, config, eps).per_document
+        after = self.components(bumped, params, config, eps)["total"]
         for i in (0, 1, 3):
             assert abs(after[i] - before[i]) <= 1e-12
         assert after[2] != before[2]
-
-    def test_empty_batch_rejected(self):
-        config, params = make_params("multimodal_contrast")
-        with pytest.raises(ValueError, match="at least one document"):
-            loss_multimodal_contrast([], params, config,
-                                     (np.zeros((0, 3)), np.zeros((0, 3))))
 
 
 class TestGradients:
@@ -299,7 +297,7 @@ class TestGradients:
                       "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
             noise = (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
         else:
-            dim = encoder_input_dim(kind, 5, 4, 12)
+            dim = params["enc.W_hidden"].shape[1]
             inputs = {"x": rng.normal(size=(n, dim)),
                       "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
             if kind == "multimodal_zeroshot":
@@ -399,13 +397,17 @@ class TestTraining:
         assert model.loss_trace[-1]["total"] < model.loss_trace[0]["total"]
 
     def test_doc_topics_are_posterior_mean_mixtures(self, tiny_corpus):
-        config = ModelConfig(kind="zeroshot", num_topics=3, epochs=1, hidden_dim=8)
-        model = train(tiny_corpus, config)
-        assert model.doc_topics.shape == (tiny_corpus.num_documents, 3)
-        np.testing.assert_allclose(model.doc_topics.sum(axis=1), 1.0, atol=1e-12)
-        for i, doc in enumerate(tiny_corpus.documents):
-            theta = infer_topic_distribution(model, text_embedding=doc.text_embedding)
-            np.testing.assert_allclose(model.doc_topics[i], theta, atol=1e-12)
+        # inference must build the encoder input training built, for every kind
+        for kind in KINDS:
+            config = ModelConfig(kind=kind, num_topics=3, epochs=1, hidden_dim=8)
+            model = train(tiny_corpus, config)
+            assert model.doc_topics.shape == (tiny_corpus.num_documents, 3)
+            np.testing.assert_allclose(model.doc_topics.sum(axis=1), 1.0, atol=1e-12)
+            for i, doc in enumerate(tiny_corpus.documents):
+                theta = infer_topic_distribution(
+                    model, text_embedding=doc.text_embedding,
+                    image_embedding=doc.image_embedding, bow=doc.bow)
+                np.testing.assert_allclose(model.doc_topics[i], theta, atol=1e-12)
 
     def test_model_labels_and_matrices(self, tiny_corpus):
         config = ModelConfig(kind="multimodal_zeroshot", num_topics=3, epochs=1,
@@ -465,21 +467,24 @@ class TestInference:
 
     def test_missing_modalities_rejected(self, models, tiny_corpus):
         doc = tiny_corpus.documents[0]
-        with pytest.raises(ValueError, match="text_embedding is required"):
+        with pytest.raises(ValueError, match="zeroshot inference needs text_embedding$"):
             infer_topic_distribution(models["zeroshot"],
                                      image_embedding=doc.image_embedding)
-        with pytest.raises(ValueError, match="text_embedding and bow"):
+        with pytest.raises(ValueError, match="needs text_embedding and bow$"):
             infer_topic_distribution(models["combined"],
                                      text_embedding=doc.text_embedding)
-        with pytest.raises(ValueError, match="both"):
+        with pytest.raises(ValueError, match="needs text_embedding and image_embedding$"):
             infer_topic_distribution(models["multimodal_zeroshot"],
-                                     text_embedding=doc.text_embedding)
-        with pytest.raises(ValueError, match="text or image"):
+                                     text_embedding=doc.text_embedding, bow=doc.bow)
+        with pytest.raises(ValueError, match="needs text_embedding or image_embedding$"):
             infer_topic_distribution(models["multimodal_contrast"], bow=doc.bow)
 
     def test_wrong_width_rejected(self, models):
         with pytest.raises(ValueError, match="expected"):
             infer_topic_distribution(models["zeroshot"], text_embedding=np.ones(99))
+        with pytest.raises(ValueError, match=r"text_embedding \+ image_embedding .*expected"):
+            infer_topic_distribution(models["multimodal_zeroshot"],
+                                     text_embedding=np.ones(4), image_embedding=np.ones(9))
 
 
 class TestImageReconstruction:

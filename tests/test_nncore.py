@@ -9,7 +9,6 @@ from mmtopic.nncore import (
     AdamState,
     GaussianPrior,
     GradcheckReport,
-    activation,
     adam_step,
     dirichlet_laplace_prior,
     glorot_uniform,
@@ -22,7 +21,6 @@ from mmtopic.nncore import (
     kl_rows,
     log_softmax,
     named_rng,
-    reparameterize,
     sigmoid,
     softmax,
     softmax_backward,
@@ -67,49 +65,22 @@ class TestActivations:
         x = np.array(values)
         np.testing.assert_allclose(softmax(x), softmax(x + shift), atol=1e-12)
 
-    def test_log_softmax_consistent_with_softmax(self):
-        x = np.random.default_rng(5).normal(size=(4, 7)) * 10
-        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-12)
-
-    def test_activation_dispatch(self):
-        x = np.array([0.5, -1.0])
-        np.testing.assert_array_equal(activation("softplus", x), softplus(x))
-        np.testing.assert_array_equal(activation("softmax", x), softmax(x))
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation("relu", x)
-
-
-class TestReparameterize:
-    def test_zero_noise_gives_softmax_of_mean(self):
-        mu = np.array([2.0, 0.0, 0.0])
-        out = reparameterize(mu, np.zeros(3), np.zeros(3))
-        np.testing.assert_allclose(out, softmax(mu), atol=1e-15)
-
-    def test_noise_scale_follows_logvar(self):
-        mu = np.zeros(2)
-        eps = np.array([1.0, 0.0])
-        # logvar 2*log(3) means a standard draw moves the logit by 3
-        out = reparameterize(mu, np.full(2, 2 * math.log(3.0)), eps)
-        np.testing.assert_allclose(out, softmax(np.array([3.0, 0.0])), atol=1e-14)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=6),
-           st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=6))
+    @given(st.lists(finite_floats, min_size=2, max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_result_lies_on_simplex(self, mu, eps):
-        k = min(len(mu), len(eps))
-        out = reparameterize(np.array(mu[:k]), np.zeros(k), np.array(eps[:k]))
+    def test_softmax_lies_on_simplex(self, values):
+        out = softmax(np.array(values))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert (out >= 0).all()
 
-    def test_batched_rows_match_single_calls(self):
-        rng = np.random.default_rng(8)
-        mu = rng.normal(size=(5, 4))
-        logvar = rng.normal(size=(5, 4)) * 0.3
-        eps = rng.normal(size=(5, 4))
-        batch = reparameterize(mu, logvar, eps)
+    def test_softmax_batched_rows_match_single_calls(self):
+        x = np.random.default_rng(8).normal(size=(5, 4)) * 3
+        batch = softmax(x, axis=-1)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], reparameterize(mu[i], logvar[i], eps[i]),
-                                       atol=1e-15)
+            np.testing.assert_allclose(batch[i], softmax(x[i]), atol=1e-15)
+
+    def test_log_softmax_consistent_with_softmax(self):
+        x = np.random.default_rng(5).normal(size=(4, 7)) * 10
+        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-12)
 
 
 class TestPrior:

@@ -17,7 +17,6 @@ from .corpus import (
     load_stopwords,
     preprocess_tokens,
     save_corpus,
-    vectorize,
 )
 from .descriptors import TopicDescriptors, describe_topics, top_images, top_keywords
 from .harness import (

@@ -1,9 +1,12 @@
 """Multimodal corpus handling: preprocessing, vocabularies, the JSON-lines
 dataset format, and planted-topic synthetic corpora.
 
-Each document pairs a bag-of-words over a shared capped vocabulary with two
-precomputed embedding vectors, one for the text and one for the image. The
-toolkit never runs an encoder; embeddings arrive as numbers and stay opaque.
+Each document pairs a token list with two precomputed embedding vectors,
+one for the text and one for the image. The toolkit never runs an encoder;
+embeddings arrive as numbers and stay opaque. Bag-of-words counts over the
+corpus's shared capped vocabulary are derived from the tokens when a model
+asks for them (:meth:`Corpus.bow_matrix`); no document stores a count
+vector.
 
 Dataset format (UTF-8, one JSON object per line)::
 
@@ -116,17 +119,6 @@ def build_vocabulary(token_lists, cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
     return Vocabulary.from_terms(t for t, _ in ranked[:cap])
 
 
-def vectorize(tokens, vocabulary: Vocabulary) -> np.ndarray:
-    """Count vector of in-vocabulary token occurrences, shape (V,), int64."""
-    bow = np.zeros(len(vocabulary), dtype=np.int64)
-    index = vocabulary.index
-    for token in tokens:
-        i = index.get(token)
-        if i is not None:
-            bow[i] += 1
-    return bow
-
-
 @dataclass(frozen=True, eq=False)
 class TokenIds:
     """Token lists as integers: one flat int32 id array plus int64 document
@@ -154,7 +146,6 @@ class TokenIds:
 class MultimodalDocument:
     id: str
     tokens: tuple[str, ...]
-    bow: np.ndarray
     text_embedding: np.ndarray
     image_embedding: np.ndarray
     image_ref: str | None = None
@@ -164,10 +155,9 @@ class MultimodalDocument:
 class Corpus:
     """Immutable bundle of documents over one vocabulary.
 
-    Construction validates that every bag-of-words matches its token list
-    restricted to the vocabulary, that embedding dimensions are constant
-    across documents, that all embedding values are finite, and that at
-    least one document has at least one in-vocabulary token. Arrays are
+    Construction validates that embedding dimensions are constant across
+    documents, that all embedding values are finite, and that at least one
+    document has at least one in-vocabulary token. Embedding arrays are
     frozen after validation.
     """
 
@@ -178,17 +168,9 @@ class Corpus:
     def __post_init__(self):
         if not self.documents:
             raise ValueError("corpus must contain at least one document")
-        v = len(self.vocabulary)
         text_dim = self.documents[0].text_embedding.shape
         image_dim = self.documents[0].image_embedding.shape
-        any_in_vocab = False
         for d in self.documents:
-            if d.bow.shape != (v,):
-                raise ValueError(
-                    f"document {d.id!r}: bow has shape {d.bow.shape}, expected ({v},)")
-            if not np.array_equal(d.bow, vectorize(d.tokens, self.vocabulary)):
-                raise ValueError(
-                    f"document {d.id!r}: bow does not match its tokens")
             if d.text_embedding.shape != text_dim or d.text_embedding.ndim != 1:
                 raise ValueError(
                     f"document {d.id!r}: text embedding shape {d.text_embedding.shape} "
@@ -200,13 +182,12 @@ class Corpus:
             if not (np.all(np.isfinite(d.text_embedding))
                     and np.all(np.isfinite(d.image_embedding))):
                 raise ValueError(f"document {d.id!r}: non-finite embedding values")
-            if d.bow.sum() > 0:
-                any_in_vocab = True
-        if not any_in_vocab:
+        index = self.vocabulary.index
+        if not any(t in index for d in self.documents for t in d.tokens):
             raise ValueError("no document has any in-vocabulary token")
         for d in self.documents:
-            for arr in (d.bow, d.text_embedding, d.image_embedding):
-                arr.flags.writeable = False
+            d.text_embedding.flags.writeable = False
+            d.image_embedding.flags.writeable = False
 
     @property
     def num_documents(self) -> int:
@@ -221,7 +202,17 @@ class Corpus:
         return self.documents[0].image_embedding.shape[0]
 
     def bow_matrix(self) -> np.ndarray:
-        return np.stack([d.bow for d in self.documents]).astype(np.float64)
+        """In-vocabulary token counts, shape (N, V), float64, counted from
+        :attr:`token_ids` on each call. Every distinct token id maps to its
+        vocabulary column, or to a spill column V when out of vocabulary,
+        and one ``bincount`` over document x column codes counts them all."""
+        tokens = self.token_ids
+        n, v = self.num_documents, len(self.vocabulary)
+        column = np.fromiter((self.vocabulary.index.get(t, v) for t in tokens.index),
+                             dtype=np.int64, count=len(tokens.index))
+        doc = np.repeat(np.arange(n, dtype=np.int64), np.diff(tokens.offsets))
+        counts = np.bincount(doc * (v + 1) + column[tokens.ids], minlength=n * (v + 1))
+        return counts.reshape(n, v + 1)[:, :v].astype(np.float64)
 
     def text_matrix(self) -> np.ndarray:
         return np.stack([d.text_embedding for d in self.documents])
@@ -347,7 +338,6 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
         MultimodalDocument(
             id=doc_id,
             tokens=tuple(tokens),
-            bow=vectorize(tokens, vocabulary),
             text_embedding=text_emb,
             image_embedding=image_emb,
             image_ref=None if ref is None else str(ref),
@@ -516,7 +506,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
         documents.append(MultimodalDocument(
             id=doc_id,
             tokens=tokens,
-            bow=vectorize(tokens, vocabulary),
             text_embedding=text_emb,
             image_embedding=image_emb,
             image_ref=f"img{d:0{id_width}d}",

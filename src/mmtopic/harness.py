@@ -159,6 +159,31 @@ _CONFIG_OVERRIDES = tuple(f.name for f in dataclasses.fields(ModelConfig)
                           if f.name not in ("kind", "num_topics", "seed"))
 
 
+# The JSON values each plan field annotation accepts, and their JSON name.
+_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
+               "float": ((int, float), "number"), "ModelEntry": (dict, "object")}
+
+
+def _json_type_error(value, annotation: str) -> str | None:
+    """None if a JSON plan value fits a field annotation, else the JSON type
+    the annotation asks for. A ``tuple[X, ...]`` field takes an array of X,
+    and no field takes a boolean."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        wanted = _json_type_error(value, annotation.removesuffix(" | None"))
+        return wanted and f"{wanted} or null"
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").split(",")[0]
+        if isinstance(value, list) and not any(_json_type_error(v, item) for v in value):
+            return None
+        return f"a JSON array of {_JSON_TYPES[item][1]}s"
+    types, name = _JSON_TYPES[annotation]
+    if isinstance(value, types) and not isinstance(value, bool):
+        return None
+    return f"a JSON {name}"
+
+
 @dataclass(frozen=True)
 class ModelEntry:
     """One model variant in a plan: a kind plus config overrides and an
@@ -226,7 +251,9 @@ class ExperimentPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
         """A plan from its JSON form: one key per field, each optional key
-        defaulting to its field's default; ``seeds`` may be a count."""
+        defaulting to its field's default; ``seeds`` may be a count. Raises
+        ``ValueError`` naming the first key whose value has the wrong JSON
+        type."""
         fields = dataclasses.fields(cls)
         unknown = sorted(set(d) - {f.name for f in fields})
         if unknown:
@@ -236,12 +263,18 @@ class ExperimentPlan:
         if missing:
             raise ValueError(f"plan lacks {', '.join(missing)}")
         kwargs = dict(d)
-        if isinstance(kwargs.get("seeds"), int):
-            kwargs["seeds"] = range(kwargs["seeds"])
-        kwargs["models"] = [ModelEntry.from_dict(m) for m in kwargs["models"]]
+        if _json_type_error(kwargs.get("seeds"), "int") is None:
+            kwargs["seeds"] = list(range(kwargs["seeds"]))
         for f in fields:
-            if str(f.type).startswith("tuple") and f.name in kwargs:
+            if f.name not in kwargs:
+                continue
+            wanted = _json_type_error(kwargs[f.name], str(f.type))
+            if wanted:
+                raise ValueError(f"plan key {f.name!r} must be {wanted}, "
+                                 f"got {kwargs[f.name]!r}")
+            if str(f.type).startswith("tuple"):
                 kwargs[f.name] = tuple(kwargs[f.name])
+        kwargs["models"] = tuple(ModelEntry.from_dict(m) for m in kwargs["models"])
         return cls(**kwargs)
 
     @classmethod

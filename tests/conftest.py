@@ -14,7 +14,6 @@ from mmtopic.corpus import (
     SyntheticSpec,
     Vocabulary,
     generate_synthetic,
-    vectorize,
 )
 
 
@@ -30,7 +29,6 @@ def make_corpus(token_lists, *, text_dim=4, image_dim=3, seed=0,
         docs.append(MultimodalDocument(
             id=f"d{i}",
             tokens=tuple(tokens),
-            bow=vectorize(tokens, vocabulary),
             text_embedding=rng.standard_normal(text_dim),
             image_embedding=rng.standard_normal(image_dim),
             image_ref=f"img{i}",

@@ -11,6 +11,18 @@ import math
 from itertools import combinations, permutations
 
 
+# ------------------------------------------------------------------ corpus
+
+def bow_reference(tokens, vocabulary):
+    """Per-term counts of the in-vocabulary tokens, as a list of ints."""
+    counts = [0] * len(vocabulary)
+    for token in tokens:
+        i = vocabulary.index.get(token)
+        if i is not None:
+            counts[i] += 1
+    return counts
+
+
 # ---------------------------------------------------------------- rankings
 
 def rbo_reference(a, b, p):

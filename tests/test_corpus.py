@@ -1,10 +1,12 @@
 import json
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmtopic.corpus import (
@@ -20,10 +22,10 @@ from mmtopic.corpus import (
     load_stopwords,
     preprocess_tokens,
     save_corpus,
-    vectorize,
 )
 
 from conftest import make_corpus
+from oracles import bow_reference
 
 
 class TestPreprocess:
@@ -63,34 +65,60 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="distinct"):
             Vocabulary.from_terms(["a", "a"])
 
-    def test_vectorize_counts_in_vocabulary_tokens(self):
+
+TERMS = ("a", "b", "c", "d", "e")
+
+
+class TestBowMatrix:
+    def test_counts_in_vocabulary_tokens(self):
         vocab = Vocabulary.from_terms(["a", "b", "c"])
-        bow = vectorize(["a", "c", "a", "zzz"], vocab)
-        assert bow.tolist() == [2, 0, 1]
+        corpus = make_corpus([["a", "c", "a", "zzz"]], vocabulary=vocab)
+        assert bow_reference(["a", "c", "a", "zzz"], vocab) == [2, 0, 1]
+        assert corpus.bow_matrix().tolist() == [[2.0, 0.0, 1.0]]
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "out"]), max_size=30))
-    def test_vectorize_total_matches_in_vocab_count(self, tokens):
+    def test_total_matches_in_vocab_count(self, tokens):
         vocab = Vocabulary.from_terms(["a", "b", "c"])
-        bow = vectorize(tokens, vocab)
+        # the second document keeps the corpus valid when the first has no
+        # in-vocabulary token
+        bow = make_corpus([tokens, ["a"]], vocabulary=vocab).bow_matrix()[0]
         assert bow.sum() == sum(1 for t in tokens if t in vocab)
         assert (bow >= 0).all()
+        assert bow.tolist() == bow_reference(tokens, vocab)
+
+    @given(docs=st.lists(st.lists(st.sampled_from(TERMS + ("oov", "zzz")), max_size=12),
+                         min_size=1, max_size=8),
+           terms=st.permutations(TERMS).flatmap(
+               lambda p: st.integers(1, len(p)).map(lambda n: p[:n])))
+    # an empty document, out-of-vocabulary tokens, a term no document uses
+    # ("b") and a vocabulary order (d, b, a, c) unlike frequency order (c, a, d)
+    @example(docs=[["a", "oov", "a", "c"], [], ["c", "c", "c", "d", "zzz"]],
+             terms=("d", "b", "a", "c"))
+    @settings(deadline=None)  # each example writes and reads a dataset
+    def test_matches_reference_rows(self, docs, terms):
+        vocab = Vocabulary.from_terms(terms)
+        if not any(t in vocab for tokens in docs for t in tokens):
+            docs = docs + [[terms[0]]]
+        built = make_corpus(docs, vocabulary=vocab)
+        with tempfile.TemporaryDirectory() as tmp:
+            # save_corpus writes the vocabulary as a sidecar file, which
+            # load_corpus then reads in place of a frequency build
+            loaded = load_corpus(save_corpus(built, Path(tmp) / "c.jsonl"))
+        assert loaded.meta["vocab_source"].endswith("c.vocab.txt")
+        assert loaded.vocabulary.terms == vocab.terms
+        expected = [bow_reference(tokens, vocab) for tokens in docs]
+        for corpus in (built, loaded):
+            bow = corpus.bow_matrix()
+            assert bow.dtype == np.float64 and bow.shape == (len(docs), len(terms))
+            assert bow.tolist() == expected
 
 
 class TestCorpusValidation:
-    def test_bow_must_match_tokens(self, tiny_corpus):
-        doc = tiny_corpus.documents[0]
-        bad = np.array(doc.bow, copy=True)
-        bad[0] += 1
-        with pytest.raises(ValueError, match="does not match its tokens"):
-            Corpus(vocabulary=tiny_corpus.vocabulary,
-                   documents=(doc.__class__(
-                       id=doc.id, tokens=doc.tokens, bow=bad,
-                       text_embedding=np.array(doc.text_embedding),
-                       image_embedding=np.array(doc.image_embedding)),))
-
     def test_arrays_frozen_after_construction(self, tiny_corpus):
         with pytest.raises(ValueError):
-            tiny_corpus.documents[0].bow[0] = 99
+            tiny_corpus.documents[0].text_embedding[0] = 99
+        with pytest.raises(ValueError):
+            tiny_corpus.documents[0].image_embedding[0] = 99
 
     def test_corpus_without_in_vocab_tokens_rejected(self):
         with pytest.raises(ValueError, match="in-vocabulary"):
@@ -234,10 +262,10 @@ class TestDatasetIO:
         path = save_corpus(tiny_corpus, tmp_path / "out.jsonl")
         again = load_corpus(path)
         assert again.vocabulary.terms == tiny_corpus.vocabulary.terms
+        assert again.bow_matrix().tobytes() == tiny_corpus.bow_matrix().tobytes()
         for before, after in zip(tiny_corpus.documents, again.documents):
             assert before.id == after.id
             assert before.tokens == after.tokens
-            assert np.array_equal(before.bow, after.bow)
             assert before.text_embedding.tobytes() == after.text_embedding.tobytes()
             assert before.image_embedding.tobytes() == after.image_embedding.tobytes()
 

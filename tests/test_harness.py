@@ -234,6 +234,35 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_dict(plan)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("datasets", "data/toy.jsonl", "'datasets' must be a JSON array of strings"),
+        ("models", {"kind": "zeroshot"}, "'models' must be a JSON array of objects"),
+        ("models", ["zeroshot"], "'models' must be a JSON array of objects"),
+        ("topic_counts", 5, "'topic_counts' must be a JSON array of integers"),
+        ("topic_counts", [5, True], "'topic_counts' must be a JSON array of integers"),
+        ("seeds", "3", "'seeds' must be a JSON array of integers"),
+        ("seeds", True, "'seeds' must be a JSON array of integers"),
+        ("workers", "2", "'workers' must be a JSON integer, got '2'"),
+        ("workers", True, "'workers' must be a JSON integer, got True"),
+        ("descriptor_size", "10", "'descriptor_size' must be a JSON integer"),
+        ("epochs", 2.5, "'epochs' must be a JSON integer or null"),
+        ("rbo_p", "0.9", "'rbo_p' must be a JSON number"),
+        ("output_dir", 3, "'output_dir' must be a JSON string"),
+    ], ids=["datasets-string", "models-object", "models-strings", "topic_counts-int",
+            "topic_counts-bool-item", "seeds-string", "seeds-bool", "workers-string",
+            "workers-bool", "descriptor_size-string", "epochs-float", "rbo_p-string",
+            "output_dir-int"])
+    def test_mistyped_values_rejected(self, key, value, message):
+        plan = {"datasets": ["d.jsonl"], "models": [{"kind": "zeroshot"}], key: value}
+        with pytest.raises(ValueError, match=f"plan key {message}"):
+            ExperimentPlan.from_dict(plan)
+
+    def test_null_and_integer_values_fit_optional_and_float_keys(self):
+        plan = ExperimentPlan.from_dict({
+            "datasets": ["d.jsonl"], "models": [{"kind": "zeroshot"}],
+            "epochs": None, "word_vectors": None, "rbo_p": 1})
+        assert plan.epochs is None and plan.word_vectors is None and plan.rbo_p == 1
+
     @pytest.mark.parametrize("entry,message", [
         ({"kind": "zeroshot", "epochs": "5"}, "'zeroshot' at 25 topics"),
         ({"kind": "pagerank"}, "'pagerank' at 25 topics: unknown model kind"),

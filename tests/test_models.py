@@ -1,10 +1,10 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 import mmtopic.models as models_module
-from mmtopic.corpus import MultimodalDocument
 from mmtopic.models import (
     ENCODERS,
     ModelConfig,
@@ -25,10 +25,12 @@ from oracles import contrast_loss_reference, infonce_reference, mzs_loss_referen
 KINDS = ("zeroshot", "combined", "multimodal_zeroshot", "multimodal_contrast")
 
 
-def make_doc(rng, vocab_size=12, text_dim=5, image_dim=4, doc_id="d0"):
-    return MultimodalDocument(
-        id=doc_id,
-        tokens=(),
+# One document's model inputs, drawn directly rather than counted from tokens.
+Doc = namedtuple("Doc", "bow text_embedding image_embedding")
+
+
+def make_doc(rng, vocab_size=12, text_dim=5, image_dim=4):
+    return Doc(
         bow=rng.integers(0, 4, size=vocab_size).astype(np.float64),
         text_embedding=rng.normal(size=text_dim),
         image_embedding=rng.normal(size=image_dim),
@@ -172,8 +174,7 @@ class TestMultimodalZeroshotLoss:
     def test_orthogonal_reconstruction_pays_full_weight(self):
         rng = np.random.default_rng(24)
         config, params = make_params("multimodal_zeroshot", image_loss_weight=5.0)
-        doc = MultimodalDocument(
-            id="d0", tokens=(),
+        doc = Doc(
             bow=rng.integers(0, 4, size=12).astype(np.float64),
             text_embedding=rng.normal(size=5),
             image_embedding=np.array([2.0, 0.0, 0.0, 0.0]),
@@ -234,7 +235,7 @@ class TestInfonce:
 
 class TestContrastLoss:
     def make_batch(self, rng, n=4):
-        return [make_doc(rng, doc_id=f"d{i}") for i in range(n)]
+        return [make_doc(rng) for _ in range(n)]
 
     def components(self, docs, params, config, eps):
         inputs = {"x_text": np.stack([d.text_embedding for d in docs]),
@@ -276,8 +277,8 @@ class TestContrastLoss:
         eps = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
         before = self.components(docs, params, config, eps)["total"]
         bumped = list(docs)
-        bumped[2] = MultimodalDocument(
-            id="d2", tokens=(), bow=docs[2].bow,
+        bumped[2] = Doc(
+            bow=docs[2].bow,
             text_embedding=docs[2].text_embedding + 1.0,
             image_embedding=docs[2].image_embedding - 1.0)
         after = self.components(bumped, params, config, eps)["total"]
@@ -398,6 +399,7 @@ class TestTraining:
 
     def test_doc_topics_are_posterior_mean_mixtures(self, tiny_corpus):
         # inference must build the encoder input training built, for every kind
+        bows = tiny_corpus.bow_matrix()
         for kind in KINDS:
             config = ModelConfig(kind=kind, num_topics=3, epochs=1, hidden_dim=8)
             model = train(tiny_corpus, config)
@@ -406,7 +408,7 @@ class TestTraining:
             for i, doc in enumerate(tiny_corpus.documents):
                 theta = infer_topic_distribution(
                     model, text_embedding=doc.text_embedding,
-                    image_embedding=doc.image_embedding, bow=doc.bow)
+                    image_embedding=doc.image_embedding, bow=bows[i])
                 np.testing.assert_allclose(model.doc_topics[i], theta, atol=1e-12)
 
     def test_model_labels_and_matrices(self, tiny_corpus):
@@ -447,10 +449,11 @@ def tiny_corpus():
 class TestInference:
     def test_each_kind_returns_a_mixture(self, models, tiny_corpus):
         doc = tiny_corpus.documents[0]
+        bow = tiny_corpus.bow_matrix()[0]
         for kind, model in models.items():
             theta = infer_topic_distribution(
                 model, text_embedding=doc.text_embedding,
-                image_embedding=doc.image_embedding, bow=doc.bow)
+                image_embedding=doc.image_embedding, bow=bow)
             assert theta.shape == (3,)
             assert theta.sum() == pytest.approx(1.0, abs=1e-12)
             assert (theta >= 0).all()
@@ -467,6 +470,7 @@ class TestInference:
 
     def test_missing_modalities_rejected(self, models, tiny_corpus):
         doc = tiny_corpus.documents[0]
+        bow = tiny_corpus.bow_matrix()[0]
         with pytest.raises(ValueError, match="zeroshot inference needs text_embedding$"):
             infer_topic_distribution(models["zeroshot"],
                                      image_embedding=doc.image_embedding)
@@ -475,9 +479,9 @@ class TestInference:
                                      text_embedding=doc.text_embedding)
         with pytest.raises(ValueError, match="needs text_embedding and image_embedding$"):
             infer_topic_distribution(models["multimodal_zeroshot"],
-                                     text_embedding=doc.text_embedding, bow=doc.bow)
+                                     text_embedding=doc.text_embedding, bow=bow)
         with pytest.raises(ValueError, match="needs text_embedding or image_embedding$"):
-            infer_topic_distribution(models["multimodal_contrast"], bow=doc.bow)
+            infer_topic_distribution(models["multimodal_contrast"], bow=bow)
 
     def test_wrong_width_rejected(self, models):
         with pytest.raises(ValueError, match="expected"):

@@ -3,10 +3,12 @@ dataset format, and planted-topic synthetic corpora.
 
 Each document pairs a token list with two precomputed embedding vectors,
 one for the text and one for the image. The toolkit never runs an encoder;
-embeddings arrive as numbers and stay opaque. Bag-of-words counts over the
-corpus's shared capped vocabulary are derived from the tokens when a model
-asks for them (:meth:`Corpus.bow_matrix`); no document stores a count
-vector.
+embeddings arrive as numbers and stay opaque. A :class:`Corpus` stores
+columns: the ids, token lists and image refs as tuples, and the embeddings
+once each, as frozen (N, D) float64 matrices that models read directly.
+Per-document records (:attr:`Corpus.documents`) and bag-of-words counts
+over the shared capped vocabulary (:meth:`Corpus.bow_matrix`) are derived
+when asked for; neither is stored.
 
 Dataset format (UTF-8, one JSON object per line)::
 
@@ -31,6 +33,7 @@ import json
 import os
 import string
 import tempfile
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -153,84 +156,85 @@ class MultimodalDocument:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable bundle of documents over one vocabulary.
+    """Immutable columns of N >= 1 documents over one vocabulary: ``ids``,
+    ``tokens`` and ``image_refs`` tuples, and the (N, Dt) ``text_embeddings``
+    and (N, Di) ``image_embeddings`` float64 matrices, frozen once
+    validated. Construction also requires finite embedding values and at
+    least one in-vocabulary token in the corpus.
 
-    Construction validates that embedding dimensions are constant across
-    documents, that all embedding values are finite, and that at least one
-    document has at least one in-vocabulary token. Embedding arrays are
-    frozen after validation.
+    :attr:`documents` and :attr:`token_ids` are built on first use and kept
+    in the instance ``__dict__``, out of ``==`` and ``repr``. Threads that
+    race on a first use each build a whole value before the one assignment.
     """
 
     vocabulary: Vocabulary
-    documents: tuple[MultimodalDocument, ...]
+    ids: tuple[str, ...]
+    tokens: tuple[tuple[str, ...], ...]
+    image_refs: tuple[str | None, ...]
+    text_embeddings: np.ndarray
+    image_embeddings: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.documents:
+        n = len(self.ids)
+        if n < 1:
             raise ValueError("corpus must contain at least one document")
-        text_dim = self.documents[0].text_embedding.shape
-        image_dim = self.documents[0].image_embedding.shape
-        for d in self.documents:
-            if d.text_embedding.shape != text_dim or d.text_embedding.ndim != 1:
-                raise ValueError(
-                    f"document {d.id!r}: text embedding shape {d.text_embedding.shape} "
-                    f"differs from {text_dim}")
-            if d.image_embedding.shape != image_dim or d.image_embedding.ndim != 1:
-                raise ValueError(
-                    f"document {d.id!r}: image embedding shape {d.image_embedding.shape} "
-                    f"differs from {image_dim}")
-            if not (np.all(np.isfinite(d.text_embedding))
-                    and np.all(np.isfinite(d.image_embedding))):
-                raise ValueError(f"document {d.id!r}: non-finite embedding values")
+        matrices = (self.text_embeddings, self.image_embeddings)
+        for name, matrix in zip(("text", "image"), matrices):
+            if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                    and matrix.ndim == 2):
+                raise ValueError(f"{name}_embeddings must be a 2-D float64 array")
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"{name}_embeddings has non-finite values")
+        if any(len(column) != n for column in (self.tokens, self.image_refs, *matrices)):
+            raise ValueError(f"every column must have one row per id ({n} ids)")
         index = self.vocabulary.index
-        if not any(t in index for d in self.documents for t in d.tokens):
+        if not any(t in index for tokens in self.tokens for t in tokens):
             raise ValueError("no document has any in-vocabulary token")
-        for d in self.documents:
-            d.text_embedding.flags.writeable = False
-            d.image_embedding.flags.writeable = False
+        for matrix in matrices:
+            matrix.flags.writeable = False
 
     @property
     def num_documents(self) -> int:
-        return len(self.documents)
+        return len(self.ids)
 
     @property
     def text_dim(self) -> int:
-        return self.documents[0].text_embedding.shape[0]
+        return self.text_embeddings.shape[1]
 
     @property
     def image_dim(self) -> int:
-        return self.documents[0].image_embedding.shape[0]
+        return self.image_embeddings.shape[1]
 
     def bow_matrix(self) -> np.ndarray:
         """In-vocabulary token counts, shape (N, V), float64, counted from
         :attr:`token_ids` on each call. Every distinct token id maps to its
-        vocabulary column, or to a spill column V when out of vocabulary,
-        and one ``bincount`` over document x column codes counts them all."""
+        vocabulary column, or to V when out of vocabulary, and one float64
+        ``bincount`` counts the in-vocabulary document x column codes."""
         tokens = self.token_ids
         n, v = self.num_documents, len(self.vocabulary)
         column = np.fromiter((self.vocabulary.index.get(t, v) for t in tokens.index),
-                             dtype=np.int64, count=len(tokens.index))
+                             dtype=np.int64, count=len(tokens.index))[tokens.ids]
         doc = np.repeat(np.arange(n, dtype=np.int64), np.diff(tokens.offsets))
-        counts = np.bincount(doc * (v + 1) + column[tokens.ids], minlength=n * (v + 1))
-        return counts.reshape(n, v + 1)[:, :v].astype(np.float64)
-
-    def text_matrix(self) -> np.ndarray:
-        return np.stack([d.text_embedding for d in self.documents])
-
-    def image_matrix(self) -> np.ndarray:
-        return np.stack([d.image_embedding for d in self.documents])
+        known = column < v
+        codes = doc[known] * v + column[known]
+        return np.bincount(codes, weights=np.ones(codes.size),
+                           minlength=n * v).reshape(n, v)
 
     def token_lists(self) -> list[tuple[str, ...]]:
-        return [d.tokens for d in self.documents]
+        return list(self.tokens)
+
+    @cached_property
+    def documents(self) -> tuple[MultimodalDocument, ...]:
+        """One :class:`MultimodalDocument` per row, with read-only row views as embeddings."""
+        return tuple(MultimodalDocument(*row) for row in zip(
+            self.ids, self.tokens, self.text_embeddings, self.image_embeddings,
+            self.image_refs))
 
     @cached_property
     def token_ids(self) -> TokenIds:
-        """The documents' tokens as :class:`TokenIds`, built on first use
-        and kept in the instance ``__dict__``, outside the dataclass fields
-        (so out of ``==`` and ``repr``). Threads that race on the first use
-        each build complete arrays before the one assignment, so every
-        caller sees a whole value."""
-        return TokenIds.from_token_lists(self.token_lists())
+        """The documents' tokens as :class:`TokenIds`."""
+        return TokenIds.from_token_lists(self.tokens)
 
 
 def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:
@@ -280,6 +284,8 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
         stopwords = load_stopwords()
 
     rows = []
+    # Rows go into growable buffers, so no per-line array outlives its line.
+    embeddings = {"text_embedding": array("d"), "image_embedding": array("d")}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -303,26 +309,21 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                 raw = obj["tokens"]
                 if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
                     raise DatasetFormatError(f"line {lineno}: 'tokens' must be a list of strings")
-                tokens = list(raw)
-            text_emb = _parse_embedding(obj, "text_embedding", lineno)
-            image_emb = _parse_embedding(obj, "image_embedding", lineno)
-            rows.append((lineno, str(obj["id"]), tokens, text_emb, image_emb,
-                         obj.get("image_ref")))
+                tokens = raw
+            for name, buffer in embeddings.items():
+                row = _parse_embedding(obj, name, lineno)
+                if rows and row.size * len(rows) != len(buffer):
+                    raise DatasetFormatError(
+                        f"line {lineno}: {name} has dimension {row.size}, "
+                        f"expected {len(buffer) // len(rows)}")
+                buffer.frombytes(row.tobytes())
+            ref = obj.get("image_ref")
+            rows.append((str(obj["id"]), tuple(tokens), None if ref is None else str(ref)))
 
     if not rows:
         raise DatasetFormatError(f"{path}: dataset contains no documents")
-
-    text_dim = rows[0][3].shape[0]
-    image_dim = rows[0][4].shape[0]
-    for lineno, doc_id, _, t, m, _ in rows:
-        if t.shape[0] != text_dim:
-            raise DatasetFormatError(
-                f"line {lineno}: text_embedding has dimension {t.shape[0]}, "
-                f"expected {text_dim}")
-        if m.shape[0] != image_dim:
-            raise DatasetFormatError(
-                f"line {lineno}: image_embedding has dimension {m.shape[0]}, "
-                f"expected {image_dim}")
+    ids, token_lists, image_refs = zip(*rows)
+    text, image = (np.frombuffer(b).reshape(len(rows), -1) for b in embeddings.values())
 
     vocab_source = "argument"
     if vocabulary is None:
@@ -331,21 +332,12 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
             vocabulary = read_vocab_file(sidecar)
             vocab_source = str(sidecar)
         else:
-            vocabulary = build_vocabulary((r[2] for r in rows), cap=cap)
+            vocabulary = build_vocabulary(token_lists, cap=cap)
             vocab_source = f"built (cap={cap})"
 
-    documents = tuple(
-        MultimodalDocument(
-            id=doc_id,
-            tokens=tuple(tokens),
-            text_embedding=text_emb,
-            image_embedding=image_emb,
-            image_ref=None if ref is None else str(ref),
-        )
-        for _, doc_id, tokens, text_emb, image_emb, ref in rows
-    )
     meta = {"name": path.stem, "path": str(path), "vocab_source": vocab_source}
-    return Corpus(vocabulary=vocabulary, documents=documents, meta=meta)
+    return Corpus(vocabulary=vocabulary, ids=ids, tokens=token_lists, image_refs=image_refs,
+                  text_embeddings=text, image_embeddings=image, meta=meta)
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -484,32 +476,25 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
 
     mixtures = rng.dirichlet(np.full(k, _MIXTURE_CONCENTRATION), size=spec.docs)
 
-    documents = []
     id_width = max(5, len(str(spec.docs - 1)))
+    token_lists = []
+    text_embeddings = np.empty((spec.docs, spec.embed_dim_text))
+    image_embeddings = np.empty((spec.docs, spec.embed_dim_image))
     for d in range(spec.docs):
         mix = mixtures[d]
         length = max(1, int(rng.poisson(spec.doc_length)))
         p = mix @ word_probs
         p = p / p.sum()
         token_ids = rng.choice(v, size=length, p=p)
-        tokens = tuple(terms[i] for i in token_ids)
+        token_lists.append(tuple(terms[i] for i in token_ids))
 
-        text_emb = mix @ text_centroids
-        text_emb = text_emb / np.linalg.norm(text_emb)
-        image_emb = mix @ image_centroids
-        image_emb = image_emb / np.linalg.norm(image_emb)
+        text_embeddings[d] = mix @ text_centroids
+        text_embeddings[d] /= np.linalg.norm(text_embeddings[d])
+        image_embeddings[d] = mix @ image_centroids
+        image_embeddings[d] /= np.linalg.norm(image_embeddings[d])
         if spec.embedding_noise > 0:
-            text_emb = text_emb + spec.embedding_noise * rng.standard_normal(spec.embed_dim_text)
-            image_emb = image_emb + spec.embedding_noise * rng.standard_normal(spec.embed_dim_image)
-
-        doc_id = f"doc{d:0{id_width}d}"
-        documents.append(MultimodalDocument(
-            id=doc_id,
-            tokens=tokens,
-            text_embedding=text_emb,
-            image_embedding=image_emb,
-            image_ref=f"img{d:0{id_width}d}",
-        ))
+            text_embeddings[d] += spec.embedding_noise * rng.standard_normal(spec.embed_dim_text)
+            image_embeddings[d] += spec.embedding_noise * rng.standard_normal(spec.embed_dim_image)
 
     planted = []
     for t in range(k):
@@ -525,4 +510,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
         ))
 
     meta = {"name": f"synthetic-k{k}", "synthetic_spec": spec.to_dict()}
-    return Corpus(vocabulary=vocabulary, documents=tuple(documents), meta=meta), planted
+    return Corpus(vocabulary=vocabulary, tokens=tuple(token_lists),
+                  ids=tuple(f"doc{d:0{id_width}d}" for d in range(spec.docs)),
+                  image_refs=tuple(f"img{d:0{id_width}d}" for d in range(spec.docs)),
+                  text_embeddings=text_embeddings, image_embeddings=image_embeddings,
+                  meta=meta), planted

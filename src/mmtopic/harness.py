@@ -30,14 +30,15 @@ import hashlib
 import json
 import logging
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Corpus, Vocabulary, atomic_write_bytes, atomic_write_text,
-                     load_corpus)
+from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, atomic_write_bytes,
+                     atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, train
@@ -159,9 +160,13 @@ _CONFIG_OVERRIDES = tuple(f.name for f in dataclasses.fields(ModelConfig)
                           if f.name not in ("kind", "num_topics", "seed"))
 
 
-# The JSON values each plan field annotation accepts, and their JSON name.
+# The JSON values each plan or manifest field annotation accepts, and their names.
 _JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
-               "float": ((int, float), "number"), "ModelEntry": (dict, "object")}
+               "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
+               "dict": (dict, "object")}
+
+# A model label names output files, so it may not hold a path separator.
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def _json_type_error(value, annotation: str) -> str | None:
@@ -194,12 +199,15 @@ class ModelEntry:
     overrides: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelEntry":
-        d = dict(d)
+    def from_dict(cls, entry: dict) -> "ModelEntry":
+        d = dict(entry)
         if "kind" not in d:
             raise ValueError(f"model entry {d} lacks kind")
         kind = d.pop("kind")
         label = d.pop("label", None)
+        if label is not None and not (isinstance(label, str) and _LABEL.fullmatch(label)):
+            raise ValueError(f"model entry {entry}: label must be a string "
+                             f"matching {_LABEL.pattern}")
         unknown = set(d) - set(_CONFIG_OVERRIDES)
         if unknown:
             raise ValueError(f"unknown model entry fields: {sorted(unknown)}")
@@ -218,7 +226,7 @@ class ExperimentPlan:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "runs"
     epochs: int | None = None
-    vocab_cap: int | None = None
+    vocab_cap: int = DEFAULT_VOCAB_CAP
     word_vectors: str | None = None
     descriptor_size: int = 10
     npmi_window: int = 10
@@ -232,6 +240,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one topic count and one seed")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.vocab_cap < 1:
+            raise ValueError("vocab_cap must be >= 1")
         # Cell ids and output files are named by dataset stem and entry name.
         for what, names in (("model entry name", [m.name for m in self.models]),
                             ("dataset file stem", [Path(d).stem for d in self.datasets])):
@@ -305,7 +315,13 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(**d)
+        """A manifest from its JSON form; ``TypeError`` names a bad field."""
+        manifest = cls(**d)
+        for f in dataclasses.fields(cls):
+            wanted = _json_type_error(getattr(manifest, f.name), str(f.type))
+            if wanted:
+                raise TypeError(f"manifest field {f.name!r} must be {wanted}")
+        return manifest
 
 
 def _cell_id(dataset: str, entry: ModelEntry, k: int, seed: int) -> str:
@@ -323,20 +339,16 @@ def _manifest_is_valid(manifest_path: Path, fingerprint: str,
                        config: ModelConfig) -> RunManifest | None:
     """The completed manifest at ``manifest_path`` if it was made from the
     same corpus bytes and the same resolved config and its artifacts still
-    exist, else None."""
-    if not manifest_path.exists():
-        return None
+    exist, else None. A manifest that is missing or unreadable as a
+    :class:`RunManifest` counts as absent."""
     try:
         manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
-    except (json.JSONDecodeError, TypeError):
+        artifacts = [Path(a) for a in manifest.artifacts.values()]
+    except (OSError, TypeError, ValueError):  # bad UTF-8 or JSON, wrong fields
         return None
-    if (manifest.status != "ok" or manifest.corpus_fingerprint != fingerprint
-            or manifest.config != config.to_dict()):
-        return None
-    for artifact in manifest.artifacts.values():
-        if not Path(artifact).exists():
-            return None
-    return manifest
+    current = (manifest.status == "ok" and manifest.corpus_fingerprint == fingerprint
+               and manifest.config == config.to_dict() and all(a.exists() for a in artifacts))
+    return manifest if current else None
 
 
 def _run_cell(corpus: Corpus, fingerprint: str, plan: ExperimentPlan,
@@ -411,9 +423,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                         manifests.append(existing)
                         continue
                     if corpus is None:
-                        cap = plan.vocab_cap
-                        corpus = (load_corpus(dataset, cap=cap) if cap
-                                  else load_corpus(dataset))
+                        corpus = load_corpus(dataset, cap=plan.vocab_cap)
                     manifests.append(None)
                     pending.append((len(manifests) - 1, manifest_path,
                                     (corpus, fingerprint, plan, dataset, entry,

@@ -370,15 +370,15 @@ class TrainedTopicModel:
 
 
 def prepare_inputs(corpus: Corpus, kind: str) -> dict[str, np.ndarray]:
-    """Stack the corpus into the input matrices a kind trains on: each
-    encoder's features under its input key, the raw counts under ``bow``,
-    and the image embeddings under ``image_target`` for
-    ``multimodal_zeroshot``."""
+    """The input matrices a kind trains on: each encoder's features under
+    its input key, the raw counts under ``bow``, and the image embeddings
+    under ``image_target`` for ``multimodal_zeroshot``. A lone feature and
+    ``image_target`` are the corpus matrices themselves, not copies."""
     if kind not in ENCODERS:
         raise ValueError(f"unknown model kind {kind!r}")
     encoders = ENCODERS[kind]
     bows = corpus.bow_matrix()
-    columns = {"text": corpus.text_matrix(), "image": corpus.image_matrix()}
+    columns = {"text": corpus.text_embeddings, "image": corpus.image_embeddings}
     if any("bow" in features for _, _, features, _ in encoders):
         columns["bow"] = l1_normalize_bow(bows)
     inputs = {key: _encoder_input(features, columns) for _, key, features, _ in encoders}

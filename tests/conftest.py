@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from mmtopic.corpus import (
     Corpus,
-    MultimodalDocument,
     SyntheticSpec,
     Vocabulary,
     generate_synthetic,
@@ -19,21 +18,19 @@ from mmtopic.corpus import (
 
 def make_corpus(token_lists, *, text_dim=4, image_dim=3, seed=0,
                 vocabulary=None) -> Corpus:
-    """Small corpus with random embeddings over the given token lists."""
+    """Small corpus with random embeddings over the given token lists. Each
+    document draws its text then its image embedding, in document order."""
     rng = np.random.default_rng(seed)
     if vocabulary is None:
         terms = sorted({t for tokens in token_lists for t in tokens})
         vocabulary = Vocabulary.from_terms(terms)
-    docs = []
-    for i, tokens in enumerate(token_lists):
-        docs.append(MultimodalDocument(
-            id=f"d{i}",
-            tokens=tuple(tokens),
-            text_embedding=rng.standard_normal(text_dim),
-            image_embedding=rng.standard_normal(image_dim),
-            image_ref=f"img{i}",
-        ))
-    return Corpus(vocabulary=vocabulary, documents=tuple(docs))
+    n = len(token_lists)
+    embeddings = rng.standard_normal((n, text_dim + image_dim))
+    return Corpus(vocabulary=vocabulary, ids=tuple(f"d{i}" for i in range(n)),
+                  tokens=tuple(tuple(tokens) for tokens in token_lists),
+                  image_refs=tuple(f"img{i}" for i in range(n)),
+                  text_embeddings=embeddings[:, :text_dim].copy(),
+                  image_embeddings=embeddings[:, text_dim:].copy())
 
 
 @pytest.fixture(scope="session")

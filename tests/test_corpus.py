@@ -113,12 +113,58 @@ class TestBowMatrix:
             assert bow.tolist() == expected
 
 
+def columns(corpus, **changes):
+    """The keyword arguments that rebuild ``corpus``, with ``changes``."""
+    return {"vocabulary": corpus.vocabulary, "ids": corpus.ids, "tokens": corpus.tokens,
+            "image_refs": corpus.image_refs, "text_embeddings": corpus.text_embeddings,
+            "image_embeddings": corpus.image_embeddings, "meta": corpus.meta, **changes}
+
+
 class TestCorpusValidation:
     def test_arrays_frozen_after_construction(self, tiny_corpus):
         with pytest.raises(ValueError):
-            tiny_corpus.documents[0].text_embedding[0] = 99
+            tiny_corpus.text_embeddings[0, 0] = 99
         with pytest.raises(ValueError):
-            tiny_corpus.documents[0].image_embedding[0] = 99
+            tiny_corpus.image_embeddings[0, 0] = 99
+
+    def test_documents_are_read_only_row_views(self, tiny_corpus):
+        assert "documents" not in vars(tiny_corpus)
+        docs = tiny_corpus.documents
+        assert tiny_corpus.documents is docs and "documents" not in repr(tiny_corpus)
+        assert [(d.id, d.tokens, d.image_ref) for d in docs] \
+            == list(zip(tiny_corpus.ids, tiny_corpus.tokens, tiny_corpus.image_refs))
+        for i, d in enumerate(docs):
+            for row, matrix in ((d.text_embedding, tiny_corpus.text_embeddings),
+                                (d.image_embedding, tiny_corpus.image_embeddings)):
+                assert np.shares_memory(row, matrix)
+                assert row.tobytes() == matrix[i].tobytes()
+                with pytest.raises(ValueError):
+                    row[0] = 99
+
+    @pytest.mark.parametrize("changes,message", [
+        (lambda c: {"tokens": c.tokens[:3]}, "one row per id"),
+        (lambda c: {"image_refs": c.image_refs + ("img9",)}, "one row per id"),
+        (lambda c: {"text_embeddings": c.text_embeddings[:3]}, "one row per id"),
+        (lambda c: {"ids": c.ids[:3], "tokens": c.tokens[:3],
+                    "image_refs": c.image_refs[:3]}, "one row per id"),
+        (lambda c: {"image_embeddings": c.image_embeddings.ravel()},
+         "image_embeddings must be a 2-D float64 array"),
+        (lambda c: {"text_embeddings": c.text_embeddings.astype(np.float32)},
+         "text_embeddings must be a 2-D float64 array"),
+        (lambda c: {"text_embeddings": c.text_embeddings.tolist()},
+         "text_embeddings must be a 2-D float64 array"),
+        (lambda c: {"text_embeddings": np.where(np.eye(4, dtype=bool), np.nan, 0.0)},
+         "text_embeddings has non-finite values"),
+        (lambda c: {"image_embeddings": np.full((4, 3), -np.inf)},
+         "image_embeddings has non-finite values"),
+        (lambda c: {"ids": (), "tokens": (), "image_refs": (),
+                    "text_embeddings": np.zeros((0, 4)), "image_embeddings": np.zeros((0, 3))},
+         "at least one document"),
+    ], ids=["short-tokens", "long-image-refs", "short-text", "short-ids", "1-d-image",
+            "float32-text", "list-text", "nan-text", "inf-image", "no-documents"])
+    def test_constructor_rejects_malformed_columns(self, tiny_corpus, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Corpus(**columns(tiny_corpus, **changes(tiny_corpus)))
 
     def test_corpus_without_in_vocab_tokens_rejected(self):
         with pytest.raises(ValueError, match="in-vocabulary"):
@@ -141,14 +187,13 @@ class TestTokenIds:
         assert "token_ids" not in vars(loaded)
         first = loaded.token_ids
         assert loaded.token_ids is first
-        assert loaded == Corpus(vocabulary=loaded.vocabulary,
-                                documents=loaded.documents, meta=loaded.meta)
+        assert loaded == Corpus(**columns(loaded))
         assert "token_ids" not in repr(loaded)
 
     def test_threads_racing_on_first_use_see_whole_arrays(self, tiny_planted):
         corpus, _ = tiny_planted
         expected = TokenIds.from_token_lists(corpus.token_lists())
-        fresh = Corpus(vocabulary=corpus.vocabulary, documents=corpus.documents)
+        fresh = Corpus(**columns(corpus))
         seen = []
         threads = [threading.Thread(target=lambda: seen.append(fresh.token_ids))
                    for _ in range(6)]
@@ -263,11 +308,10 @@ class TestDatasetIO:
         again = load_corpus(path)
         assert again.vocabulary.terms == tiny_corpus.vocabulary.terms
         assert again.bow_matrix().tobytes() == tiny_corpus.bow_matrix().tobytes()
-        for before, after in zip(tiny_corpus.documents, again.documents):
-            assert before.id == after.id
-            assert before.tokens == after.tokens
-            assert before.text_embedding.tobytes() == after.text_embedding.tobytes()
-            assert before.image_embedding.tobytes() == after.image_embedding.tobytes()
+        assert (again.ids, again.tokens, again.image_refs) \
+            == (tiny_corpus.ids, tiny_corpus.tokens, tiny_corpus.image_refs)
+        for name in ("text_embeddings", "image_embeddings"):
+            assert getattr(again, name).tobytes() == getattr(tiny_corpus, name).tobytes()
 
 
 class TestSyntheticGenerator:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,7 @@ class TestPlanParsing:
         assert plan.output_dir == "runs"
         assert plan.workers == 1
         assert plan.epochs is None
+        assert plan.vocab_cap == 2000
 
     def test_model_entry_overrides_and_labels(self):
         entry = ModelEntry.from_dict({"kind": "multimodal_zeroshot",
@@ -185,6 +187,14 @@ class TestPlanParsing:
         assert entry.name == "w60"
         assert entry.overrides == {"image_loss_weight": 60}
         assert ModelEntry.from_dict({"kind": "zeroshot"}).name == "zeroshot"
+
+    @pytest.mark.parametrize("label", ["../../x", ["a/b"], 5, ""],
+                             ids=["parent-path", "list", "int", "empty"])
+    def test_labels_that_are_not_file_names_rejected(self, label):
+        entry = {"kind": "zeroshot", "label": label}
+        with pytest.raises(ValueError, match=re.escape(
+                f"model entry {entry}: label must be a string matching")):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
 
     def test_unknown_model_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown model entry fields"):
@@ -199,6 +209,11 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="workers"):
             ExperimentPlan.from_dict({"datasets": ["d"], "models": [{"kind": "zeroshot"}],
                                       "workers": 0})
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="vocab_cap must be >= 1"):
+                ExperimentPlan.from_dict({"datasets": ["d"],
+                                          "models": [{"kind": "zeroshot"}],
+                                          "vocab_cap": cap})
 
     def test_duplicate_entry_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate model entry names"):
@@ -365,6 +380,31 @@ class TestRunPlan:
         for m in manifests:
             model = load_model(m.artifacts["checkpoint"])
             assert model.config.epochs == 3 and len(model.loss_trace) == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: b'{"cell_id": "\xff"}',
+        lambda m: json.dumps({**m, "artifacts": list(m["artifacts"].values())}).encode(),
+        lambda m: json.dumps({**m, "num_topics": "2"}).encode(),
+    ], ids=["invalid-utf8", "artifacts-list", "num_topics-string"])
+    def test_unreadable_manifest_reruns_its_cell(self, tmp_path, corrupt):
+        dataset = write_dataset(tmp_path)
+        plan = make_plan(tmp_path, dataset)
+        first = run_plan(plan)
+        path = tmp_path / "runs" / "manifests" / f"{first[0].cell_id}.json"
+        path.write_bytes(corrupt(json.loads(path.read_text())))
+        checkpoint = Path(first[0].artifacts["checkpoint"])
+        stamp = checkpoint.stat().st_mtime_ns
+        second = run_plan(plan)
+        assert all(m.status == "ok" for m in second)
+        assert checkpoint.stat().st_mtime_ns != stamp
+        assert RunManifest.from_dict(json.loads(path.read_text())) == second[0]
+
+    def test_vocab_cap_reaches_the_vocabulary_build(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        dataset.with_name("toy.vocab.txt").unlink()
+        manifests = run_plan(make_plan(tmp_path, dataset, vocab_cap=7))
+        model = load_model(manifests[0].artifacts["checkpoint"])
+        assert len(model.vocabulary) == 7
 
     def test_failed_cell_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
         import mmtopic.harness as harness_module

@@ -105,10 +105,10 @@ class TestInputs:
         np.testing.assert_allclose(combined["x"][:, t:].sum(axis=1), 1.0)
         mzs = prepare_inputs(tiny_corpus, "multimodal_zeroshot")
         assert mzs["x"].shape == (n, t + m)
-        np.testing.assert_array_equal(mzs["image_target"], tiny_corpus.image_matrix())
+        assert mzs["image_target"] is tiny_corpus.image_embeddings
         contrast = prepare_inputs(tiny_corpus, "multimodal_contrast")
-        assert contrast["x_text"].shape == (n, t)
-        assert contrast["x_image"].shape == (n, m)
+        assert contrast["x_text"] is tiny_corpus.text_embeddings
+        assert contrast["x_image"] is tiny_corpus.image_embeddings
 
     def test_init_params_blocks_per_kind(self):
         _, p = make_params("zeroshot")

@@ -18,7 +18,13 @@ from .corpus import (
     preprocess_tokens,
     save_corpus,
 )
-from .descriptors import TopicDescriptors, describe_topics, top_images, top_keywords
+from .descriptors import (
+    TopicDescriptors,
+    describe_topics,
+    top_keywords,
+    topic_documents,
+    topic_keywords,
+)
 from .harness import (
     CheckpointError,
     ExperimentPlan,

@@ -119,7 +119,7 @@ def _cmd_run(args) -> int:
     plan = harness.ExperimentPlan.from_file(args.plan)
     if args.output_dir:
         plan = dataclasses.replace(plan, output_dir=args.output_dir)
-    if args.workers:
+    if args.workers is not None:
         plan = dataclasses.replace(plan, workers=args.workers)
     manifests = harness.run_plan(plan)
     ok = sum(1 for m in manifests if m.status == "ok")

@@ -34,53 +34,54 @@ class TopicDescriptors:
     images: tuple[TopicImage, ...]
 
 
+def _rank_rows(scores: np.ndarray, n: int) -> np.ndarray:
+    """Column positions of the ``n`` largest entries of every row, ties
+    broken by ascending position."""
+    m = scores.shape[1]
+    if n < 1 or n > m:
+        raise ValueError(f"n must lie in [1, {m}], got {n}")
+    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
+
+
+def topic_keywords(topic_word_matrix: np.ndarray, vocabulary: Vocabulary,
+                   n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[list[str]]:
+    """The ``n`` highest-weight terms of every topic row, weight ties
+    broken by ascending vocabulary index."""
+    terms = vocabulary.terms
+    return [[terms[i] for i in row] for row in _rank_rows(topic_word_matrix, n).tolist()]
+
+
 def top_keywords(topic_word_matrix: np.ndarray, vocabulary: Vocabulary,
                  topic_id: int, n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[str]:
-    """The ``n`` highest-weight terms of one topic row, weight ties broken
-    by ascending vocabulary index."""
-    k, v = topic_word_matrix.shape
+    """:func:`topic_keywords` of one topic."""
+    k = topic_word_matrix.shape[0]
     if not 0 <= topic_id < k:
         raise ValueError(f"topic_id {topic_id} out of range for {k} topics")
-    if n < 1 or n > v:
-        raise ValueError(f"n must lie in [1, {v}], got {n}")
-    row = topic_word_matrix[topic_id]
-    order = np.lexsort((np.arange(v), -row))
-    return [vocabulary.terms[i] for i in order[:n]]
+    return topic_keywords(topic_word_matrix[topic_id:topic_id + 1], vocabulary, n)[0]
 
 
-def top_images(doc_topics: np.ndarray, corpus: Corpus, topic_id: int,
-               n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[TopicImage]:
-    """The ``n`` documents carrying the most mass in one topic's column of
-    the document-topic matrix, ties broken by ascending document position."""
-    docs, k = doc_topics.shape
-    if docs != corpus.num_documents:
-        raise ValueError(f"doc_topics has {docs} rows, corpus has "
+def topic_documents(doc_topics: np.ndarray, corpus: Corpus,
+                    n: int = DEFAULT_DESCRIPTOR_SIZE) -> np.ndarray:
+    """(K, n) corpus positions of the documents carrying the most mass in
+    each topic's column of the document-topic matrix, ties broken by
+    ascending document position."""
+    if len(doc_topics) != corpus.num_documents:
+        raise ValueError(f"doc_topics has {len(doc_topics)} rows, corpus has "
                          f"{corpus.num_documents} documents")
-    if not 0 <= topic_id < k:
-        raise ValueError(f"topic_id {topic_id} out of range for {k} topics")
-    if n < 1 or n > docs:
-        raise ValueError(f"n must lie in [1, {docs}], got {n}")
-    column = doc_topics[:, topic_id]
-    order = np.lexsort((np.arange(docs), -column))
-    picks = []
-    for i in order[:n]:
-        d = corpus.documents[i]
-        picks.append(TopicImage(doc_id=d.id, image_ref=d.image_ref,
-                                embedding=d.image_embedding))
-    return picks
+    return _rank_rows(doc_topics.T, n)
 
 
 def describe_topics(model: TrainedTopicModel, corpus: Corpus,
                     n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[TopicDescriptors]:
     """Keywords and representative images for every topic of a model."""
-    out = []
-    for t in range(model.num_topics):
-        out.append(TopicDescriptors(
-            topic_id=t,
-            keywords=tuple(top_keywords(model.topic_word_matrix, model.vocabulary, t, n)),
-            images=tuple(top_images(model.doc_topics, corpus, t, n)),
-        ))
-    return out
+    keywords = topic_keywords(model.topic_word_matrix, model.vocabulary, n)
+    documents = topic_documents(model.doc_topics, corpus, n).tolist()
+    return [TopicDescriptors(
+        topic_id=t,
+        keywords=tuple(words),
+        images=tuple(TopicImage(doc_id=corpus.ids[i], image_ref=corpus.image_refs[i],
+                                embedding=corpus.image_embeddings[i]) for i in docs),
+    ) for t, (words, docs) in enumerate(zip(keywords, documents))]
 
 
 def write_descriptors(descriptors: list[TopicDescriptors], path: str | Path) -> Path:

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, atomic_write_bytes,
-                     atomic_write_text, load_corpus)
+from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _find_sidecar_vocab,
+                     atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, train
@@ -149,10 +149,14 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
                              loss_trace=header["loss_trace"], doc_topics=doc_topics)
 
 
-def corpus_fingerprint(path: str | Path) -> str:
-    """Content hash of a dataset file; stable across re-serialization of
-    the manifest because it hashes the bytes, nothing else."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def corpus_fingerprint(path: str | Path, vocab_cap: int = DEFAULT_VOCAB_CAP) -> str:
+    """Hash of a dataset file's bytes and of what shapes its vocabulary:
+    the sidecar file :func:`load_corpus` would read, else ``vocab_cap``."""
+    digest = hashlib.sha256(Path(path).read_bytes())
+    sidecar = _find_sidecar_vocab(Path(path))
+    digest.update((b"\0vocab\0" + sidecar.read_bytes()) if sidecar is not None
+                  else f"\0cap\0{vocab_cap}".encode())
+    return digest.hexdigest()
 
 
 # Every ModelConfig field but those a plan's axes set.
@@ -338,9 +342,9 @@ def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) ->
 def _manifest_is_valid(manifest_path: Path, fingerprint: str,
                        config: ModelConfig) -> RunManifest | None:
     """The completed manifest at ``manifest_path`` if it was made from the
-    same corpus bytes and the same resolved config and its artifacts still
-    exist, else None. A manifest that is missing or unreadable as a
-    :class:`RunManifest` counts as absent."""
+    same :func:`corpus_fingerprint` and the same resolved config and its
+    artifacts still exist, else None. A manifest that is missing or
+    unreadable as a :class:`RunManifest` counts as absent."""
     try:
         manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
         artifacts = [Path(a) for a in manifest.artifacts.values()]
@@ -396,7 +400,7 @@ def _run_cell(corpus: Corpus, fingerprint: str, plan: ExperimentPlan,
 
 def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     """Execute every cell of a plan, skipping cells whose manifest already
-    records a completed run over the same corpus bytes and config.
+    records a completed run with the same corpus fingerprint and config.
     Independent cells may run on up to ``plan.workers`` threads; all outputs
     are written atomically. Emits aggregate tables in all formats and
     returns the manifests in plan order."""
@@ -409,7 +413,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     manifests: list[RunManifest | None] = []
     pending = []  # (slot, manifest_path, run args)
     for dataset in plan.datasets:
-        fingerprint = corpus_fingerprint(dataset)
+        fingerprint = corpus_fingerprint(dataset, plan.vocab_cap)
         corpus = None
         for entry in plan.models:
             for k in plan.topic_counts:

@@ -182,30 +182,37 @@ def topic_diversity(topics, n: int = 10) -> float:
     return len(unique) / (n * len(topics))
 
 
+def _rbo_matrix(rankings_a, rankings_b, p: float) -> np.ndarray:
+    """Extrapolated rank-biased overlap of every ranking in ``rankings_a``
+    with every one in ``rankings_b``, as a (len(a), len(b)) matrix. All
+    rankings share one non-zero length and hold no duplicates."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    lengths = {len(r) for r in (*rankings_a, *rankings_b)}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError("lists must be non-empty and of equal length")
+    if any(len(set(r)) != len(r) for r in (*rankings_a, *rankings_b)):
+        raise ValueError("lists must not contain duplicates")
+    ids: dict = {}
+    a, b = (np.array([[ids.setdefault(x, len(ids)) for x in r] for r in rankings])
+            for rankings in (rankings_a, rankings_b))
+    d = a.shape[1]
+    # overlap[s, t] is |a_s[:i+1] & b_t[:i+1]| after depth i: the new item
+    # of a_s met anywhere in b_t's prefix, plus the new item of b_t met in
+    # a_s's shorter prefix, so a match at the same depth counts once.
+    overlap = np.zeros((len(a), len(b)), dtype=np.int64)
+    tail = np.zeros(overlap.shape)
+    for i in range(d):
+        overlap += (a[:, None, i, None] == b[None, :, :i + 1]).sum(axis=2)
+        overlap += (b[None, :, i, None] == a[:, None, :i]).sum(axis=2)
+        tail += overlap / (i + 1) * p ** (i + 1)
+    return overlap / d * p ** d + (1.0 - p) / p * tail
+
+
 def rbo(list_a, list_b, p: float = 0.9) -> float:
     """Extrapolated rank-biased overlap of two equal-length rankings
     without duplicates; 1 for identical lists, 0 for disjoint ones."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    a, b = list(list_a), list(list_b)
-    d = len(a)
-    if d == 0 or len(b) != d:
-        raise ValueError("lists must be non-empty and of equal length")
-    if len(set(a)) != d or len(set(b)) != d:
-        raise ValueError("lists must not contain duplicates")
-    seen_a: set = set()
-    seen_b: set = set()
-    overlap = 0
-    tail = 0.0
-    for i in range(d):
-        if a[i] == b[i]:
-            overlap += 1
-        else:
-            overlap += (a[i] in seen_b) + (b[i] in seen_a)
-        seen_a.add(a[i])
-        seen_b.add(b[i])
-        tail += overlap / (i + 1) * p ** (i + 1)
-    return overlap / d * p ** d + (1.0 - p) / p * tail
+    return float(_rbo_matrix([list(list_a)], [list(list_b)], p)[0, 0])
 
 
 def irbo(topics, p: float = 0.9) -> float:
@@ -213,8 +220,8 @@ def irbo(topics, p: float = 0.9) -> float:
     topic pairs. 1 means fully distinct topics, 0 means identical ones."""
     if len(topics) < 2:
         raise ValueError("at least two topics are required")
-    sims = [rbo(a, b, p=p) for a, b in combinations(topics, 2)]
-    return 1.0 - float(np.mean(sims))
+    sims = _rbo_matrix(topics, topics, p)
+    return 1.0 - float(np.mean(sims[np.triu_indices(len(topics), k=1)]))
 
 
 def _unit(vectors) -> np.ndarray:
@@ -279,6 +286,8 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 vec = np.array([float(x) for x in values])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric vector component")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"line {lineno}: non-finite vector component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -328,11 +337,10 @@ def compute_metric_report(model, corpus, *, word_vectors=None,
     vectors are supplied. Image metrics run for multimodal kinds, over the
     top image descriptors each topic selects from the corpus.
     """
-    from .descriptors import top_images, top_keywords
+    from .descriptors import topic_documents, topic_keywords
     from .models import MULTIMODAL_KINDS
 
-    topics = [top_keywords(model.topic_word_matrix, model.vocabulary, t, n_descriptors)
-              for t in range(model.num_topics)]
+    topics = topic_keywords(model.topic_word_matrix, model.vocabulary, n_descriptors)
     npmi_topics = _npmi_per_topic(topics, corpus.token_ids, window)
     per_topic: dict = {"npmi": npmi_topics}
     report = {
@@ -348,11 +356,8 @@ def compute_metric_report(model, corpus, *, word_vectors=None,
         report["we"] = float(np.mean(present)) if present else None
 
     if model.kind in MULTIMODAL_KINDS:
-        image_sets = [
-            np.stack([im.embedding for im in
-                      top_images(model.doc_topics, corpus, t, n_descriptors)])
-            for t in range(model.num_topics)
-        ]
+        image_sets = corpus.image_embeddings[
+            topic_documents(model.doc_topics, corpus, n_descriptors)]
         iec_topics = _iec_per_topic(image_sets)
         per_topic["iec"] = iec_topics
         report["iec"] = float(np.mean(iec_topics))

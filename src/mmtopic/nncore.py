@@ -143,9 +143,8 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
 
 
 def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar,
-                       grads: dict) -> np.ndarray:
-    """Accumulate encoder parameter gradients into ``grads``; returns the
-    gradient with respect to the input batch."""
+                       grads: dict) -> None:
+    """Accumulate encoder parameter gradients into ``grads``."""
     x, pre, dropped, mask = cache
     grads[prefix + ".W_mu"] += d_mu.T @ dropped
     grads[prefix + ".b_mu"] += d_mu.sum(axis=0)
@@ -156,7 +155,6 @@ def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar,
     d_pre = d_hidden * sigmoid(pre)
     grads[prefix + ".W_hidden"] += d_pre.T @ x
     grads[prefix + ".b_hidden"] += d_pre.sum(axis=0)
-    return d_pre @ params[prefix + ".W_hidden"]
 
 
 def softmax_backward(theta: np.ndarray, d_theta: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import atomic_write_text
-from .metrics import rbo
+from .metrics import _rbo_matrix
 
 
 def topic_similarity_matrix(topics_a, topics_b, p: float = 0.9) -> np.ndarray:
@@ -25,12 +25,7 @@ def topic_similarity_matrix(topics_a, topics_b, p: float = 0.9) -> np.ndarray:
         raise ValueError(f"topic counts differ: {len(topics_a)} vs {len(topics_b)}")
     if len(topics_a) == 0:
         raise ValueError("at least one topic per model is required")
-    k = len(topics_a)
-    sim = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            sim[i, j] = rbo(topics_a[i], topics_b[j], p=p)
-    return sim
+    return _rbo_matrix(topics_a, topics_b, p)
 
 
 def hungarian(matrix, maximize: bool = False) -> tuple[list[int], float]:
@@ -63,24 +58,17 @@ def hungarian(matrix, maximize: bool = False) -> tuple[list[int], float]:
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = np.flatnonzero(~used)
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free[better]] = cur[better]
+            way[free[better]] = j0
+            # argmin takes the first of equal minima, as a strict < scan does
+            j1 = free[np.argmin(minv[free])]
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -89,12 +77,10 @@ def hungarian(matrix, maximize: bool = False) -> tuple[list[int], float]:
             p[j0] = p[j1]
             j0 = j1
 
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if p[j] != 0:
-            assignment[p[j] - 1] = j - 1
-    total = float(sum(a[i, assignment[i]] for i in range(n)))
-    return assignment, total
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[p[1:] - 1] = np.arange(n)
+    total = float(sum(a[np.arange(n), assignment]))
+    return assignment.tolist(), total
 
 
 @dataclass(frozen=True)
@@ -133,15 +119,13 @@ class OverlapReport:
 def overlap_report(model_a, model_b, n: int = 10, p: float = 0.9) -> OverlapReport:
     """Match two trained models' topics by keyword RBO and summarize the
     assigned similarities."""
-    from .descriptors import top_keywords
+    from .descriptors import topic_keywords
 
-    topics_a = [top_keywords(model_a.topic_word_matrix, model_a.vocabulary, t, n)
-                for t in range(model_a.num_topics)]
-    topics_b = [top_keywords(model_b.topic_word_matrix, model_b.vocabulary, t, n)
-                for t in range(model_b.num_topics)]
+    topics_a, topics_b = (topic_keywords(m.topic_word_matrix, m.vocabulary, n)
+                          for m in (model_a, model_b))
     sim = topic_similarity_matrix(topics_a, topics_b, p=p)
-    assignment, total = hungarian(sim, maximize=True)
-    matched = np.array([sim[i, assignment[i]] for i in range(sim.shape[0])])
+    assignment, _ = hungarian(sim, maximize=True)
+    matched = sim[np.arange(sim.shape[0]), assignment]
     return OverlapReport(
         model_a=model_a.label,
         model_b=model_b.label,

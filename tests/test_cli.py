@@ -63,3 +63,14 @@ def test_failed_eval_report_write_keeps_previous_report(dataset, tmp_path, reque
     with pytest.raises(OSError, match="No space"):
         cli.main(argv)
     assert report.read_bytes() == b"previous report\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_rejects_a_worker_count_below_one(dataset, tmp_path, workers):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "datasets": [str(dataset)], "models": [{"kind": "zeroshot"}], "topic_counts": [2],
+        "seeds": 1, "epochs": 1, "descriptor_size": 2, "output_dir": str(tmp_path / "runs")}))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        cli.main(["run", "--plan", str(plan), "--workers", workers])
+    assert not (tmp_path / "runs").exists()

@@ -1,11 +1,20 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmtopic.corpus import Vocabulary
-from mmtopic.descriptors import describe_topics, top_images, top_keywords, write_descriptors
+from mmtopic.descriptors import (
+    describe_topics,
+    top_keywords,
+    topic_documents,
+    topic_keywords,
+    write_descriptors,
+)
 from mmtopic.models import ModelConfig, train
 
 from conftest import make_corpus
@@ -58,7 +67,38 @@ class TestTopKeywords:
             top_keywords(beta, vocab, 0, 0)
 
 
+def ranked_reference(rows, n):
+    """Positions of each row's ``n`` largest entries by a full sort, ties
+    toward the lower position."""
+    return [sorted(range(len(row)), key=lambda i: (-row[i], i))[:n] for row in rows]
+
+
+class TestTopicRanking:
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=5),
+        st.integers(1, m))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorted_on_tied_integer_rows(self, case):
+        rows, n = case
+        expected = ranked_reference(rows, n)
+        matrix = np.array(rows, dtype=np.float64)
+        vocab = Vocabulary.from_terms([f"t{i}" for i in range(matrix.shape[1])])
+        assert topic_keywords(matrix, vocab, n) == [[vocab.terms[i] for i in r] for r in expected]
+        corpus = make_corpus([["tok"]] * matrix.shape[1])
+        assert topic_documents(matrix.T, corpus, n).tolist() == expected
+
+
+def fake_model(doc_topics, corpus):
+    """The three fields :func:`describe_topics` reads, with all-tied keywords."""
+    return SimpleNamespace(doc_topics=doc_topics, vocabulary=corpus.vocabulary,
+                           topic_word_matrix=np.zeros((doc_topics.shape[1],
+                                                       len(corpus.vocabulary))))
+
+
 class TestTopImages:
+    """Documents ranked by :func:`topic_documents`, and the images
+    :func:`describe_topics` builds from them."""
+
     def make(self, n_docs=6):
         return make_corpus([[f"tok{i}"] for i in range(n_docs)])
 
@@ -70,36 +110,40 @@ class TestTopImages:
             [0.4, 0.6],
             [0.2, 0.8],
         ])
-        picks = top_images(doc_topics, corpus, 1, 2)
+        assert topic_documents(doc_topics, corpus, 2).tolist() == [[1, 2], [0, 3]]
+        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 2)[1].images
         assert [p.doc_id for p in picks] == ["d0", "d3"]
-        np.testing.assert_array_equal(picks[0].embedding,
-                                      corpus.documents[0].image_embedding)
+        np.testing.assert_array_equal(picks[0].embedding, corpus.image_embeddings[0])
         assert picks[0].image_ref == "img0"
 
     def test_ties_break_toward_earlier_document(self):
         corpus = self.make(4)
         doc_topics = np.tile([0.5, 0.5], (4, 1))
-        picks = top_images(doc_topics, corpus, 0, 3)
+        assert topic_documents(doc_topics, corpus, 3).tolist() == [[0, 1, 2], [0, 1, 2]]
+        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 3)[0].images
         assert [p.doc_id for p in picks] == ["d0", "d1", "d2"]
 
     def test_matches_full_sort_on_random_columns(self):
         rng = np.random.default_rng(19)
         corpus = self.make(50)
         doc_topics = rng.dirichlet(np.ones(4), size=50)
-        for t in range(4):
-            expected = sorted(range(50), key=lambda i: (-doc_topics[i, t], i))[:4]
-            picks = top_images(doc_topics, corpus, t, 4)
-            assert [p.doc_id for p in picks] == [f"d{i}" for i in expected]
+        expected = ranked_reference(doc_topics.T.tolist(), 4)
+        assert topic_documents(doc_topics, corpus, 4).tolist() == expected
+        descriptors = describe_topics(fake_model(doc_topics, corpus), corpus, 4)
+        assert [[p.doc_id for p in d.images] for d in descriptors] == \
+            [[f"d{i}" for i in row] for row in expected]
 
     def test_bounds_checked(self):
         corpus = self.make(4)
         doc_topics = np.full((4, 2), 0.5)
-        with pytest.raises(ValueError, match="topic_id"):
-            top_images(doc_topics, corpus, 5, 2)
         with pytest.raises(ValueError, match="n must lie"):
-            top_images(doc_topics, corpus, 0, 5)
+            topic_documents(doc_topics, corpus, 5)
+        with pytest.raises(ValueError, match="n must lie"):
+            topic_documents(doc_topics, corpus, 0)
         with pytest.raises(ValueError, match="rows"):
-            top_images(np.full((3, 2), 0.5), corpus, 0, 2)
+            topic_documents(np.full((3, 2), 0.5), corpus, 2)
+        with pytest.raises(ValueError, match="rows"):
+            describe_topics(fake_model(np.full((3, 2), 0.5), corpus), corpus, 2)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmtopic.corpus import SyntheticSpec, generate_synthetic, save_corpus
+from mmtopic.corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
 from mmtopic.harness import (
     CheckpointError,
     ExperimentPlan,
@@ -405,6 +405,24 @@ class TestRunPlan:
         manifests = run_plan(make_plan(tmp_path, dataset, vocab_cap=7))
         model = load_model(manifests[0].artifacts["checkpoint"])
         assert len(model.vocabulary) == 7
+
+    def test_changed_vocab_cap_invalidates_cells(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        dataset.with_name("toy.vocab.txt").unlink()
+        run_plan(make_plan(tmp_path, dataset, vocab_cap=7))
+        manifests = run_plan(make_plan(tmp_path, dataset, vocab_cap=9))
+        for m in manifests:
+            assert len(load_model(m.artifacts["checkpoint"]).vocabulary) == 9
+
+    def test_changed_sidecar_vocabulary_invalidates_cells(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        sidecar = dataset.with_name("toy.vocab.txt")
+        run_plan(make_plan(tmp_path, dataset))
+        sidecar.write_text("\n".join(sidecar.read_text().split()[:5]) + "\n")
+        manifests = run_plan(make_plan(tmp_path, dataset))
+        assert len(load_corpus(dataset).vocabulary) == 5
+        for m in manifests:
+            assert len(load_model(m.artifacts["checkpoint"]).vocabulary) == 5
 
     def test_failed_cell_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
         import mmtopic.harness as harness_module

@@ -1,5 +1,6 @@
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mmtopic.metrics import (
     we_coherence,
 )
 from mmtopic.models import ModelConfig, train
+from mmtopic.overlap import topic_similarity_matrix
 
 from conftest import make_corpus
 from oracles import (
@@ -187,6 +189,63 @@ class TestTopicDiversity:
             topic_diversity([["a", "b"]], n=5)
 
 
+ITEMS = [f"w{i}" for i in range(12)]
+
+
+@st.composite
+def rankings(draw, count):
+    """``count`` duplicate-free rankings of one shared length."""
+    d = draw(st.integers(1, 8))
+    ranking = st.lists(st.sampled_from(ITEMS), min_size=d, max_size=d, unique=True)
+    return [draw(ranking) for _ in range(count)]
+
+
+P = st.floats(0.05, 0.95)
+
+
+class TestRboKernel:
+    """The array kernel behind ``rbo``, ``irbo`` and
+    ``topic_similarity_matrix`` does the oracle's arithmetic in the oracle's
+    order, so the values are equal, not just close."""
+
+    @given(rankings(2), P)
+    @example([["a"], ["a"]], 0.9)
+    @example([["a"], ["b"]], 0.9)
+    @example([["a", "b", "c"], ["a", "b", "c"]], 0.5)
+    @example([["a", "b", "c"], ["x", "y", "z"]], 0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_rbo_equals_reference(self, pair, p):
+        a, b = pair
+        assert rbo(a, b, p=p) == rbo_reference(a, b, p)
+
+    @given(st.integers(2, 6).flatmap(rankings), P)
+    @example([["a", "b"], ["a", "b"]], 0.9)
+    @example([["a"], ["b"], ["c"]], 0.9)
+    @settings(max_examples=150, deadline=None)
+    def test_irbo_equals_reference(self, topics, p):
+        ref = [rbo_reference(a, b, p) for a, b in combinations(topics, 2)]
+        assert irbo(topics, p=p) == 1.0 - float(np.mean(ref))
+
+    @given(st.integers(1, 5).flatmap(lambda k: rankings(2 * k)), P)
+    @example([["a"], ["b"]], 0.9)
+    @settings(max_examples=150, deadline=None)
+    def test_similarity_matrix_equals_reference(self, topics, p):
+        k = len(topics) // 2
+        a, b = topics[:k], topics[k:]
+        expected = [[rbo_reference(x, y, p) for y in b] for x in a]
+        assert topic_similarity_matrix(a, b, p=p).tolist() == expected
+
+    def test_every_ranking_is_validated(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            irbo([["a", "b"], ["c", "d"], ["e", "e"]])
+        with pytest.raises(ValueError, match="equal length"):
+            irbo([["a", "b"], ["c", "d"], ["e"]])
+        with pytest.raises(ValueError, match="equal length"):
+            topic_similarity_matrix([["a", "b"], ["c", "d"]], [["a", "b"], ["c", "d", "e"]])
+        with pytest.raises(ValueError, match="strictly between"):
+            irbo([["a"], ["b"]], p=0.0)
+
+
 class TestRbo:
     def test_identical_lists_score_one(self):
         assert rbo(["a", "b", "c"], ["a", "b", "c"]) == pytest.approx(1.0)
@@ -325,6 +384,13 @@ class TestLoadWordVectors:
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 oops\n")
         with pytest.raises(ValueError, match="non-numeric"):
+            load_word_vectors(path)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1.0 2.0\nb 0.5 {component}\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
             load_word_vectors(path)
 
     def test_missing_components_rejected(self, tmp_path):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmtopic.models import ModelConfig, train
 from mmtopic.overlap import OverlapReport, hungarian, overlap_report, topic_similarity_matrix
@@ -73,6 +75,17 @@ class TestHungarian:
             _, total = hungarian(matrix, maximize=maximize)
             _, expected = hungarian_brute_force(matrix, maximize=maximize)
             assert total == pytest.approx(expected, abs=1e-9)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_small_integer_matrices_match_brute_force_exactly(self, rows, maximize):
+        matrix = np.array(rows, dtype=np.float64)
+        assignment, total = hungarian(matrix, maximize=maximize)
+        _, expected = hungarian_brute_force(matrix, maximize=maximize)
+        assert sorted(assignment) == list(range(len(rows)))
+        assert total == expected
 
     def test_total_is_permutation_invariant(self):
         rng = np.random.default_rng(73)

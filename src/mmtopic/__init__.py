@@ -57,11 +57,8 @@ from .models import (
 )
 from .nncore import (
     AdamState,
-    GaussianPrior,
     adam_step,
-    dirichlet_laplace_prior,
     gradcheck,
-    kl_diag_gaussian,
     softmax,
     softplus,
 )

@@ -41,7 +41,7 @@ from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _find_sidecar_vocab,
                      atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
-from .models import ModelConfig, TrainedTopicModel, train
+from .models import ENCODERS, ModelConfig, TrainedTopicModel, train
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +80,20 @@ def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
 _HEADER_FIELDS = ("kind", "config", "vocabulary", "matrices", "loss_trace")
 
 
+def _matrix_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple]:
+    """Shape of each matrix in a checkpoint of ``config``, as ``init_params``
+    and ``train`` make them; None marks a width the inputs set."""
+    k, h = config.num_topics, config.hidden_dim
+    shapes = {"beta": (k, vocab_size), "doc_topics": (None, k)}
+    if config.kind == "multimodal_zeroshot":
+        shapes["gamma"] = (k, None)
+    for prefix, _, _, _ in ENCODERS[config.kind]:
+        for layer, rows, cols in (("hidden", h, None), ("mu", k, h), ("logvar", k, h)):
+            shapes[f"{prefix}.W_{layer}"] = (rows, cols)
+            shapes[f"{prefix}.b_{layer}"] = (rows,)
+    return shapes
+
+
 def _is_matrix_entry(entry) -> bool:
     return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
@@ -89,8 +103,8 @@ def _is_matrix_entry(entry) -> bool:
 def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTopicModel:
     """Load a checkpoint, verifying the payload checksum. Raises
     :class:`CheckpointError` on a version mismatch, corruption, truncation,
-    a malformed header, or when ``expected_kind`` differs from the stored
-    kind."""
+    a malformed header, matrices that do not fit its config and vocabulary,
+    or when ``expected_kind`` differs from the stored kind."""
     raw = Path(path).read_bytes()
     magic_end = raw.find(b"\n")
     if magic_end < 0 or raw[:magic_end].decode("utf-8", "replace") != _CHECKPOINT_MAGIC:
@@ -118,17 +132,30 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
     if not (isinstance(matrices, list) and all(map(_is_matrix_entry, matrices))):
         raise CheckpointError(f"{path}: header matrices are not a list of "
                               "{name, shape} entries")
-    names = [entry["name"] for entry in matrices]
-    if "doc_topics" not in names or len(set(names)) != len(names):
-        raise CheckpointError(f"{path}: header matrices must name doc_topics "
-                              "and each matrix once")
     if not isinstance(header["loss_trace"], list):
         raise CheckpointError(f"{path}: header loss_trace is not a list")
+    terms = header["vocabulary"]
+    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+        raise CheckpointError(f"{path}: header vocabulary is not a list of strings")
     try:
         config = ModelConfig.from_dict(header["config"])
-        vocabulary = Vocabulary.from_terms(header["vocabulary"])
+        vocabulary = Vocabulary.from_terms(terms)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid config or vocabulary ({exc})")
+    if config.kind != header["kind"]:
+        raise CheckpointError(f"{path}: header kind {header['kind']!r} differs from "
+                              f"its config's kind {config.kind!r}")
+    expected = _matrix_shapes(config, len(vocabulary))
+    names = sorted(entry["name"] for entry in matrices)
+    if names != sorted(expected):
+        raise CheckpointError(f"{path}: a {config.kind} checkpoint holds each of "
+                              f"{sorted(expected)} once, not {names}")
+    for entry in matrices:
+        shape, want = entry["shape"], expected[entry["name"]]
+        if len(shape) != len(want) or any(w is not None and w != d
+                                          for d, w in zip(shape, want)):
+            raise CheckpointError(f"{path}: matrix {entry['name']} has shape "
+                                  f"{tuple(shape)}, not {want} (None: any width)")
 
     arrays = {}
     offset = 0
@@ -246,6 +273,12 @@ class ExperimentPlan:
             raise ValueError("workers must be >= 1")
         if self.vocab_cap < 1:
             raise ValueError("vocab_cap must be >= 1")
+        if self.descriptor_size < 2:
+            raise ValueError("descriptor_size must be >= 2")
+        if self.npmi_window < 1:
+            raise ValueError("npmi_window must be >= 1")
+        if not 0.0 < self.rbo_p < 1.0:
+            raise ValueError("rbo_p must lie strictly between 0 and 1")
         # Cell ids and output files are named by dataset stem and entry name.
         for what, names in (("model entry name", [m.name for m in self.models]),
                             ("dataset file stem", [Path(d).stem for d in self.datasets])):

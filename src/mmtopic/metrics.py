@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenIds
+from .descriptors import topic_documents, topic_keywords
+from .models import MULTIMODAL_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -337,9 +339,6 @@ def compute_metric_report(model, corpus, *, word_vectors=None,
     vectors are supplied. Image metrics run for multimodal kinds, over the
     top image descriptors each topic selects from the corpus.
     """
-    from .descriptors import topic_documents, topic_keywords
-    from .models import MULTIMODAL_KINDS
-
     topics = topic_keywords(model.topic_word_matrix, model.vocabulary, n_descriptors)
     npmi_topics = _npmi_per_topic(topics, corpus.token_ids, window)
     per_topic: dict = {"npmi": npmi_topics}

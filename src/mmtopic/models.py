@@ -37,17 +37,15 @@ import numpy as np
 from .corpus import Corpus, Vocabulary
 from .nncore import (
     AdamState,
-    GaussianPrior,
     adam_step,
-    dirichlet_laplace_prior,
     glorot_uniform,
     inference_backward,
     inference_forward,
     init_inference_network,
     kl_grads,
     kl_rows,
-    log_softmax,
     named_rng,
+    prior_variance,
     softmax,
     softmax_backward,
 )
@@ -124,8 +122,9 @@ class ModelConfig:
         if self.prior_alpha <= 0:
             raise ValueError("prior_alpha must be positive")
 
-    def prior(self) -> GaussianPrior:
-        return dirichlet_laplace_prior(self.num_topics, self.prior_alpha)
+    def prior(self) -> float:
+        """Variance of the zero-mean Gaussian prior in each topic dimension."""
+        return prior_variance(self.num_topics, self.prior_alpha)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,16 +168,18 @@ def init_params(config: ModelConfig, text_dim: int, image_dim: int,
 
 
 def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
-    """Negative log likelihood of raw counts under softmax(theta @ beta)."""
+    """Negative log likelihood of raw counts under softmax(theta @ beta),
+    and those word probabilities. One max shift and one ``exp`` give both."""
     logits = theta @ beta
-    logp = log_softmax(logits, axis=-1)
-    recon = -np.sum(bows * logp, axis=-1)
-    return recon, logits
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    row_sums = np.sum(e, axis=-1, keepdims=True)
+    recon = -np.sum(bows * (shifted - np.log(row_sums)), axis=-1)
+    return recon, e / row_sums
 
 
-def _recon_backward(theta, beta, bows, logits, grads):
+def _recon_backward(theta, beta, bows, probs, grads):
     """Returns d(sum recon)/d(theta); accumulates the beta gradient."""
-    probs = softmax(logits, axis=-1)
     d_logits = probs * bows.sum(axis=-1, keepdims=True) - bows
     grads["beta"] += theta.T @ d_logits
     return d_logits @ beta.T
@@ -282,7 +283,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
     thetas = [theta for _, _, _, theta, _ in passes]
     bows = inputs["bow"]
 
-    recon, logits = _recon_forward(thetas[0], params["beta"], bows)
+    recon, probs = _recon_forward(thetas[0], params["beta"], bows)
     components = {"recon": recon}
     total_rows = recon
     for (_, _, _, kl_name), (mu, logvar, _, _, _) in zip(encoders, passes):
@@ -291,7 +292,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
     if kind == "multimodal_zeroshot":
         image_targets = inputs["image_target"]
         recon_img = thetas[0] @ params["gamma"]
-        cos, (dots, _, nr, q) = _cosine_rows(image_targets, recon_img)
+        cos, (dots, nu, nr, q) = _cosine_rows(image_targets, recon_img)
         components["image_dist"] = 1.0 - cos
         components["image"] = config.image_loss_weight * components["image_dist"]
         total_rows = total_rows + components["image"]
@@ -306,12 +307,11 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
         return total, None, components
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    d_thetas = [_recon_backward(thetas[0], params["beta"], bows, logits, grads)]
+    d_thetas = [_recon_backward(thetas[0], params["beta"], bows, probs, grads)]
     if kind == "multimodal_zeroshot":
         nr_safe = np.maximum(nr, _COSINE_TINY)
         # d cos / d r for r = theta @ gamma, target u fixed:
         #   u / q - dots * |u| * (r / |r|) / q^2
-        nu = np.linalg.norm(image_targets, axis=-1)
         d_cos_dr = (image_targets / q[:, None]
                     - (dots * nu / (q * q * nr_safe))[:, None] * recon_img)
         d_img_dr = -config.image_loss_weight * d_cos_dr

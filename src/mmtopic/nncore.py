@@ -1,6 +1,6 @@
-"""Dense neural substrate: activations, the encoder network, closed-form
-KL terms, the logistic-normal Dirichlet prior approximation, Adam, and a
-finite-difference gradient checker.
+"""Dense neural substrate: activations, the encoder network, the
+logistic-normal Dirichlet prior approximation and the closed-form KL to it,
+Adam, and a finite-difference gradient checker.
 
 Everything runs in float64 on plain numpy arrays. Parameter sets are flat
 dicts of named arrays so the optimizer and the gradient checker can treat
@@ -38,68 +38,27 @@ def softmax(x, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(x, axis=-1):
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Diagonal Gaussian with per-dimension mean and variance."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=np.float64))
-        if self.mean.shape != self.variance.shape:
-            raise ValueError("prior mean and variance must have the same shape")
-        if np.any(self.variance <= 0):
-            raise ValueError("prior variance must be strictly positive")
-
-
-def dirichlet_laplace_prior(num_topics: int, alpha: float) -> GaussianPrior:
-    """Gaussian approximation of a symmetric Dirichlet(alpha) in softmax
-    space: zero mean, per-dimension variance (1/alpha) * (1 - 2/K) +
-    (1/K^2) * K * (1/alpha), which collapses to (1/alpha) * (1 - 1/K)."""
+def prior_variance(num_topics: int, alpha: float) -> float:
+    """Variance, equal in all K dimensions, of the zero-mean Gaussian that
+    approximates a symmetric Dirichlet(alpha) in softmax space: (1/alpha) *
+    (1 - 2/K) + (1/K^2) * K * (1/alpha), which collapses to (1/alpha) * (1 - 1/K)."""
     if num_topics < 2:
         raise ValueError("num_topics must be >= 2")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     inv = 1.0 / alpha
-    variance = inv * (1.0 - 2.0 / num_topics) + (num_topics * inv) / num_topics ** 2
-    return GaussianPrior(mean=np.zeros(num_topics),
-                         variance=np.full(num_topics, variance))
+    return inv * (1.0 - 2.0 / num_topics) + (num_topics * inv) / num_topics ** 2
 
 
-def kl_diag_gaussian(mu, logvar, prior: GaussianPrior) -> float:
-    """Closed-form KL(N(mu, exp(logvar)) || prior), both diagonal."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape or mu.shape != prior.mean.shape:
-        raise ValueError("mu, logvar, and prior must share one shape")
-    return float(np.sum(_kl_terms(mu, logvar, prior)))
+def kl_rows(mu, logvar, variance: float) -> np.ndarray:
+    """KL(N(mu, exp(logvar)) || N(0, variance)) in closed form, one per row."""
+    return np.sum(0.5 * ((np.exp(logvar) + mu ** 2) / variance
+                         - 1.0 + np.log(variance) - logvar), axis=-1)
 
 
-def _kl_terms(mu, logvar, prior: GaussianPrior):
-    """Per-dimension KL contributions; broadcasts over leading axes."""
-    var = np.exp(logvar)
-    return 0.5 * ((var + (mu - prior.mean) ** 2) / prior.variance
-                  - 1.0 + np.log(prior.variance) - logvar)
-
-
-def kl_rows(mu, logvar, prior: GaussianPrior) -> np.ndarray:
-    """KL per row for batched (N, K) posterior parameters."""
-    return np.sum(_kl_terms(mu, logvar, prior), axis=-1)
-
-
-def kl_grads(mu, logvar, prior: GaussianPrior):
+def kl_grads(mu, logvar, variance: float):
     """Gradients of the summed KL with respect to mu and logvar."""
-    d_mu = (mu - prior.mean) / prior.variance
-    d_logvar = 0.5 * (np.exp(logvar) / prior.variance - 1.0)
-    return d_mu, d_logvar
+    return mu / variance, 0.5 * (np.exp(logvar) / variance - 1.0)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -164,14 +123,17 @@ def softmax_backward(theta: np.ndarray, d_theta: np.ndarray) -> np.ndarray:
     return theta * (d_theta - inner)
 
 
+# Adam's decay rates and denominator guard, fixed for every model.
+ADAM_BETA1 = 0.99
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction. ``adam_step`` owns the moment buffers."""
 
     learning_rate: float = 2e-3
-    beta1: float = 0.99
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -181,9 +143,8 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     """One Adam update, in place. Every gradient must match its parameter's
     shape. Returns the same (params, state) pair."""
     state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, g in grads.items():
         p = params[name]
         if g.shape != p.shape:
@@ -191,11 +152,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
                              f"parameter has {p.shape}")
         m = state.first_moment.setdefault(name, np.zeros_like(p))
         v = state.second_moment.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return params, state
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import atomic_write_text
+from .descriptors import topic_keywords
 from .metrics import _rbo_matrix
 
 
@@ -119,8 +120,6 @@ class OverlapReport:
 def overlap_report(model_a, model_b, n: int = 10, p: float = 0.9) -> OverlapReport:
     """Match two trained models' topics by keyword RBO and summarize the
     assigned similarities."""
-    from .descriptors import topic_keywords
-
     topics_a, topics_b = (topic_keywords(m.topic_word_matrix, m.vocabulary, n)
                           for m in (model_a, model_b))
     sim = topic_similarity_matrix(topics_a, topics_b, p=p)

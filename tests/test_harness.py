@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmtopic.corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
+from mmtopic.descriptors import topic_keywords
 from mmtopic.harness import (
     CheckpointError,
     ExperimentPlan,
@@ -21,7 +23,7 @@ from mmtopic.harness import (
     run_plan,
     save_model,
 )
-from mmtopic.models import ModelConfig, train
+from mmtopic.models import KINDS, ModelConfig, TrainedTopicModel, init_params, train
 
 from conftest import make_corpus
 
@@ -112,6 +114,53 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="doc_topics"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_initialization_loads(self, small_model, tmp_path, kind):
+        config = ModelConfig(kind=kind, num_topics=3, hidden_dim=5)
+        params = init_params(config, 4, 3, len(small_model.vocabulary),
+                             np.random.default_rng(0))
+        model = TrainedTopicModel(config=config, vocabulary=small_model.vocabulary,
+                                  params=params, loss_trace=[],
+                                  doc_topics=np.full((6, 3), 1 / 3))
+        loaded = load_model(save_model(model, tmp_path / "m.mmtm"))
+        assert {n: p.shape for n, p in loaded.params.items()} == \
+            {n: p.shape for n, p in params.items()}
+
+    def test_vocabulary_shorter_than_beta_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["vocabulary"] = header["vocabulary"][:-1]
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="matrix beta has shape"):
+            load_model(path)
+
+    def test_string_vocabulary_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["vocabulary"] = "".join(header["vocabulary"])
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="vocabulary is not a list of strings"):
+            load_model(path)
+
+    def test_missing_beta_rejected(self, small_model, tmp_path):
+        params = {n: p for n, p in small_model.params.items() if n != "beta"}
+        path = save_model(dataclasses.replace(small_model, params=params),
+                          tmp_path / "bad.mmtm")
+        with pytest.raises(CheckpointError, match="checkpoint holds each of .*'beta'"):
+            load_model(path)
+
+    def test_topic_count_contradicting_matrices_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["config"]["num_topics"] += 1
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="has shape"):
+            load_model(path)
+
+    def test_kind_contradicting_config_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["kind"] = "zeroshot"
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="differs from its config's kind"):
+            load_model(path)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -134,9 +183,10 @@ class TestCheckpoint:
             header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
         path = write_checkpoint(tmp_path / "fuzz.mmtm", header, payload)
         try:
-            load_model(path)
+            model = load_model(path)
         except CheckpointError:
-            pass
+            return
+        topic_keywords(model.topic_word_matrix, model.vocabulary, 2)
 
 
 JSON_VALUES = st.recursive(
@@ -275,8 +325,22 @@ class TestPlanParsing:
     def test_null_and_integer_values_fit_optional_and_float_keys(self):
         plan = ExperimentPlan.from_dict({
             "datasets": ["d.jsonl"], "models": [{"kind": "zeroshot"}],
-            "epochs": None, "word_vectors": None, "rbo_p": 1})
-        assert plan.epochs is None and plan.word_vectors is None and plan.rbo_p == 1
+            "epochs": None, "word_vectors": None})
+        assert plan.epochs is None and plan.word_vectors is None
+        # The integer 1 passes the float key's type check and fails its range.
+        with pytest.raises(ValueError, match="rbo_p must lie strictly between 0 and 1"):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
+                                      "models": [{"kind": "zeroshot"}], "rbo_p": 1})
+
+    @pytest.mark.parametrize("key,value", [
+        ("descriptor_size", 0), ("descriptor_size", 1), ("npmi_window", 0),
+        ("rbo_p", 0), ("rbo_p", 1.5),
+    ], ids=["descriptor_size-0", "descriptor_size-1", "npmi_window-0", "rbo_p-0",
+            "rbo_p-1.5"])
+    def test_evaluation_settings_every_cell_would_fail_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
+                                      "models": [{"kind": "zeroshot"}], key: value})
 
     @pytest.mark.parametrize("entry,message", [
         ({"kind": "zeroshot", "epochs": "5"}, "'zeroshot' at 25 topics"),

@@ -17,7 +17,7 @@ from mmtopic.models import (
     reconstruct_image_features,
     train,
 )
-from mmtopic.nncore import gradcheck, named_rng
+from mmtopic.nncore import gradcheck, named_rng, softmax
 
 from conftest import make_corpus
 from oracles import contrast_loss_reference, infonce_reference, mzs_loss_reference
@@ -285,6 +285,20 @@ class TestContrastLoss:
         for i in (0, 1, 3):
             assert abs(after[i] - before[i]) <= 1e-12
         assert after[2] != before[2]
+
+
+class TestReconstruction:
+    def test_one_shift_gives_softmax_bytes_and_log_softmax_loss(self):
+        rng = np.random.default_rng(12)
+        theta = softmax(rng.normal(size=(5, 3)), axis=-1)
+        beta = rng.normal(size=(3, 12)) * 4
+        bows = rng.integers(0, 4, size=(5, 12)).astype(np.float64)
+        recon, probs = models_module._recon_forward(theta, beta, bows)
+        logits = theta @ beta
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        assert probs.tobytes() == softmax(logits, axis=-1).tobytes()
+        assert recon.tobytes() == (-np.sum(bows * logp, axis=-1)).tobytes()
 
 
 class TestGradients:

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 from mmtopic.nncore import (
     AdamState,
-    GaussianPrior,
     GradcheckReport,
     adam_step,
-    dirichlet_laplace_prior,
     glorot_uniform,
     gradcheck,
     inference_backward,
     inference_forward,
     init_inference_network,
-    kl_diag_gaussian,
     kl_grads,
     kl_rows,
-    log_softmax,
     named_rng,
+    prior_variance,
     sigmoid,
     softmax,
     softmax_backward,
@@ -78,89 +75,57 @@ class TestActivations:
         for i in range(5):
             np.testing.assert_allclose(batch[i], softmax(x[i]), atol=1e-15)
 
-    def test_log_softmax_consistent_with_softmax(self):
-        x = np.random.default_rng(5).normal(size=(4, 7)) * 10
-        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-12)
-
 
 class TestPrior:
     def test_variance_formula_k2_alpha1(self):
-        prior = dirichlet_laplace_prior(2, 1.0)
-        np.testing.assert_allclose(prior.mean, 0.0)
-        np.testing.assert_allclose(prior.variance, 0.5)
+        assert prior_variance(2, 1.0) == 0.5
 
     def test_variance_formula_default_alpha_k25(self):
         # alpha = 1/K: (K)(1 - 2/K) + K*K/K^2 = K - 2 + 1 = 24 at K = 25
-        prior = dirichlet_laplace_prior(25, 1.0 / 25)
-        np.testing.assert_allclose(prior.variance, 24.0)
+        assert prior_variance(25, 1.0 / 25) == pytest.approx(24.0)
 
     @given(st.integers(min_value=2, max_value=200),
            st.floats(min_value=1e-3, max_value=10))
     @settings(max_examples=60, deadline=None)
     def test_variance_matches_reference(self, k, alpha):
-        prior = dirichlet_laplace_prior(k, alpha)
-        assert prior.variance[0] == pytest.approx(prior_variance_reference(k, alpha))
+        assert prior_variance(k, alpha) == pytest.approx(prior_variance_reference(k, alpha))
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="num_topics"):
-            dirichlet_laplace_prior(1, 1.0)
+            prior_variance(1, 1.0)
         with pytest.raises(ValueError, match="alpha"):
-            dirichlet_laplace_prior(5, 0.0)
-
-    def test_prior_validation(self):
-        with pytest.raises(ValueError, match="same shape"):
-            GaussianPrior(mean=np.zeros(3), variance=np.ones(2))
-        with pytest.raises(ValueError, match="positive"):
-            GaussianPrior(mean=np.zeros(2), variance=np.array([1.0, 0.0]))
+            prior_variance(5, 0.0)
 
 
 class TestKl:
     def test_identical_distributions_give_zero(self):
-        prior = GaussianPrior(mean=np.array([0.3, -1.0]), variance=np.array([2.0, 0.5]))
-        mu = prior.mean.copy()
-        logvar = np.log(prior.variance)
-        assert kl_diag_gaussian(mu, logvar, prior) == pytest.approx(0.0, abs=1e-14)
+        variance = 2.0
+        rows = kl_rows(np.zeros((2, 3)), np.full((2, 3), math.log(variance)), variance)
+        np.testing.assert_allclose(rows, 0.0, atol=1e-14)
 
     def test_unit_shift_hand_value(self):
         # KL(N(1,1) || N(0,1)) = 0.5 per dimension
-        prior = GaussianPrior(mean=np.zeros(1), variance=np.ones(1))
-        assert kl_diag_gaussian(np.ones(1), np.zeros(1), prior) == pytest.approx(0.5)
+        assert kl_rows(np.ones(1), np.zeros(1), 1.0) == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
            st.lists(st.floats(min_value=-4, max_value=4), min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_never_negative(self, mu, logvar):
         k = min(len(mu), len(logvar))
-        prior = GaussianPrior(mean=np.zeros(k), variance=np.full(k, 1.7))
-        assert kl_diag_gaussian(np.array(mu[:k]), np.array(logvar[:k]), prior) >= -1e-12
-
-    def test_rows_match_scalar_calls(self):
-        rng = np.random.default_rng(2)
-        prior = GaussianPrior(mean=rng.normal(size=4), variance=np.full(4, 0.8))
-        mu = rng.normal(size=(3, 4))
-        logvar = rng.normal(size=(3, 4))
-        rows = kl_rows(mu, logvar, prior)
-        for i in range(3):
-            assert rows[i] == pytest.approx(kl_diag_gaussian(mu[i], logvar[i], prior))
+        assert kl_rows(np.array(mu[:k]), np.array(logvar[:k]), 1.7) >= -1e-12
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        prior = GaussianPrior(mean=rng.normal(size=5), variance=np.full(5, 1.3))
-        mu = rng.normal(size=5)
-        logvar = rng.normal(size=5) * 0.5
+        mu = rng.normal(size=(3, 5))
+        logvar = rng.normal(size=(3, 5)) * 0.5
 
         def loss(params):
-            kl = kl_diag_gaussian(params["mu"], params["logvar"], prior)
-            d_mu, d_logvar = kl_grads(params["mu"], params["logvar"], prior)
+            kl = float(np.sum(kl_rows(params["mu"], params["logvar"], 1.3)))
+            d_mu, d_logvar = kl_grads(params["mu"], params["logvar"], 1.3)
             return kl, {"mu": d_mu, "logvar": d_logvar}
 
         report = gradcheck(loss, {"mu": mu, "logvar": logvar})
         assert report.max_relative_error < 1e-8
-
-    def test_shape_mismatch_rejected(self):
-        prior = GaussianPrior(mean=np.zeros(3), variance=np.ones(3))
-        with pytest.raises(ValueError, match="share one shape"):
-            kl_diag_gaussian(np.zeros(2), np.zeros(2), prior)
 
 
 class TestAdam:

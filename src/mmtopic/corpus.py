@@ -158,8 +158,8 @@ class MultimodalDocument:
 class Corpus:
     """Immutable columns of N >= 1 documents over one vocabulary: ``ids``,
     ``tokens`` and ``image_refs`` tuples, and the (N, Dt) ``text_embeddings``
-    and (N, Di) ``image_embeddings`` float64 matrices, frozen once
-    validated. Construction also requires finite embedding values and at
+    and (N, Di) ``image_embeddings`` float64 matrices (Dt, Di >= 1), frozen
+    once validated. Construction also requires finite embedding values and at
     least one in-vocabulary token in the corpus.
 
     :attr:`documents` and :attr:`token_ids` are built on first use and kept
@@ -182,8 +182,9 @@ class Corpus:
         matrices = (self.text_embeddings, self.image_embeddings)
         for name, matrix in zip(("text", "image"), matrices):
             if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-                    and matrix.ndim == 2):
-                raise ValueError(f"{name}_embeddings must be a 2-D float64 array")
+                    and matrix.ndim == 2 and matrix.shape[1] >= 1):
+                raise ValueError(f"{name}_embeddings must be a 2-D float64 array "
+                                 "with at least one column")
             if not np.isfinite(matrix).all():
                 raise ValueError(f"{name}_embeddings has non-finite values")
         if any(len(column) != n for column in (self.tokens, self.image_refs, *matrices)):

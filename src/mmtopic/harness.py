@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -41,7 +42,8 @@ from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _find_sidecar_vocab,
                      atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
-from .models import ENCODERS, ModelConfig, TrainedTopicModel, train
+from .models import (ModelConfig, TrainedTopicModel, _json_type_error, param_shapes,
+                     train)
 
 logger = logging.getLogger(__name__)
 
@@ -78,20 +80,6 @@ def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
 
 
 _HEADER_FIELDS = ("kind", "config", "vocabulary", "matrices", "loss_trace")
-
-
-def _matrix_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple]:
-    """Shape of each matrix in a checkpoint of ``config``, as ``init_params``
-    and ``train`` make them; None marks a width the inputs set."""
-    k, h = config.num_topics, config.hidden_dim
-    shapes = {"beta": (k, vocab_size), "doc_topics": (None, k)}
-    if config.kind == "multimodal_zeroshot":
-        shapes["gamma"] = (k, None)
-    for prefix, _, _, _ in ENCODERS[config.kind]:
-        for layer, rows, cols in (("hidden", h, None), ("mu", k, h), ("logvar", k, h)):
-            shapes[f"{prefix}.W_{layer}"] = (rows, cols)
-            shapes[f"{prefix}.b_{layer}"] = (rows,)
-    return shapes
 
 
 def _is_matrix_entry(entry) -> bool:
@@ -145,7 +133,8 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
     if config.kind != header["kind"]:
         raise CheckpointError(f"{path}: header kind {header['kind']!r} differs from "
                               f"its config's kind {config.kind!r}")
-    expected = _matrix_shapes(config, len(vocabulary))
+    expected = {**param_shapes(config, None, None, len(vocabulary)),
+                "doc_topics": (None, config.num_topics)}
     names = sorted(entry["name"] for entry in matrices)
     if names != sorted(expected):
         raise CheckpointError(f"{path}: a {config.kind} checkpoint holds each of "
@@ -191,33 +180,8 @@ _CONFIG_OVERRIDES = tuple(f.name for f in dataclasses.fields(ModelConfig)
                           if f.name not in ("kind", "num_topics", "seed"))
 
 
-# The JSON values each plan or manifest field annotation accepts, and their names.
-_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
-               "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
-               "dict": (dict, "object")}
-
 # A model label names output files, so it may not hold a path separator.
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
-
-
-def _json_type_error(value, annotation: str) -> str | None:
-    """None if a JSON plan value fits a field annotation, else the JSON type
-    the annotation asks for. A ``tuple[X, ...]`` field takes an array of X,
-    and no field takes a boolean."""
-    if annotation.endswith(" | None"):
-        if value is None:
-            return None
-        wanted = _json_type_error(value, annotation.removesuffix(" | None"))
-        return wanted and f"{wanted} or null"
-    if annotation.startswith("tuple["):
-        item = annotation.removeprefix("tuple[").split(",")[0]
-        if isinstance(value, list) and not any(_json_type_error(v, item) for v in value):
-            return None
-        return f"a JSON array of {_JSON_TYPES[item][1]}s"
-    types, name = _JSON_TYPES[annotation]
-    if isinstance(value, types) and not isinstance(value, bool):
-        return None
-    return f"a JSON {name}"
 
 
 @dataclass(frozen=True)
@@ -279,21 +243,22 @@ class ExperimentPlan:
             raise ValueError("npmi_window must be >= 1")
         if not 0.0 < self.rbo_p < 1.0:
             raise ValueError("rbo_p must lie strictly between 0 and 1")
-        # Cell ids and output files are named by dataset stem and entry name.
+        # Cell ids and output files are named by all four axes.
         for what, names in (("model entry name", [m.name for m in self.models]),
-                            ("dataset file stem", [Path(d).stem for d in self.datasets])):
+                            ("dataset file stem", [Path(d).stem for d in self.datasets]),
+                            ("topic count", list(self.topic_counts)),
+                            ("seed", list(self.seeds))):
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
-                raise ValueError(f"duplicate {what}s {repeated}; give each a distinct "
-                                 "label or file name")
-        # Reject an entry that cannot configure a model before any cell runs.
-        for entry in self.models:
-            for k in self.topic_counts:
-                try:
-                    _build_config(self, entry, k, self.seeds[0])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"model entry {entry.name!r} at {k} topics: "
-                                     f"{exc}") from exc
+                raise ValueError(f"duplicate {what}s {repeated}; each cell id needs "
+                                 "distinct labels, file stems, topic counts and seeds")
+        # Reject a cell that cannot configure a model before any cell runs.
+        for entry, k, seed in itertools.product(self.models, self.topic_counts, self.seeds):
+            try:
+                _build_config(self, entry, k, seed)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"model entry {entry.name!r} at {k} topics: "
+                                 f"{exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -436,7 +401,9 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     records a completed run with the same corpus fingerprint and config.
     Independent cells may run on up to ``plan.workers`` threads; all outputs
     are written atomically. Emits aggregate tables in all formats and
-    returns the manifests in plan order."""
+    returns the manifests in plan order. Raises ``ValueError`` before any
+    cell trains if a dataset has fewer terms or documents than
+    ``plan.descriptor_size``."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -448,23 +415,26 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     for dataset in plan.datasets:
         fingerprint = corpus_fingerprint(dataset, plan.vocab_cap)
         corpus = None
-        for entry in plan.models:
-            for k in plan.topic_counts:
-                for seed in plan.seeds:
-                    cell = _cell_id(dataset, entry, k, seed)
-                    manifest_path = manifest_dir / f"{cell}.json"
-                    existing = _manifest_is_valid(manifest_path, fingerprint,
-                                                  _build_config(plan, entry, k, seed))
-                    if existing is not None:
-                        logger.info("cell %s already complete; skipping", cell)
-                        manifests.append(existing)
-                        continue
-                    if corpus is None:
-                        corpus = load_corpus(dataset, cap=plan.vocab_cap)
-                    manifests.append(None)
-                    pending.append((len(manifests) - 1, manifest_path,
-                                    (corpus, fingerprint, plan, dataset, entry,
-                                     k, seed, out_dir, word_vectors)))
+        for entry, k, seed in itertools.product(plan.models, plan.topic_counts, plan.seeds):
+            cell = _cell_id(dataset, entry, k, seed)
+            manifest_path = manifest_dir / f"{cell}.json"
+            existing = _manifest_is_valid(manifest_path, fingerprint,
+                                          _build_config(plan, entry, k, seed))
+            if existing is not None:
+                logger.info("cell %s already complete; skipping", cell)
+                manifests.append(existing)
+                continue
+            if corpus is None:
+                corpus = load_corpus(dataset, cap=plan.vocab_cap)
+                v, n = len(corpus.vocabulary), corpus.num_documents
+                if plan.descriptor_size > min(v, n):
+                    raise ValueError(f"{dataset}: descriptor_size {plan.descriptor_size} "
+                                     f"exceeds its vocabulary size V={v} or document "
+                                     f"count N={n}")
+            manifests.append(None)
+            pending.append((len(manifests) - 1, manifest_path,
+                            (corpus, fingerprint, plan, dataset, entry, k, seed, out_dir,
+                             word_vectors)))
 
     def finish(slot: int, manifest_path: Path, manifest: RunManifest):
         atomic_write_text(manifest_path,

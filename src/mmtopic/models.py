@@ -23,14 +23,15 @@ topic-word weight matrix, adds one KL term per encoder, then the image
 term or the InfoNCE term, and back-propagates the same way. The first
 encoder's posterior mean is a document's topic mixture. Objectives are
 minimized; every reported component carries its sign so the components
-sum to the total. Gradients are derived manually per layer and validated
-by finite differences.
+sum to the total. Gradients are derived manually per layer, returned per
+block, and validated by finite differences. :func:`param_shapes` alone
+lists a kind's parameter blocks, for initialization and checkpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .nncore import (
     glorot_uniform,
     inference_backward,
     inference_forward,
-    init_inference_network,
     kl_grads,
     kl_rows,
     named_rng,
@@ -72,13 +72,40 @@ _FEATURE_ARGUMENTS = {"text": "text_embedding", "image": "image_embedding", "bow
 # Norm products below this are treated as degenerate in cosine terms.
 _COSINE_TINY = 1e-12
 
+# The JSON values each config, plan or manifest field annotation accepts,
+# and their names.
+_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
+               "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
+               "dict": (dict, "object")}
+
+
+def _json_type_error(value, annotation: str) -> str | None:
+    """None if a JSON value fits a field annotation, else the JSON type the
+    annotation asks for. A ``tuple[X, ...]`` field takes an array of X, and
+    no field takes a boolean."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        wanted = _json_type_error(value, annotation.removesuffix(" | None"))
+        return wanted and f"{wanted} or null"
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").split(",")[0]
+        if isinstance(value, list) and not any(_json_type_error(v, item) for v in value):
+            return None
+        return f"a JSON array of {_JSON_TYPES[item][1]}s"
+    types, name = _JSON_TYPES[annotation]
+    if isinstance(value, types) and not isinstance(value, bool):
+        return None
+    return f"a JSON {name}"
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Training configuration. ``batch_size`` and ``prior_alpha`` default to
     kind-dependent values (64 documents, 32 for the contrastive kind;
     Dirichlet concentration 1/num_topics) and are resolved at construction
-    so serialized configs are complete."""
+    so serialized configs are complete. Each field must hold its annotated
+    JSON type (never a boolean), and ``seed`` may not be negative."""
 
     kind: str
     num_topics: int
@@ -94,6 +121,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            wanted = _json_type_error(getattr(self, f.name), str(f.type))
+            if wanted:
+                raise TypeError(f"config field {f.name!r} must be {wanted}, "
+                                f"got {getattr(self, f.name)!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
         if self.num_topics < 2:
@@ -121,6 +153,8 @@ class ModelConfig:
             object.__setattr__(self, "prior_alpha", 1.0 / self.num_topics)
         if self.prior_alpha <= 0:
             raise ValueError("prior_alpha must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def prior(self) -> float:
         """Variance of the zero-mean Gaussian prior in each topic dimension."""
@@ -149,22 +183,35 @@ def _encoder_input(features: tuple[str, ...], columns: dict) -> np.ndarray:
     return np.concatenate([columns[f] for f in features], axis=-1)
 
 
+def param_shapes(config: ModelConfig, text_dim: int | None, image_dim: int | None,
+                 vocab_size: int | None) -> dict[str, tuple]:
+    """Every parameter block of a model kind and its shape, in draw order:
+    per encoder the hidden layer and the mu and logvar heads (weights, then
+    biases), then the topic-word weights, then the topic-image weights for
+    ``multimodal_zeroshot``. A width passed as None stays None."""
+    k, h = config.num_topics, config.hidden_dim
+    widths = {"text": text_dim, "image": image_dim, "bow": vocab_size}
+    shapes = {}
+    for prefix, _, features, _ in ENCODERS[config.kind]:
+        dims = [widths[f] for f in features]
+        width = None if None in dims else sum(dims)
+        for layer, rows, cols in (("hidden", h, width), ("mu", k, h), ("logvar", k, h)):
+            shapes[f"{prefix}.W_{layer}"] = (rows, cols)
+            shapes[f"{prefix}.b_{layer}"] = (rows,)
+    shapes["beta"] = (k, vocab_size)
+    if config.kind == "multimodal_zeroshot":
+        shapes["gamma"] = (k, image_dim)
+    return shapes
+
+
 def init_params(config: ModelConfig, text_dim: int, image_dim: int,
                 vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Initialize all parameter blocks for a model kind. Draw order is
-    fixed (encoders, then topic-word weights, then topic-image weights) so
-    a seeded generator reproduces the same initialization."""
-    k = config.num_topics
-    params = {}
-    widths = {"text": text_dim, "image": image_dim, "bow": vocab_size}
-    for prefix, _, features, _ in ENCODERS[config.kind]:
-        dim = sum(widths[f] for f in features)
-        block = init_inference_network(dim, k, rng, hidden_dim=config.hidden_dim)
-        params.update({f"{prefix}.{name}": arr for name, arr in block.items()})
-    params["beta"] = glorot_uniform(rng, (k, vocab_size))
-    if config.kind == "multimodal_zeroshot":
-        params["gamma"] = glorot_uniform(rng, (k, image_dim))
-    return params
+    """Glorot-uniform weight matrices and zero bias vectors for every block
+    of :func:`param_shapes`, drawn in its order so a seeded generator
+    reproduces the same initialization."""
+    return {name: glorot_uniform(rng, shape) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in param_shapes(config, text_dim, image_dim,
+                                            vocab_size).items()}
 
 
 def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
@@ -178,11 +225,10 @@ def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
     return recon, e / row_sums
 
 
-def _recon_backward(theta, beta, bows, probs, grads):
-    """Returns d(sum recon)/d(theta); accumulates the beta gradient."""
+def _recon_backward(theta, beta, bows, probs):
+    """Gradients of sum recon with respect to theta and beta."""
     d_logits = probs * bows.sum(axis=-1, keepdims=True) - bows
-    grads["beta"] += theta.T @ d_logits
-    return d_logits @ beta.T
+    return d_logits @ beta.T, theta.T @ d_logits
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray):
@@ -306,8 +352,9 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
     if not want_grads:
         return total, None, components
 
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    d_thetas = [_recon_backward(thetas[0], params["beta"], bows, probs, grads)]
+    d_theta, d_beta = _recon_backward(thetas[0], params["beta"], bows, probs)
+    d_thetas = [d_theta]
+    grads = {"beta": d_beta}
     if kind == "multimodal_zeroshot":
         nr_safe = np.maximum(nr, _COSINE_TINY)
         # d cos / d r for r = theta @ gamma, target u fixed:
@@ -315,7 +362,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
         d_cos_dr = (image_targets / q[:, None]
                     - (dots * nu / (q * q * nr_safe))[:, None] * recon_img)
         d_img_dr = -config.image_loss_weight * d_cos_dr
-        grads["gamma"] += thetas[0].T @ d_img_dr
+        grads["gamma"] = thetas[0].T @ d_img_dr
         d_thetas[0] = d_thetas[0] + d_img_dr @ params["gamma"].T
     if len(encoders) == 2:
         d_nce_t, d_nce_m = _nce_theta_grads(thetas[0], thetas[1], config.temperature,
@@ -326,8 +373,8 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
             encoders, passes, noise, d_thetas):
         d_z = softmax_backward(theta, d_theta)
         d_mu_kl, d_logvar_kl = kl_grads(mu, logvar, prior)
-        inference_backward(params, prefix, cache, d_z + d_mu_kl,
-                           d_z * eps * 0.5 * sigma + d_logvar_kl, grads)
+        grads.update(inference_backward(params, prefix, cache, d_z + d_mu_kl,
+                                        d_z * eps * 0.5 * sigma + d_logvar_kl))
     return total, grads, components
 
 
@@ -388,10 +435,6 @@ def prepare_inputs(corpus: Corpus, kind: str) -> dict[str, np.ndarray]:
     return inputs
 
 
-def _slice_inputs(inputs: dict, idx: np.ndarray) -> dict:
-    return {key: arr[idx] for key, arr in inputs.items()}
-
-
 def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     """Train a topic model with minibatch Adam.
 
@@ -426,7 +469,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
         sums: dict[str, float] = {}
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            batch = _slice_inputs(inputs, idx)
+            batch = {key: arr[idx] for key, arr in inputs.items()}
             noise = tuple(noise_rng.standard_normal((idx.size, k)) for _ in encoders)
             masks = None if rate == 0.0 else tuple(
                 (dropout_rng.random((idx.size, config.hidden_dim)) >= rate) * scale

@@ -4,8 +4,10 @@ Adam, and a finite-difference gradient checker.
 
 Everything runs in float64 on plain numpy arrays. Parameter sets are flat
 dicts of named arrays so the optimizer and the gradient checker can treat
-every model uniformly. Gradients are written by hand throughout the
-package; :func:`gradcheck` is the contract that keeps them honest.
+every model uniformly (``models.param_shapes`` lists each kind's blocks);
+gradients come back as dicts keyed like the parameters. Gradients are
+written by hand throughout the package; :func:`gradcheck` is the contract
+that keeps them honest.
 """
 
 from __future__ import annotations
@@ -67,23 +69,6 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_inference_network(input_dim: int, num_topics: int,
-                           rng: np.random.Generator,
-                           hidden_dim: int = 100) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights and zero biases for the encoder: one hidden
-    layer with softplus activation feeding separate mu and logvar heads."""
-    if input_dim < 1 or hidden_dim < 1 or num_topics < 2:
-        raise ValueError("invalid encoder dimensions")
-    return {
-        "W_hidden": glorot_uniform(rng, (hidden_dim, input_dim)),
-        "b_hidden": np.zeros(hidden_dim),
-        "W_mu": glorot_uniform(rng, (num_topics, hidden_dim)),
-        "b_mu": np.zeros(num_topics),
-        "W_logvar": glorot_uniform(rng, (num_topics, hidden_dim)),
-        "b_logvar": np.zeros(num_topics),
-    }
-
-
 def inference_forward(params: dict, prefix: str, x: np.ndarray,
                       dropout_mask: np.ndarray | None = None):
     """Encoder forward pass over a row-stacked batch.
@@ -101,19 +86,16 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
     return mu, logvar, (x, pre, dropped, dropout_mask)
 
 
-def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar,
-                       grads: dict) -> None:
-    """Accumulate encoder parameter gradients into ``grads``."""
+def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict:
+    """The encoder's six parameter gradients, keyed like its parameters."""
     x, pre, dropped, mask = cache
-    grads[prefix + ".W_mu"] += d_mu.T @ dropped
-    grads[prefix + ".b_mu"] += d_mu.sum(axis=0)
-    grads[prefix + ".W_logvar"] += d_logvar.T @ dropped
-    grads[prefix + ".b_logvar"] += d_logvar.sum(axis=0)
     d_dropped = d_mu @ params[prefix + ".W_mu"] + d_logvar @ params[prefix + ".W_logvar"]
     d_hidden = d_dropped if mask is None else d_dropped * mask
     d_pre = d_hidden * sigmoid(pre)
-    grads[prefix + ".W_hidden"] += d_pre.T @ x
-    grads[prefix + ".b_hidden"] += d_pre.sum(axis=0)
+    return {prefix + ".W_hidden": d_pre.T @ x, prefix + ".b_hidden": d_pre.sum(axis=0),
+            prefix + ".W_mu": d_mu.T @ dropped, prefix + ".b_mu": d_mu.sum(axis=0),
+            prefix + ".W_logvar": d_logvar.T @ dropped,
+            prefix + ".b_logvar": d_logvar.sum(axis=0)}
 
 
 def softmax_backward(theta: np.ndarray, d_theta: np.ndarray) -> np.ndarray:

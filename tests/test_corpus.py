@@ -160,8 +160,13 @@ class TestCorpusValidation:
         (lambda c: {"ids": (), "tokens": (), "image_refs": (),
                     "text_embeddings": np.zeros((0, 4)), "image_embeddings": np.zeros((0, 3))},
          "at least one document"),
+        (lambda c: {"text_embeddings": np.zeros((4, 0))},
+         "text_embeddings must be a 2-D float64 array with at least one column"),
+        (lambda c: {"image_embeddings": np.zeros((4, 0))},
+         "image_embeddings must be a 2-D float64 array with at least one column"),
     ], ids=["short-tokens", "long-image-refs", "short-text", "short-ids", "1-d-image",
-            "float32-text", "list-text", "nan-text", "inf-image", "no-documents"])
+            "float32-text", "list-text", "nan-text", "inf-image", "no-documents",
+            "zero-width-text", "zero-width-image"])
     def test_constructor_rejects_malformed_columns(self, tiny_corpus, changes, message):
         with pytest.raises(ValueError, match=message):
             Corpus(**columns(tiny_corpus, **changes(tiny_corpus)))

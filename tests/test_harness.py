@@ -23,7 +23,8 @@ from mmtopic.harness import (
     run_plan,
     save_model,
 )
-from mmtopic.models import KINDS, ModelConfig, TrainedTopicModel, init_params, train
+from mmtopic.models import (KINDS, ModelConfig, TrainedTopicModel, init_params,
+                            param_shapes, train)
 
 from conftest import make_corpus
 
@@ -117,14 +118,35 @@ class TestCheckpoint:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_initialization_loads(self, small_model, tmp_path, kind):
         config = ModelConfig(kind=kind, num_topics=3, hidden_dim=5)
-        params = init_params(config, 4, 3, len(small_model.vocabulary),
-                             np.random.default_rng(0))
+        v = len(small_model.vocabulary)
+        params = init_params(config, 4, 3, v, np.random.default_rng(0))
         model = TrainedTopicModel(config=config, vocabulary=small_model.vocabulary,
                                   params=params, loss_trace=[],
                                   doc_topics=np.full((6, 3), 1 / 3))
-        loaded = load_model(save_model(model, tmp_path / "m.mmtm"))
+        path = save_model(model, tmp_path / "m.mmtm")
+        loaded = load_model(path)
         assert {n: p.shape for n, p in loaded.params.items()} == \
             {n: p.shape for n, p in params.items()}
+        # exactly param_shapes plus doc_topics: one block more or less fails
+        header, _ = split_checkpoint(path)
+        assert sorted(m["name"] for m in header["matrices"]) \
+            == sorted([*param_shapes(config, None, None, v), "doc_topics"])
+        for changed in ({**params, "extra": np.zeros(2)},
+                        *({n: p for n, p in params.items() if n != drop} for drop in params)):
+            path = save_model(dataclasses.replace(model, params=changed),
+                              tmp_path / "bad.mmtm")
+            with pytest.raises(CheckpointError, match="checkpoint holds each of"):
+                load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_topics", 2.0), ("epochs", True), ("seed", -1)])
+    def test_config_with_mistyped_or_negative_field_rejected(self, small_model, tmp_path,
+                                                             field, value):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        header["config"][field] = value
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match=f"invalid config.*{field}"):
+            load_model(path)
 
     def test_vocabulary_shorter_than_beta_rejected(self, small_model, tmp_path):
         header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
@@ -278,6 +300,14 @@ class TestPlanParsing:
                         "label": "w60"}]})
         assert [m.name for m in plan.models] == ["multimodal_zeroshot", "w60"]
 
+    @pytest.mark.parametrize("axis,values", [("seeds", [0, 0]), ("topic_counts", [2, 2])])
+    def test_duplicate_topic_counts_and_seeds_rejected(self, axis, values):
+        # both would train one cell id twice and count it twice in the aggregate
+        what = {"seeds": "seeds", "topic_counts": "topic counts"}[axis]
+        with pytest.raises(ValueError, match=f"duplicate {what} \\[{values[0]}\\]"):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
+                                      "models": [{"kind": "zeroshot"}], axis: values})
+
     def test_colliding_dataset_stems_rejected(self):
         with pytest.raises(ValueError, match="duplicate dataset file stems"):
             ExperimentPlan.from_dict({
@@ -346,10 +376,23 @@ class TestPlanParsing:
         ({"kind": "zeroshot", "epochs": "5"}, "'zeroshot' at 25 topics"),
         ({"kind": "pagerank"}, "'pagerank' at 25 topics: unknown model kind"),
         ({"kind": "combined", "label": "c", "batch_size": 0}, "'c' at 25 topics: batch_size"),
-    ], ids=["string-epochs", "unknown-kind", "zero-batch-size"])
+        *(({"kind": "zeroshot", field: value},
+           f"'zeroshot' at 25 topics: config field '{field}' must be a JSON {wanted}")
+          for field, value, wanted in (
+              ("learning_rate", True, "number"), ("epochs", True, "integer"),
+              ("prior_alpha", True, "number or null"), ("epochs", 2.5, "integer"),
+              ("hidden_dim", 2.5, "integer"), ("batch_size", 1.5, "integer or null"))),
+    ], ids=["string-epochs", "unknown-kind", "zero-batch-size", "bool-learning_rate",
+            "bool-epochs", "bool-prior_alpha", "float-epochs", "float-hidden_dim",
+            "float-batch_size"])
     def test_entries_that_cannot_configure_a_model_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="'zeroshot' at 25 topics: seed must be >= 0"):
+            ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
+                                      "models": [{"kind": "zeroshot"}], "seeds": [0, -1]})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -362,8 +405,8 @@ class TestPlanParsing:
         assert plan.epochs == 9
 
 
-def write_dataset(tmp_path, seed=3) -> Path:
-    spec = SyntheticSpec(num_topics_true=2, vocab_size=30, docs=12, doc_length=15,
+def write_dataset(tmp_path, seed=3, docs=12) -> Path:
+    spec = SyntheticSpec(num_topics_true=2, vocab_size=30, docs=docs, doc_length=15,
                          embed_dim_text=5, embed_dim_image=4,
                          topic_word_concentration=0.5, embedding_noise=0.05, seed=seed)
     corpus, _ = generate_synthetic(spec)
@@ -414,6 +457,19 @@ class TestRunPlan:
         runs = tmp_path / "runs"
         for name in ("aggregate.json", "aggregate.md", "aggregate.csv"):
             assert (runs / name).exists()
+
+    @pytest.mark.parametrize("docs,size", [(40, 31), (12, 13)], ids=["vocab", "docs"])
+    def test_descriptor_size_beyond_the_dataset_rejected_before_training(
+            self, tmp_path, docs, size):
+        dataset = write_dataset(tmp_path, docs=docs)
+        corpus = load_corpus(dataset)
+        v, n = len(corpus.vocabulary), corpus.num_documents
+        assert (v, n) == (30, docs) and size > min(v, n) and size - 1 <= min(v, n)
+        plan = make_plan(tmp_path, dataset, descriptor_size=size)
+        with pytest.raises(ValueError, match=f"{re.escape(str(dataset))}: descriptor_size "
+                                             f"{size} exceeds .* V={v} .* N={n}"):
+            run_plan(plan)
+        assert not (tmp_path / "runs" / "checkpoints").exists()
 
     def test_completed_plan_rerun_touches_nothing(self, tmp_path):
         dataset = write_dataset(tmp_path)

@@ -13,11 +13,12 @@ from mmtopic.models import (
     infonce,
     init_params,
     l1_normalize_bow,
+    param_shapes,
     prepare_inputs,
     reconstruct_image_features,
     train,
 )
-from mmtopic.nncore import gradcheck, named_rng, softmax
+from mmtopic.nncore import glorot_uniform, gradcheck, named_rng, softmax
 
 from conftest import make_corpus
 from oracles import contrast_loss_reference, infonce_reference, mzs_loss_reference
@@ -46,6 +47,22 @@ def make_params(kind, *, num_topics=3, vocab_size=12, text_dim=5, image_dim=4,
     return config, params
 
 
+def make_batch(kind, params, rng, n=3):
+    """Random inputs and noise for ``n`` documents, shaped as ``make_params``
+    shapes a kind's encoders."""
+    if kind == "multimodal_contrast":
+        inputs = {"x_text": rng.normal(size=(n, 5)),
+                  "x_image": rng.normal(size=(n, 4)),
+                  "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
+        return inputs, (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    dim = params["enc.W_hidden"].shape[1]
+    inputs = {"x": rng.normal(size=(n, dim)),
+              "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
+    if kind == "multimodal_zeroshot":
+        inputs["image_target"] = rng.normal(size=(n, 4))
+    return inputs, rng.normal(size=(n, 3))
+
+
 class TestModelConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
@@ -70,11 +87,27 @@ class TestModelConfig:
         ("num_topics", 1), ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0),
         ("dropout_rate", 1.0), ("hidden_dim", 0), ("image_loss_weight", -0.1),
         ("contrastive_weight", -1.0), ("temperature", 0.0), ("prior_alpha", -2.0),
+        ("seed", -1),
     ])
     def test_out_of_range_fields_rejected(self, field, value):
         kwargs = {"kind": "zeroshot", "num_topics": 5, field: value}
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value,wanted", [
+        ("learning_rate", True, "a JSON number"), ("epochs", True, "a JSON integer"),
+        ("prior_alpha", True, "a JSON number or null"), ("epochs", 2.5, "a JSON integer"),
+        ("hidden_dim", 2.5, "a JSON integer"), ("batch_size", 1.5, "a JSON integer or null"),
+        ("num_topics", 2.0, "a JSON integer"), ("kind", None, "a JSON string"),
+    ])
+    def test_mistyped_fields_rejected(self, field, value, wanted):
+        kwargs = {"kind": "zeroshot", "num_topics": 5, field: value}
+        with pytest.raises(TypeError, match=f"field '{field}' must be {wanted}, got"):
+            ModelConfig(**kwargs)
+
+    def test_integers_fit_float_fields(self):
+        cfg = ModelConfig(kind="zeroshot", num_topics=5, learning_rate=1, prior_alpha=2)
+        assert cfg.learning_rate == 1 and cfg.prior_alpha == 2
 
 
 class TestInputs:
@@ -305,19 +338,7 @@ class TestGradients:
     def run_check(self, kind, **config_overrides):
         rng = np.random.default_rng(51)
         config, params = make_params(kind, **config_overrides)
-        n = 3
-        if kind == "multimodal_contrast":
-            inputs = {"x_text": rng.normal(size=(n, 5)),
-                      "x_image": rng.normal(size=(n, 4)),
-                      "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
-            noise = (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
-        else:
-            dim = params["enc.W_hidden"].shape[1]
-            inputs = {"x": rng.normal(size=(n, dim)),
-                      "bow": rng.integers(0, 4, size=(n, 12)).astype(np.float64)}
-            if kind == "multimodal_zeroshot":
-                inputs["image_target"] = rng.normal(size=(n, 4))
-            noise = rng.normal(size=(n, 3))
+        inputs, noise = make_batch(kind, params, rng)
 
         def loss(p):
             total, grads, _ = batch_objective(kind, inputs, p, config, noise)
@@ -338,6 +359,35 @@ class TestGradients:
     def test_contrast_gradients(self):
         report = self.run_check("multimodal_contrast", contrastive_weight=20.0)
         assert report.max_relative_error < 1e-6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestParamLayout:
+    """``param_shapes`` states every kind's blocks once; initialization and
+    the objective's gradients follow it."""
+
+    def test_init_params_follow_param_shapes(self, kind):
+        config, params = make_params(kind)
+        assert [(n, p.shape) for n, p in params.items()] \
+            == list(param_shapes(config, 5, 4, 12).items())
+
+    def test_draw_order_is_glorot_in_shape_order(self, kind):
+        config, params = make_params(kind, seed=8)
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        init_params(config, 5, 4, 12, rng_a)
+        drawn = {name: glorot_uniform(rng_b, shape)
+                 for name, shape in param_shapes(config, 5, 4, 12).items()
+                 if len(shape) == 2}
+        for name, weights in drawn.items():
+            assert params[name].tobytes() == weights.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    def test_objective_grads_match_params(self, kind):
+        config, params = make_params(kind)
+        inputs, noise = make_batch(kind, params, np.random.default_rng(3))
+        _, grads, _ = batch_objective(kind, inputs, params, config, noise)
+        assert sorted((n, g.shape) for n, g in grads.items()) \
+            == sorted((n, p.shape) for n, p in params.items())
 
 
 class TestTraining:

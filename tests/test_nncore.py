@@ -13,7 +13,6 @@ from mmtopic.nncore import (
     gradcheck,
     inference_backward,
     inference_forward,
-    init_inference_network,
     kl_grads,
     kl_rows,
     named_rng,
@@ -23,6 +22,8 @@ from mmtopic.nncore import (
     softmax_backward,
     softplus,
 )
+
+from mmtopic.models import ModelConfig, init_params, param_shapes
 
 from oracles import adam_scalar_reference, prior_variance_reference
 
@@ -170,30 +171,34 @@ class TestAdam:
         assert state.step == 1
 
 
+def encoder_params(input_dim, num_topics, rng, hidden_dim):
+    """The ``enc`` blocks of a zeroshot model whose encoder reads ``input_dim``
+    columns, drawn by ``init_params``."""
+    config = ModelConfig(kind="zeroshot", num_topics=num_topics, hidden_dim=hidden_dim)
+    params = init_params(config, input_dim, 1, 2, rng)
+    return {name: p for name, p in params.items() if name.startswith("enc.")}
+
+
 class TestEncoder:
     def test_init_shapes_and_zero_biases(self):
-        params = init_inference_network(12, 4, np.random.default_rng(0), hidden_dim=7)
-        assert params["W_hidden"].shape == (7, 12)
-        assert params["W_mu"].shape == (4, 7)
-        assert params["W_logvar"].shape == (4, 7)
-        np.testing.assert_array_equal(params["b_hidden"], np.zeros(7))
-        np.testing.assert_array_equal(params["b_mu"], np.zeros(4))
+        config = ModelConfig(kind="zeroshot", num_topics=4, hidden_dim=7)
+        shapes = param_shapes(config, 12, 3, 10)
+        params = init_params(config, 12, 3, 10, np.random.default_rng(0))
+        assert shapes == {"enc.W_hidden": (7, 12), "enc.b_hidden": (7,),
+                          "enc.W_mu": (4, 7), "enc.b_mu": (4,),
+                          "enc.W_logvar": (4, 7), "enc.b_logvar": (4,), "beta": (4, 10)}
+        assert {n: p.shape for n, p in params.items()} == shapes
+        for name in ("enc.b_hidden", "enc.b_mu", "enc.b_logvar"):
+            np.testing.assert_array_equal(params[name], np.zeros(shapes[name]))
 
     def test_glorot_limit_respected(self):
         w = glorot_uniform(np.random.default_rng(1), (30, 50))
         limit = math.sqrt(6.0 / 80)
         assert np.abs(w).max() <= limit
 
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            init_inference_network(0, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="dimensions"):
-            init_inference_network(3, 1, np.random.default_rng(0))
-
     def test_forward_matches_manual_composition(self):
         rng = np.random.default_rng(6)
-        net = init_inference_network(5, 3, rng, hidden_dim=4)
-        params = {f"enc.{k}": v for k, v in net.items()}
+        params = encoder_params(5, 3, rng, hidden_dim=4)
         x = rng.normal(size=(2, 5))
         mu, logvar, _ = inference_forward(params, "enc", x)
         hidden = softplus(x @ params["enc.W_hidden"].T + params["enc.b_hidden"])
@@ -204,8 +209,7 @@ class TestEncoder:
 
     def test_dropout_mask_scales_hidden_layer(self):
         rng = np.random.default_rng(7)
-        net = init_inference_network(5, 3, rng, hidden_dim=4)
-        params = {f"enc.{k}": v for k, v in net.items()}
+        params = encoder_params(5, 3, rng, hidden_dim=4)
         x = rng.normal(size=(1, 5))
         mask = np.zeros((1, 4))
         mu, logvar, _ = inference_forward(params, "enc", x, dropout_mask=mask)
@@ -215,8 +219,7 @@ class TestEncoder:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        net = init_inference_network(6, 3, rng, hidden_dim=5)
-        params = {f"enc.{k}": v for k, v in net.items()}
+        params = encoder_params(6, 3, rng, hidden_dim=5)
         x = rng.normal(size=(4, 6))
         w_mu = rng.normal(size=(4, 3))
         w_lv = rng.normal(size=(4, 3))
@@ -224,9 +227,7 @@ class TestEncoder:
         def loss(p):
             mu, logvar, cache = inference_forward(p, "enc", x)
             value = float(np.sum(w_mu * mu) + np.sum(w_lv * logvar))
-            grads = {k: np.zeros_like(v) for k, v in p.items()}
-            inference_backward(p, "enc", cache, w_mu, w_lv, grads)
-            return value, grads
+            return value, inference_backward(p, "enc", cache, w_mu, w_lv)
 
         report = gradcheck(loss, params)
         assert report.max_relative_error < 1e-7

@@ -388,22 +388,115 @@ def _run_cell(corpus: Corpus, fingerprint: str, plan: ExperimentPlan,
         )
     except Exception as exc:  # a failed cell must not abort the sweep
         logger.exception("cell %s failed", cell)
-        return RunManifest(
-            cell_id=cell, dataset=dataset, model_label=entry.name,
-            kind=entry.kind, num_topics=k, seed=seed, status="failed",
-            config=config.to_dict(), corpus_fingerprint=fingerprint,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_manifest(fingerprint, plan, dataset, entry, k, seed,
+                                f"{type(exc).__name__}: {exc}")
+
+
+def _failed_manifest(fingerprint: str, plan: ExperimentPlan, dataset: str,
+                     entry: ModelEntry, k: int, seed: int, error: str) -> RunManifest:
+    return RunManifest(
+        cell_id=_cell_id(dataset, entry, k, seed), dataset=dataset,
+        model_label=entry.name, kind=entry.kind, num_topics=k, seed=seed,
+        status="failed", config=_build_config(plan, entry, k, seed).to_dict(),
+        corpus_fingerprint=fingerprint, error=error,
+    )
+
+
+# The cells of the running pool, as ``_run_cell`` arguments. Each forked
+# worker sets this from its initializer's arguments, which fork hands over
+# without pickling, so a task carries only its cell's index.
+_POOL_CELLS: list[tuple] = []
+
+
+def _set_pool_cells(cells: list[tuple]) -> None:
+    global _POOL_CELLS
+    _POOL_CELLS = cells
+
+
+def _run_pool_cell(index: int) -> RunManifest:
+    return _run_cell(*_POOL_CELLS[index])
+
+
+def _exit_text(code: int) -> str:
+    """A process exit code as ``exit code N`` or the name of its signal."""
+    import signal
+
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return signal.Signals(-code).name
+    except ValueError:
+        return f"signal {-code}"
+
+
+def _forked_pass(cells: list[tuple], indices, workers: int):
+    """Run the cells at ``indices`` on one pool of up to ``workers`` forked
+    processes, yielding (index, manifest) as cells finish. Returns the
+    indices a broken pool did not finish and its workers' exits."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    lost = []
+    with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_pool_cells, initargs=(cells,)) as pool:
+        futures = {pool.submit(_run_pool_cell, i): i for i in indices}
+        # A fork pool starts every worker at the first submit. The executor
+        # reports no exit codes, so keep its processes to read them.
+        processes = list(getattr(pool, "_processes", {}).values())
+        for future in as_completed(futures):
+            try:
+                manifest = future.result()
+            except BrokenProcessPool:
+                lost.append(futures[future])
+                continue
+            yield futures[future], manifest
+    # Leaving the pool joined its workers, so their exit codes are final.
+    return sorted(lost), ", ".join(_exit_text(p.exitcode) for p in processes if p.exitcode)
+
+
+def _run_forked(cells: list[tuple], workers: int):
+    """Run ``_run_cell(*args)`` for each args tuple of ``cells`` on up to
+    ``workers`` forked processes, yielding (index, manifest) as cells
+    finish. A worker that ends abruptly breaks its pool and takes down
+    every cell the pool had not finished; each of those runs again alone on
+    a fresh worker, so a cell that kills its worker fails by itself, with a
+    manifest naming that worker's exit."""
+    lost, _ = yield from _forked_pass(cells, range(len(cells)), workers)
+    for index in lost:
+        lost_again, exits = yield from _forked_pass(cells, [index], 1)
+        if lost_again:
+            _, fingerprint, plan, dataset, entry, k, seed, *_ = cells[index]
+            logger.error("cell %s failed: its worker process ended abruptly (%s)",
+                         _cell_id(dataset, entry, k, seed), exits)
+            yield index, _failed_manifest(
+                fingerprint, plan, dataset, entry, k, seed,
+                f"BrokenProcessPool: the cell's worker process ended abruptly ({exits})")
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     """Execute every cell of a plan, skipping cells whose manifest already
     records a completed run with the same corpus fingerprint and config.
-    Independent cells may run on up to ``plan.workers`` threads; all outputs
-    are written atomically. Emits aggregate tables in all formats and
-    returns the manifests in plan order. Raises ``ValueError`` before any
-    cell trains if a dataset has fewer terms or documents than
-    ``plan.descriptor_size``."""
+
+    With ``plan.workers`` above one and more than one cell to run, cells run
+    on up to that many forked worker processes, never more than there are
+    cells. Workers inherit the loaded corpora through fork, and each holds
+    its own copy of a cell's training memory. Cells run serially in this
+    process for one worker, for one pending cell, or where the platform
+    cannot fork. Only this process writes manifests and the aggregate, and
+    every output is written atomically. A cell whose worker process ends
+    abruptly (an exit, a signal, the OOM killer) gets a failed manifest
+    naming that exit, the sweep goes on, and a re-run retries the cell.
+
+    Emits aggregate tables in all formats and returns the manifests in plan
+    order. Raises ``ValueError`` before any cell trains if a dataset has
+    fewer terms or documents than ``plan.descriptor_size``."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -441,16 +534,13 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                           json.dumps(manifest.to_dict(), indent=2) + "\n")
         manifests[slot] = manifest
 
-    if plan.workers == 1 or len(pending) <= 1:
+    if plan.workers == 1 or len(pending) <= 1 or not _can_fork():
         for slot, manifest_path, args in pending:
             finish(slot, manifest_path, _run_cell(*args))
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [(slot, manifest_path, pool.submit(_run_cell, *args))
-                       for slot, manifest_path, args in pending]
-            for slot, manifest_path, future in futures:
-                finish(slot, manifest_path, future.result())
+        for index, manifest in _run_forked([args for _, _, args in pending], plan.workers):
+            slot, manifest_path, _ = pending[index]
+            finish(slot, manifest_path, manifest)
 
     for fmt in ("json", "markdown", "csv"):
         emit_report(manifests, fmt, out_dir)

@@ -45,6 +45,7 @@ from .nncore import (
     kl_grads,
     kl_rows,
     named_rng,
+    one_blas_thread,
     prior_variance,
     softmax,
     softmax_backward,
@@ -435,12 +436,14 @@ def prepare_inputs(corpus: Corpus, kind: str) -> dict[str, np.ndarray]:
     return inputs
 
 
+@one_blas_thread
 def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     """Train a topic model with minibatch Adam.
 
     All randomness (initialization, shuffling, dropout, sampling noise)
-    flows from ``config.seed`` through separate named streams, so identical
-    (corpus, config) pairs produce bit-identical parameters. The loss trace
+    flows from ``config.seed`` through separate named streams, and BLAS runs
+    on one thread, so identical (corpus, config) pairs produce bit-identical
+    parameters whatever the BLAS thread setting. The loss trace
     records, per epoch, the batch-size-weighted mean of every objective
     component per document. Raises ``ValueError`` naming the epoch and
     batch (counted from 1) whose loss is not finite.
@@ -496,6 +499,7 @@ def _mean_theta(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:
     return softmax(mu, axis=-1)
 
 
+@one_blas_thread
 def infer_topic_distribution(model: TrainedTopicModel, *,
                              text_embedding=None, image_embedding=None,
                              bow=None) -> np.ndarray:

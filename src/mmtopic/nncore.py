@@ -1,6 +1,6 @@
 """Dense neural substrate: activations, the encoder network, the
 logistic-normal Dirichlet prior approximation and the closed-form KL to it,
-Adam, and a finite-difference gradient checker.
+Adam, a finite-difference gradient checker, and the BLAS thread pin.
 
 Everything runs in float64 on plain numpy arrays. Parameter sets are flat
 dicts of named arrays so the optimizer and the gradient checker can treat
@@ -8,13 +8,24 @@ every model uniformly (``models.param_shapes`` lists each kind's blocks);
 gradients come back as dicts keyed like the parameters. Gradients are
 written by hand throughout the package; :func:`gradcheck` is the contract
 that keeps them honest.
+
+A matrix product split across OpenBLAS threads sums in an order that
+depends on the thread count, so :data:`one_blas_thread` runs training and
+inference on one thread to keep their bits independent of the environment.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import logging
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 def softplus(x):
@@ -208,3 +219,67 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
     """Deterministic per-purpose random stream derived from one seed."""
     import zlib
     return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
+
+
+# (get, set) thread-count symbols, by OpenBLAS build: numpy's bundled
+# scipy-openblas, then ILP64 and LP64 OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    looked up once; None, with a warning, for any other BLAS."""
+    import ctypes
+
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(handle, get_name, None)
+            set_ = getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    logger.warning("numpy does not use its bundled OpenBLAS; the BLAS thread count "
+                   "is not pinned, so results may depend on it")
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator that runs its body with numpy's bundled
+    OpenBLAS on one thread and restores the previous count when the
+    outermost body, over all threads of the process, leaves."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = 1
+
+    def __enter__(self):
+        calls = _openblas_thread_calls()
+        if calls is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._restore = calls[0]()
+                    calls[1](1)
+                self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        calls = _openblas_thread_calls()
+        if calls is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    calls[1](self._restore)
+        return False
+
+
+one_blas_thread = _OneBlasThread()

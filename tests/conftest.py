@@ -1,5 +1,6 @@
 import errno
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,12 +9,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import mmtopic
 from mmtopic.corpus import (
     Corpus,
     SyntheticSpec,
     Vocabulary,
     generate_synthetic,
 )
+
+
+def run_fresh_python(source: str, *args: str, **env: str) -> str:
+    """Standard output of ``source`` run in a fresh interpreter that imports
+    this checkout's mmtopic, with ``env`` added to the environment. Fails
+    the test on a non-zero exit."""
+    source_root = str(Path(mmtopic.__file__).parent.parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", source, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def make_corpus(token_lists, *, text_dim=4, image_dim=3, seed=0,

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +584,104 @@ class TestRunPlan:
             a = (tmp_path / "seq" / "checkpoints" / name).read_bytes()
             b = (tmp_path / "par" / "checkpoints" / name).read_bytes()
             assert a == b
+
+    def test_workers_are_forked_processes(self, tmp_path, monkeypatch):
+        import mmtopic.harness as harness_module
+        real_train = harness_module.train
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+
+        def recording_train(corpus, config):
+            (pid_dir / f"{config.kind}-{config.seed}").write_text(str(os.getpid()))
+            return real_train(corpus, config)
+
+        monkeypatch.setattr(harness_module, "train", recording_train)
+        dataset = write_dataset(tmp_path)
+        manifests = run_plan(make_plan(tmp_path, dataset, workers=2))
+        assert all(m.status == "ok" for m in manifests)
+        pids = {int(path.read_text()) for path in pid_dir.iterdir()}
+        assert len(list(pid_dir.iterdir())) == 4
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+    def test_no_more_workers_forked_than_pending_cells(self, tmp_path, monkeypatch):
+        real_fork = os.fork
+        forks = []
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        dataset = write_dataset(tmp_path)
+        manifests = run_plan(make_plan(tmp_path, dataset, models=[{"kind": "zeroshot"}],
+                                       workers=4))
+        assert len(manifests) == 2 and all(m.status == "ok" for m in manifests)
+        assert len(forks) == 2
+
+    def test_without_fork_cells_run_serially_with_the_same_outputs(self, tmp_path,
+                                                                   monkeypatch):
+        import mmtopic.harness as harness_module
+        dataset = write_dataset(tmp_path)
+        run_plan(make_plan(tmp_path, dataset, output_dir=str(tmp_path / "pool"),
+                           workers=2))
+        real_train = harness_module.train
+        pids = []
+
+        def recording_train(corpus, config):
+            pids.append(os.getpid())
+            return real_train(corpus, config)
+
+        monkeypatch.setattr(harness_module, "train", recording_train)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        manifests = run_plan(make_plan(tmp_path, dataset, output_dir=str(tmp_path / "serial"),
+                                       workers=2))
+        assert all(m.status == "ok" for m in manifests)
+        assert pids == [os.getpid()] * 4
+        for sub in ("checkpoints", "metrics"):
+            names = sorted(p.name for p in (tmp_path / "pool" / sub).iterdir())
+            assert len(names) == 4
+            assert names == sorted(p.name for p in (tmp_path / "serial" / sub).iterdir())
+            for name in names:
+                assert ((tmp_path / "pool" / sub / name).read_bytes()
+                        == (tmp_path / "serial" / sub / name).read_bytes())
+
+    @pytest.mark.parametrize("die,exit_text", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "SIGKILL"),
+    ], ids=["exit", "sigkill"])
+    def test_dead_worker_fails_only_its_cells_and_resume_reruns_them(
+            self, tmp_path, monkeypatch, die, exit_text):
+        import mmtopic.harness as harness_module
+        real_train = harness_module.train
+
+        def dying_train(corpus, config):
+            if config.kind == "zeroshot":
+                die()
+            return real_train(corpus, config)
+
+        monkeypatch.setattr(harness_module, "train", dying_train)
+        dataset = write_dataset(tmp_path)
+        plan = make_plan(tmp_path, dataset, workers=2)
+        manifests = run_plan(plan)
+        assert [(m.kind, m.status) for m in manifests] == [
+            ("zeroshot", "failed")] * 2 + [("multimodal_zeroshot", "ok")] * 2
+        for m in manifests[:2]:
+            assert m.error == ("BrokenProcessPool: the cell's worker process ended "
+                               f"abruptly ({exit_text})")
+        assert [m.to_dict() for m in load_manifests(tmp_path / "runs")] == sorted(
+            (m.to_dict() for m in manifests), key=lambda d: d["cell_id"])
+        text = (tmp_path / "runs" / "aggregate.md").read_text()
+        assert "Failed cells:" in text and all(m.cell_id in text for m in manifests[:2])
+
+        monkeypatch.setattr(harness_module, "train", real_train)
+        kept = snapshot_tree(tmp_path / "runs" / "checkpoints")
+        resumed = run_plan(plan)
+        assert all(m.status == "ok" for m in resumed)
+        assert resumed[2:] == manifests[2:]
+        after = snapshot_tree(tmp_path / "runs" / "checkpoints")
+        assert len(after) == 4 and all(after[path] == kept[path] for path in kept)
 
     def test_load_manifests_round_trip(self, tmp_path):
         dataset = write_dataset(tmp_path)

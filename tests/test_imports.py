@@ -1,12 +1,10 @@
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import mmtopic
+
+from conftest import run_fresh_python
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mmtopic.__path__))
 
@@ -23,9 +21,18 @@ importlib.import_module("mmtopic." + sys.argv[1])
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_first_in_a_fresh_interpreter(module):
-    source_root = str(Path(mmtopic.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", IMPORT_FIRST, module], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    run_fresh_python(IMPORT_FIRST, module)
+
+
+# Sweeps import their process pool when they start one, so importing the
+# package stays as cheap as it was.
+POOL_MODULES = """
+import sys
+import mmtopic
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent")))
+"""
+
+
+def test_package_import_loads_no_process_pool_modules():
+    assert run_fresh_python(POOL_MODULES).strip() == "[]"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -18,9 +20,10 @@ from mmtopic.models import (
     reconstruct_image_features,
     train,
 )
-from mmtopic.nncore import glorot_uniform, gradcheck, named_rng, softmax
+from mmtopic.nncore import (_openblas_thread_calls, glorot_uniform, gradcheck, named_rng,
+                            one_blas_thread, softmax)
 
-from conftest import make_corpus
+from conftest import make_corpus, run_fresh_python
 from oracles import contrast_loss_reference, infonce_reference, mzs_loss_reference
 
 KINDS = ("zeroshot", "combined", "multimodal_zeroshot", "multimodal_contrast")
@@ -488,6 +491,89 @@ class TestTraining:
         uni = train(tiny_corpus, ModelConfig(kind="zeroshot", num_topics=3, epochs=1,
                                              hidden_dim=8))
         assert uni.topic_image_matrix is None
+
+
+# Trains a combined model at a size where a two-thread OpenBLAS splits the
+# encoder's first matrix product, and prints a digest of its parameters and
+# of one inferred topic mixture.
+BLAS_PROBE = """
+import hashlib
+from mmtopic.corpus import SyntheticSpec, generate_synthetic
+from mmtopic.models import ModelConfig, infer_topic_distribution, train
+corpus, _ = generate_synthetic(SyntheticSpec(
+    num_topics_true=5, vocab_size=200, docs=300, doc_length=30,
+    embed_dim_text=16, embed_dim_image=16, seed=0))
+model = train(corpus, ModelConfig(kind="combined", num_topics=10, epochs=2))
+theta = infer_topic_distribution(model, text_embedding=corpus.text_embeddings[0],
+                                 bow=corpus.bow_matrix()[0])
+digest = hashlib.sha256()
+for name in sorted(model.params):
+    digest.update(model.params[name].tobytes())
+digest.update(theta.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_parameters_do_not_depend_on_the_openblas_thread_setting(self):
+        one, two = (run_fresh_python(BLAS_PROBE, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert one == two
+
+    def test_training_runs_on_one_thread_and_restores_the_count(self, tiny_corpus,
+                                                                  monkeypatch):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        get_threads, set_threads = calls
+        seen = []
+        real_objective = models_module.batch_objective
+
+        def recording_objective(*args, **kwargs):
+            seen.append(get_threads())
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr(models_module, "batch_objective", recording_objective)
+        before = get_threads()
+        set_threads(2)
+        try:
+            model = train(tiny_corpus, ModelConfig(kind="combined", num_topics=2,
+                                                   epochs=1, hidden_dim=4))
+            assert get_threads() == 2
+            infer_topic_distribution(model, text_embedding=tiny_corpus.text_embeddings[0],
+                                     bow=tiny_corpus.bow_matrix()[0])
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen and set(seen) == {1}
+
+    def test_overlapping_pins_on_many_threads_keep_one_thread(self):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        get_threads, set_threads = calls
+        seen = []
+
+        def pin_repeatedly():
+            for _ in range(300):
+                with one_blas_thread:
+                    seen.append(get_threads())
+
+        before, interval = get_threads(), sys.getswitchinterval()
+        set_threads(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_repeatedly) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert get_threads() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(before)
+        assert len(seen) == 1800 and set(seen) == {1}
 
 
 @pytest.fixture(scope="module")

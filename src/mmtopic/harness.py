@@ -402,21 +402,6 @@ def _failed_manifest(fingerprint: str, plan: ExperimentPlan, dataset: str,
     )
 
 
-# The cells of the running pool, as ``_run_cell`` arguments. Each forked
-# worker sets this from its initializer's arguments, which fork hands over
-# without pickling, so a task carries only its cell's index.
-_POOL_CELLS: list[tuple] = []
-
-
-def _set_pool_cells(cells: list[tuple]) -> None:
-    global _POOL_CELLS
-    _POOL_CELLS = cells
-
-
-def _run_pool_cell(index: int) -> RunManifest:
-    return _run_cell(*_POOL_CELLS[index])
-
-
 def _exit_text(code: int) -> str:
     """A process exit code as ``exit code N`` or the name of its signal."""
     import signal
@@ -429,50 +414,64 @@ def _exit_text(code: int) -> str:
         return f"signal {-code}"
 
 
-def _forked_pass(cells: list[tuple], indices, workers: int):
-    """Run the cells at ``indices`` on one pool of up to ``workers`` forked
-    processes, yielding (index, manifest) as cells finish. Returns the
-    indices a broken pool did not finish and its workers' exits."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    lost = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_pool_cells, initargs=(cells,)) as pool:
-        futures = {pool.submit(_run_pool_cell, i): i for i in indices}
-        # A fork pool starts every worker at the first submit. The executor
-        # reports no exit codes, so keep its processes to read them.
-        processes = list(getattr(pool, "_processes", {}).values())
-        for future in as_completed(futures):
-            try:
-                manifest = future.result()
-            except BrokenProcessPool:
-                lost.append(futures[future])
-                continue
-            yield futures[future], manifest
-    # Leaving the pool joined its workers, so their exit codes are final.
-    return sorted(lost), ", ".join(_exit_text(p.exitcode) for p in processes if p.exitcode)
+def _work(cells: list[tuple], pipe) -> None:
+    """Run the cell at each index ``pipe`` brings and send back its manifest."""
+    for index in iter(pipe.recv, None):
+        pipe.send(_run_cell(*cells[index]))
 
 
-def _run_forked(cells: list[tuple], workers: int):
+def _run_forked(cells: list[tuple], workers: int, finish) -> None:
     """Run ``_run_cell(*args)`` for each args tuple of ``cells`` on up to
-    ``workers`` forked processes, yielding (index, manifest) as cells
-    finish. A worker that ends abruptly breaks its pool and takes down
-    every cell the pool had not finished; each of those runs again alone on
-    a fresh worker, so a cell that kills its worker fails by itself, with a
-    manifest naming that worker's exit."""
-    lost, _ = yield from _forked_pass(cells, range(len(cells)), workers)
-    for index in lost:
-        lost_again, exits = yield from _forked_pass(cells, [index], 1)
-        if lost_again:
-            _, fingerprint, plan, dataset, entry, k, seed, *_ = cells[index]
-            logger.error("cell %s failed: its worker process ended abruptly (%s)",
-                         _cell_id(dataset, entry, k, seed), exits)
-            yield index, _failed_manifest(
-                fingerprint, plan, dataset, entry, k, seed,
-                f"BrokenProcessPool: the cell's worker process ended abruptly ({exits})")
+    ``workers`` forked processes, which inherit ``cells`` and receive only
+    indices, and call ``finish(index, manifest)`` as each cell finishes. A
+    worker that dies fails only the cell it was handed, and a fresh worker
+    takes the next cell. Every worker has ended when this returns or raises."""
+    import contextlib
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    todo = list(reversed(range(len(cells))))  # popped from the end
+    live, busy = {}, {}  # pipe: worker process; pipe: index of the cell it runs
+    try:
+        while todo or busy:
+            while todo and len(busy) < workers:
+                pipe = next((p for p in live if p not in busy), None)
+                if pipe is None:
+                    pipe, theirs = context.Pipe()
+                    live[pipe] = context.Process(target=_work, args=(cells, theirs))
+                    live[pipe].start()
+                    theirs.close()
+                index = todo.pop()
+                try:
+                    pipe.send(index)
+                except OSError:  # the worker died between cells
+                    todo.append(index)
+                    live.pop(pipe).join()
+                    continue
+                busy[pipe] = index
+            for pipe in wait(list(busy)):
+                index = busy.pop(pipe)
+                try:
+                    manifest = pipe.recv()
+                except EOFError:  # the worker died running this cell
+                    process = live.pop(pipe)
+                    process.join()
+                    _, fingerprint, plan, dataset, entry, k, seed, *_ = cells[index]
+                    manifest = _failed_manifest(
+                        fingerprint, plan, dataset, entry, k, seed, "BrokenProcessPool: the "
+                        f"cell's worker process ended abruptly ({_exit_text(process.exitcode)})")
+                    logger.error("cell %s failed: %s", manifest.cell_id, manifest.error)
+                finish(index, manifest)
+    finally:  # idle workers leave their loop, busy ones are stopped
+        for pipe, process in live.items():
+            if pipe in busy:
+                process.terminate()
+            else:
+                with contextlib.suppress(OSError):  # it died between cells
+                    pipe.send(None)
+        for process in live.values():
+            process.join()
 
 
 def _can_fork() -> bool:
@@ -492,7 +491,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     cannot fork. Only this process writes manifests and the aggregate, and
     every output is written atomically. A cell whose worker process ends
     abruptly (an exit, a signal, the OOM killer) gets a failed manifest
-    naming that exit, the sweep goes on, and a re-run retries the cell.
+    naming that exit; no other cell is stopped or run again.
 
     Emits aggregate tables in all formats and returns the manifests in plan
     order. Raises ``ValueError`` before any cell trains if a dataset has
@@ -504,7 +503,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                     if plan.word_vectors else None)
 
     manifests: list[RunManifest | None] = []
-    pending = []  # (slot, manifest_path, run args)
+    pending, cells = [], []  # (slot, manifest_path) and ``_run_cell`` args per cell to run
     for dataset in plan.datasets:
         fingerprint = corpus_fingerprint(dataset, plan.vocab_cap)
         corpus = None
@@ -525,22 +524,21 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                                      f"exceeds its vocabulary size V={v} or document "
                                      f"count N={n}")
             manifests.append(None)
-            pending.append((len(manifests) - 1, manifest_path,
-                            (corpus, fingerprint, plan, dataset, entry, k, seed, out_dir,
-                             word_vectors)))
+            pending.append((len(manifests) - 1, manifest_path))
+            cells.append((corpus, fingerprint, plan, dataset, entry, k, seed, out_dir,
+                          word_vectors))
 
-    def finish(slot: int, manifest_path: Path, manifest: RunManifest):
+    def finish(index: int, manifest: RunManifest):
+        slot, manifest_path = pending[index]
         atomic_write_text(manifest_path,
                           json.dumps(manifest.to_dict(), indent=2) + "\n")
         manifests[slot] = manifest
 
-    if plan.workers == 1 or len(pending) <= 1 or not _can_fork():
-        for slot, manifest_path, args in pending:
-            finish(slot, manifest_path, _run_cell(*args))
+    if plan.workers == 1 or len(cells) <= 1 or not _can_fork():
+        for index, args in enumerate(cells):
+            finish(index, _run_cell(*args))
     else:
-        for index, manifest in _run_forked([args for _, _, args in pending], plan.workers):
-            slot, manifest_path, _ = pending[index]
-            finish(slot, manifest_path, manifest)
+        _run_forked(cells, plan.workers, finish)
 
     for fmt in ("json", "markdown", "csv"):
         emit_report(manifests, fmt, out_dir)

@@ -35,12 +35,8 @@ def softplus(x):
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x, axis=-1):
@@ -143,8 +139,10 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         if g.shape != p.shape:
             raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
                              f"parameter has {p.shape}")
-        m = state.first_moment.setdefault(name, np.zeros_like(p))
-        v = state.second_moment.setdefault(name, np.zeros_like(p))
+        if name not in state.first_moment:
+            state.first_moment[name] = np.zeros_like(p)
+            state.second_moment[name] = np.zeros_like(p)
+        m, v = state.first_moment[name], state.second_moment[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 
+import numpy as np
+
 
 # ------------------------------------------------------------------ corpus
 
@@ -150,6 +152,22 @@ def hungarian_brute_force(matrix, maximize=False):
             best_total = total
             best_perm = perm
     return list(best_perm), best_total
+
+
+# ------------------------------------------------------------ activations
+
+def sigmoid_masked_reference(x):
+    """The logistic function by its two masked branches: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) elsewhere. It calls numpy's ``exp``
+    because ``math.exp`` differs from it in the last bit on some inputs, and
+    the package's sigmoid must match this formula byte for byte."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 # ------------------------------------------------------------- optimizers

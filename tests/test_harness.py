@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +683,44 @@ class TestRunPlan:
         assert resumed[2:] == manifests[2:]
         after = snapshot_tree(tmp_path / "runs" / "checkpoints")
         assert len(after) == 4 and all(after[path] == kept[path] for path in kept)
+
+    def test_dead_worker_neither_kills_nor_reruns_another_cell(self, tmp_path, monkeypatch):
+        import mmtopic.harness as harness_module
+        real_train = harness_module.train
+        starts = tmp_path / "train-starts"
+
+        def dying_train(corpus, config):
+            with starts.open("a") as log:
+                log.write(config.kind + "\n")
+            if config.kind == "zeroshot":
+                os._exit(3)
+            time.sleep(0.5)  # still training when the other worker dies
+            return real_train(corpus, config)
+
+        monkeypatch.setattr(harness_module, "train", dying_train)
+        dataset = write_dataset(tmp_path)
+        manifests = run_plan(make_plan(
+            tmp_path, dataset, models=[{"kind": "multimodal_zeroshot"}, {"kind": "zeroshot"}],
+            seeds=1, workers=2))
+        assert [(m.kind, m.status) for m in manifests] == [
+            ("multimodal_zeroshot", "ok"), ("zeroshot", "failed")]
+        assert sorted(starts.read_text().split()) == ["multimodal_zeroshot", "zeroshot"]
+
+    def test_a_failing_manifest_write_propagates_and_ends_every_worker(self, tmp_path,
+                                                                      monkeypatch):
+        import mmtopic.harness as harness_module
+        real_write = harness_module.atomic_write_text
+
+        def failing_write(path, text):
+            if Path(path).parent.name == "manifests":
+                raise OSError("simulated full disk")
+            return real_write(path, text)
+
+        monkeypatch.setattr(harness_module, "atomic_write_text", failing_write)
+        dataset = write_dataset(tmp_path)
+        with pytest.raises(OSError, match="simulated full disk"):
+            run_plan(make_plan(tmp_path, dataset, workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_load_manifests_round_trip(self, tmp_path):
         dataset = write_dataset(tmp_path)

@@ -24,8 +24,8 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     run_fresh_python(IMPORT_FIRST, module)
 
 
-# Sweeps import their process pool when they start one, so importing the
-# package stays as cheap as it was.
+# Sweeps import ``multiprocessing`` only when they fork their workers, so
+# importing the package stays as cheap as it was.
 POOL_MODULES = """
 import sys
 import mmtopic

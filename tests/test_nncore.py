@@ -25,7 +25,8 @@ from mmtopic.nncore import (
 
 from mmtopic.models import ModelConfig, init_params, param_shapes
 
-from oracles import adam_scalar_reference, prior_variance_reference
+from oracles import (adam_scalar_reference, prior_variance_reference,
+                     sigmoid_masked_reference)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -44,6 +45,17 @@ class TestActivations:
         for x in (-3.0, -0.5, 0.0, 0.5, 3.0):
             assert sigmoid(np.array(x)) == pytest.approx(1 / (1 + math.exp(-x)))
         assert np.isfinite(sigmoid(np.array([-1000.0, 1000.0]))).all()
+
+    @pytest.mark.parametrize("make_x", [
+        lambda rng: rng.normal(size=(64, 100)) * 5,
+        lambda rng: rng.uniform(-800, 800, size=(64, 100)),
+        lambda rng: np.array([sign * v for v in (0.0, 700.0, 800.0, 1e-300, np.inf)
+                              for sign in (1.0, -1.0)]),
+        lambda rng: rng.normal(size=(4000, 100)) * 30,
+    ], ids=["normal-x5", "uniform-800", "edges", "large-x30"])
+    def test_sigmoid_bytes_equal_the_masked_formula(self, make_x):
+        x = make_x(np.random.default_rng(0))
+        assert sigmoid(x).tobytes() == sigmoid_masked_reference(x).tobytes()
 
     def test_softmax_hand_value(self):
         out = softmax(np.array([2.0, 0.0, 0.0]))

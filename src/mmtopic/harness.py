@@ -264,8 +264,10 @@ class ExperimentPlan:
     def from_dict(cls, d: dict) -> "ExperimentPlan":
         """A plan from its JSON form: one key per field, each optional key
         defaulting to its field's default; ``seeds`` may be a count. Raises
-        ``ValueError`` naming the first key whose value has the wrong JSON
-        type."""
+        ``ValueError`` when the plan is not a JSON object, or naming the
+        first key whose value has the wrong JSON type."""
+        if not isinstance(d, dict):
+            raise ValueError(f"plan must be a JSON object, got {d!r}")
         fields = dataclasses.fields(cls)
         unknown = sorted(set(d) - {f.name for f in fields})
         if unknown:
@@ -326,10 +328,6 @@ class RunManifest:
         return manifest
 
 
-def _cell_id(dataset: str, entry: ModelEntry, k: int, seed: int) -> str:
-    return f"{Path(dataset).stem}__{entry.name}__k{k}__s{seed}"
-
-
 def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) -> ModelConfig:
     kwargs = dict(entry.overrides)
     if plan.epochs is not None and "epochs" not in kwargs:
@@ -337,69 +335,49 @@ def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) ->
     return ModelConfig(kind=entry.kind, num_topics=k, seed=seed, **kwargs)
 
 
-def _manifest_is_valid(manifest_path: Path, fingerprint: str,
-                       config: ModelConfig) -> RunManifest | None:
-    """The completed manifest at ``manifest_path`` if it was made from the
-    same :func:`corpus_fingerprint` and the same resolved config and its
-    artifacts still exist, else None. A manifest that is missing or
-    unreadable as a :class:`RunManifest` counts as absent."""
+def _manifest_is_valid(manifest_path: Path, cell: RunManifest) -> RunManifest | None:
+    """The completed manifest at ``manifest_path`` if it records the pending
+    ``cell``'s corpus fingerprint and resolved config and its artifacts
+    still exist, else None. A manifest that is missing or unreadable as a
+    :class:`RunManifest` counts as absent."""
     try:
         manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
         artifacts = [Path(a) for a in manifest.artifacts.values()]
     except (OSError, TypeError, ValueError):  # bad UTF-8 or JSON, wrong fields
         return None
-    current = (manifest.status == "ok" and manifest.corpus_fingerprint == fingerprint
-               and manifest.config == config.to_dict() and all(a.exists() for a in artifacts))
+    current = (manifest.status == "ok"
+               and manifest.corpus_fingerprint == cell.corpus_fingerprint
+               and manifest.config == cell.config and all(a.exists() for a in artifacts))
     return manifest if current else None
 
 
-def _run_cell(corpus: Corpus, fingerprint: str, plan: ExperimentPlan,
-              dataset: str, entry: ModelEntry, k: int, seed: int,
-              out_dir: Path, word_vectors) -> RunManifest:
-    cell = _cell_id(dataset, entry, k, seed)
-    config = _build_config(plan, entry, k, seed)
-    checkpoint = out_dir / "checkpoints" / f"{cell}.mmtm"
-    descriptor_path = out_dir / "descriptors" / f"{cell}.jsonl"
-    metrics_path = out_dir / "metrics" / f"{cell}.json"
+def _run_cell(corpus: Corpus, cell: RunManifest, plan: ExperimentPlan,
+              word_vectors) -> RunManifest:
+    out_dir = Path(plan.output_dir)
+    paths = {"checkpoint": out_dir / "checkpoints" / f"{cell.cell_id}.mmtm",
+             "descriptors": out_dir / "descriptors" / f"{cell.cell_id}.jsonl",
+             "metrics": out_dir / "metrics" / f"{cell.cell_id}.json"}
     try:
         t0 = time.perf_counter()
-        model = train(corpus, config)
+        model = train(corpus, ModelConfig.from_dict(cell.config))
         t1 = time.perf_counter()
-        for p in (checkpoint, descriptor_path, metrics_path):
-            p.parent.mkdir(parents=True, exist_ok=True)
-        save_model(model, checkpoint)
+        save_model(model, paths["checkpoint"])
         write_descriptors(describe_topics(model, corpus, plan.descriptor_size),
-                          descriptor_path)
+                          paths["descriptors"])
         report = compute_metric_report(
             model, corpus, word_vectors=word_vectors,
             n_descriptors=plan.descriptor_size, window=plan.npmi_window,
-            rbo_p=plan.rbo_p, model_id=cell)
-        atomic_write_text(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
+            rbo_p=plan.rbo_p, model_id=cell.cell_id)
+        atomic_write_text(paths["metrics"], json.dumps(report.to_dict(), indent=2) + "\n")
         t2 = time.perf_counter()
-        return RunManifest(
-            cell_id=cell, dataset=dataset, model_label=entry.name,
-            kind=entry.kind, num_topics=k, seed=seed, status="ok",
-            config=config.to_dict(), corpus_fingerprint=fingerprint,
-            metrics=report.values(),
+        return dataclasses.replace(
+            cell, status="ok", metrics=report.values(),
             timings={"train_seconds": t1 - t0, "eval_seconds": t2 - t1},
-            artifacts={"checkpoint": str(checkpoint),
-                       "descriptors": str(descriptor_path),
-                       "metrics": str(metrics_path)},
-        )
+            artifacts={name: str(path) for name, path in paths.items()})
     except Exception as exc:  # a failed cell must not abort the sweep
-        logger.exception("cell %s failed", cell)
-        return _failed_manifest(fingerprint, plan, dataset, entry, k, seed,
-                                f"{type(exc).__name__}: {exc}")
-
-
-def _failed_manifest(fingerprint: str, plan: ExperimentPlan, dataset: str,
-                     entry: ModelEntry, k: int, seed: int, error: str) -> RunManifest:
-    return RunManifest(
-        cell_id=_cell_id(dataset, entry, k, seed), dataset=dataset,
-        model_label=entry.name, kind=entry.kind, num_topics=k, seed=seed,
-        status="failed", config=_build_config(plan, entry, k, seed).to_dict(),
-        corpus_fingerprint=fingerprint, error=error,
-    )
+        logger.exception("cell %s failed", cell.cell_id)
+        return dataclasses.replace(cell, status="failed",
+                                   error=f"{type(exc).__name__}: {exc}")
 
 
 def _exit_text(code: int) -> str:
@@ -414,19 +392,25 @@ def _exit_text(code: int) -> str:
         return f"signal {-code}"
 
 
-def _work(cells: list[tuple], pipe) -> None:
-    """Run the cell at each index ``pipe`` brings and send back its manifest."""
-    for index in iter(pipe.recv, None):
-        pipe.send(_run_cell(*cells[index]))
+def _work(cells: list[RunManifest], run, pipe, inherited: list) -> None:
+    """Send back ``run(cells[index])`` for each index ``pipe`` brings. The
+    sweep's pipe ends this fork inherited are closed first, so the loop ends
+    once the sweep closes the other end of ``pipe`` or is gone."""
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            pipe.send(run(cells[pipe.recv()]))
+    except (EOFError, OSError):  # the sweep closed its end or is gone
+        pass
 
 
-def _run_forked(cells: list[tuple], workers: int, finish) -> None:
-    """Run ``_run_cell(*args)`` for each args tuple of ``cells`` on up to
-    ``workers`` forked processes, which inherit ``cells`` and receive only
-    indices, and call ``finish(index, manifest)`` as each cell finishes. A
-    worker that dies fails only the cell it was handed, and a fresh worker
-    takes the next cell. Every worker has ended when this returns or raises."""
-    import contextlib
+def _run_forked(cells: list[RunManifest], workers: int, run, finish) -> None:
+    """Call ``finish(run(cell))`` for each of ``cells``, running up to
+    ``workers`` at once on forked processes, which inherit ``cells`` and
+    ``run`` and receive only indices. A worker that dies fails only the cell
+    it was handed, and a fresh worker takes the next cell. Every worker has
+    ended when this returns or raises."""
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -439,7 +423,8 @@ def _run_forked(cells: list[tuple], workers: int, finish) -> None:
                 pipe = next((p for p in live if p not in busy), None)
                 if pipe is None:
                     pipe, theirs = context.Pipe()
-                    live[pipe] = context.Process(target=_work, args=(cells, theirs))
+                    live[pipe] = context.Process(target=_work,
+                                                 args=(cells, run, theirs, [*live, pipe]))
                     live[pipe].start()
                     theirs.close()
                 index = todo.pop()
@@ -457,19 +442,16 @@ def _run_forked(cells: list[tuple], workers: int, finish) -> None:
                 except EOFError:  # the worker died running this cell
                     process = live.pop(pipe)
                     process.join()
-                    _, fingerprint, plan, dataset, entry, k, seed, *_ = cells[index]
-                    manifest = _failed_manifest(
-                        fingerprint, plan, dataset, entry, k, seed, "BrokenProcessPool: the "
-                        f"cell's worker process ended abruptly ({_exit_text(process.exitcode)})")
+                    manifest = dataclasses.replace(
+                        cells[index], status="failed", error="BrokenProcessPool: the cell's "
+                        f"worker process ended abruptly ({_exit_text(process.exitcode)})")
                     logger.error("cell %s failed: %s", manifest.cell_id, manifest.error)
-                finish(index, manifest)
-    finally:  # idle workers leave their loop, busy ones are stopped
+                finish(manifest)
+    finally:  # a closed pipe ends an idle worker's loop; busy ones are stopped
         for pipe, process in live.items():
             if pipe in busy:
                 process.terminate()
-            else:
-                with contextlib.suppress(OSError):  # it died between cells
-                    pipe.send(None)
+            pipe.close()
         for process in live.values():
             process.join()
 
@@ -482,6 +464,8 @@ def _can_fork() -> bool:
 def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     """Execute every cell of a plan, skipping cells whose manifest already
     records a completed run with the same corpus fingerprint and config.
+    Each cell's identity is stated once, as a pending :class:`RunManifest`
+    that resume compares against and the cell's outcome fills in.
 
     With ``plan.workers`` above one and more than one cell to run, cells run
     on up to that many forked worker processes, never more than there are
@@ -491,55 +475,59 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     cannot fork. Only this process writes manifests and the aggregate, and
     every output is written atomically. A cell whose worker process ends
     abruptly (an exit, a signal, the OOM killer) gets a failed manifest
-    naming that exit; no other cell is stopped or run again.
+    naming that exit; no other cell is stopped or run again. A worker whose
+    sweep process is gone, even killed by SIGKILL, exits after the cell it
+    is running.
 
     Emits aggregate tables in all formats and returns the manifests in plan
     order. Raises ``ValueError`` before any cell trains if a dataset has
     fewer terms or documents than ``plan.descriptor_size``."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(parents=True, exist_ok=True)
     word_vectors = (load_word_vectors(plan.word_vectors)
                     if plan.word_vectors else None)
 
-    manifests: list[RunManifest | None] = []
-    pending, cells = [], []  # (slot, manifest_path) and ``_run_cell`` args per cell to run
+    results: dict[str, RunManifest] = {}  # by cell id in plan order; pending until run
+    corpora: dict[str, Corpus] = {}  # the datasets with a cell to run
     for dataset in plan.datasets:
         fingerprint = corpus_fingerprint(dataset, plan.vocab_cap)
-        corpus = None
         for entry, k, seed in itertools.product(plan.models, plan.topic_counts, plan.seeds):
-            cell = _cell_id(dataset, entry, k, seed)
-            manifest_path = manifest_dir / f"{cell}.json"
-            existing = _manifest_is_valid(manifest_path, fingerprint,
-                                          _build_config(plan, entry, k, seed))
+            cell = RunManifest(
+                cell_id=f"{Path(dataset).stem}__{entry.name}__k{k}__s{seed}",
+                dataset=dataset, model_label=entry.name, kind=entry.kind, num_topics=k,
+                seed=seed, status="pending",
+                config=_build_config(plan, entry, k, seed).to_dict(),
+                corpus_fingerprint=fingerprint)
+            existing = _manifest_is_valid(manifest_dir / f"{cell.cell_id}.json", cell)
             if existing is not None:
-                logger.info("cell %s already complete; skipping", cell)
-                manifests.append(existing)
+                logger.info("cell %s already complete; skipping", cell.cell_id)
+                results[cell.cell_id] = existing
                 continue
-            if corpus is None:
-                corpus = load_corpus(dataset, cap=plan.vocab_cap)
+            if dataset not in corpora:
+                corpus = corpora[dataset] = load_corpus(dataset, cap=plan.vocab_cap)
                 v, n = len(corpus.vocabulary), corpus.num_documents
                 if plan.descriptor_size > min(v, n):
                     raise ValueError(f"{dataset}: descriptor_size {plan.descriptor_size} "
                                      f"exceeds its vocabulary size V={v} or document "
                                      f"count N={n}")
-            manifests.append(None)
-            pending.append((len(manifests) - 1, manifest_path))
-            cells.append((corpus, fingerprint, plan, dataset, entry, k, seed, out_dir,
-                          word_vectors))
+            results[cell.cell_id] = cell
+    cells = [m for m in results.values() if m.status == "pending"]
 
-    def finish(index: int, manifest: RunManifest):
-        slot, manifest_path = pending[index]
-        atomic_write_text(manifest_path,
+    def run(cell: RunManifest) -> RunManifest:
+        return _run_cell(corpora[cell.dataset], cell, plan, word_vectors)
+
+    def finish(manifest: RunManifest):
+        atomic_write_text(manifest_dir / f"{manifest.cell_id}.json",
                           json.dumps(manifest.to_dict(), indent=2) + "\n")
-        manifests[slot] = manifest
+        results[manifest.cell_id] = manifest
 
     if plan.workers == 1 or len(cells) <= 1 or not _can_fork():
-        for index, args in enumerate(cells):
-            finish(index, _run_cell(*args))
+        for cell in cells:
+            finish(run(cell))
     else:
-        _run_forked(cells, plan.workers, finish)
+        _run_forked(cells, plan.workers, run, finish)
 
+    manifests = list(results.values())
     for fmt in ("json", "markdown", "csv"):
         emit_report(manifests, fmt, out_dir)
     return manifests

@@ -18,14 +18,19 @@ from mmtopic.corpus import (
 )
 
 
+def fresh_python_env(**env: str) -> dict:
+    """This process's environment plus ``env``, with this checkout's mmtopic
+    first on the path of any interpreter started with it."""
+    source_root = str(Path(mmtopic.__file__).parent.parent)
+    return {**os.environ, **env,
+            "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_fresh_python(source: str, *args: str, **env: str) -> str:
     """Standard output of ``source`` run in a fresh interpreter that imports
     this checkout's mmtopic, with ``env`` added to the environment. Fails
     the test on a non-zero exit."""
-    source_root = str(Path(mmtopic.__file__).parent.parent)
-    env = {**os.environ, **env,
-           "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", source, *args], env=env,
+    result = subprocess.run([sys.executable, "-c", source, *args], env=fresh_python_env(**env),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout

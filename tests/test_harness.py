@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from mmtopic.harness import (
 from mmtopic.models import (KINDS, ModelConfig, TrainedTopicModel, init_params,
                             param_shapes, train)
 
-from conftest import make_corpus
+from conftest import fresh_python_env, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +326,12 @@ class TestPlanParsing:
                                       "models": [{"kind": "zeroshot"}],
                                       "topic_count": [3]})
 
+    @pytest.mark.parametrize("plan", [5, None, "x", ["d.jsonl"]],
+                             ids=["number", "null", "string", "array"])
+    def test_non_object_plan_rejected(self, plan):
+        with pytest.raises(ValueError, match="plan must be a JSON object"):
+            ExperimentPlan.from_dict(plan)
+
     @pytest.mark.parametrize("plan,message", [
         ({"models": [{"kind": "zeroshot"}]}, "plan lacks datasets"),
         ({"datasets": ["d.jsonl"]}, "plan lacks models"),
@@ -431,6 +439,42 @@ def make_plan(tmp_path, dataset, **extra):
     }
     base.update(extra)
     return ExperimentPlan.from_dict(base)
+
+
+# The fields that name a cell and what shaped it, as opposed to its outcome.
+IDENTITY = ("cell_id", "dataset", "model_label", "kind", "num_topics", "seed", "config",
+            "corpus_fingerprint")
+
+
+def identity(manifest: RunManifest) -> dict:
+    return {name: getattr(manifest, name) for name in IDENTITY}
+
+
+# Runs the plan at argv[1] with a train that first records its process id
+# under the directory argv[2] and then sleeps 3 s.
+SLOW_SWEEP = """
+import os, sys, time
+from pathlib import Path
+import mmtopic.harness as harness
+real_train = harness.train
+
+def slow_train(corpus, config):
+    (Path(sys.argv[2]) / str(os.getpid())).touch()
+    time.sleep(3)
+    return real_train(corpus, config)
+
+harness.train = slow_train
+harness.run_plan(harness.ExperimentPlan.from_file(sys.argv[1]))
+"""
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` names a live process; a zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def snapshot_tree(root: Path) -> dict:
@@ -559,7 +603,8 @@ class TestRunPlan:
 
         monkeypatch.setattr(harness_module, "train", flaky_train)
         dataset = write_dataset(tmp_path)
-        manifests = run_plan(make_plan(tmp_path, dataset))
+        plan = make_plan(tmp_path, dataset)
+        manifests = run_plan(plan)
         failed = [m for m in manifests if m.status == "failed"]
         ok = [m for m in manifests if m.status == "ok"]
         assert len(failed) == 2 and len(ok) == 2
@@ -569,6 +614,12 @@ class TestRunPlan:
         assert "Failed cells:" in text
         for m in failed:
             assert m.cell_id in text
+
+        monkeypatch.setattr(harness_module, "train", real_train)
+        resumed = {m.cell_id: m for m in run_plan(plan)}
+        for m in failed:
+            assert resumed[m.cell_id].status == "ok"
+            assert identity(m) == identity(resumed[m.cell_id])
 
     def test_parallel_run_matches_sequential(self, tmp_path):
         dataset = write_dataset(tmp_path)
@@ -681,6 +732,7 @@ class TestRunPlan:
         resumed = run_plan(plan)
         assert all(m.status == "ok" for m in resumed)
         assert resumed[2:] == manifests[2:]
+        assert [identity(m) for m in resumed[:2]] == [identity(m) for m in manifests[:2]]
         after = snapshot_tree(tmp_path / "runs" / "checkpoints")
         assert len(after) == 4 and all(after[path] == kept[path] for path in kept)
 
@@ -721,6 +773,42 @@ class TestRunPlan:
         with pytest.raises(OSError, match="simulated full disk"):
             run_plan(make_plan(tmp_path, dataset, workers=2))
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_end_when_the_sweep_is_killed(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "datasets": [str(dataset)], "topic_counts": [2], "seeds": 2, "epochs": 2,
+            "models": [{"kind": "zeroshot"}, {"kind": "multimodal_zeroshot"}],
+            "descriptor_size": 3, "output_dir": str(tmp_path / "runs"), "workers": 2}))
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        sweep = subprocess.Popen([sys.executable, "-c", SLOW_SWEEP, str(plan_path),
+                                  str(pid_dir)], env=fresh_python_env(),
+                                 stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(path.name) for path in pid_dir.iterdir()]
+            assert len(workers) == 2, "both workers should have started a cell"
+            sweep.kill()
+            sweep.wait()
+            deadline = time.monotonic() + 3 + 10  # the cell's sleep, then slack
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if is_running(pid)]
+        finally:
+            sweep.kill()
+            sweep.wait()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_load_manifests_round_trip(self, tmp_path):
         dataset = write_dataset(tmp_path)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, asdict
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +84,6 @@ def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
     return word_counts[:r], pair_counts.reshape(s, s)[:r, :r], total
 
 
-def _pair_npmi(p_i: float, p_j: float, p_ij: float) -> float:
-    if p_ij >= 1.0:
-        # Both words in every window: perfect association by convention,
-        # since the normalizer log(p_ij) vanishes.
-        return 1.0
-    if p_ij == 0.0:
-        p_ij = _NPMI_EPS
-    return float(np.log(p_ij / (p_i * p_j)) / -np.log(p_ij))
-
-
 def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float]:
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -107,24 +96,26 @@ def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float
         for w in t:
             local.setdefault(w, len(local))
     word_counts, pair_counts, total = _boolean_window_counts(token_ids, list(local), window)
-    word_counts = word_counts.tolist()
 
     scores = []
     for t_idx, topic in enumerate(topics):
-        pair_scores = []
-        for a, b in combinations(topic, 2):
-            i, j = local[a], local[b]
-            c_a, c_b = word_counts[i], word_counts[j]
-            if c_a == 0 or c_b == 0:
-                continue  # word absent from the reference corpus
-            c_ab = int(pair_counts[min(i, j), max(i, j)])
-            pair_scores.append(_pair_npmi(c_a / total, c_b / total, c_ab / total))
-        if not pair_scores:
+        ids = np.array([local[w] for w in topic])
+        a, b = (ids[side] for side in np.triu_indices(len(ids), k=1))
+        keep = (word_counts[a] > 0) & (word_counts[b] > 0)  # skip absent words
+        a, b = a[keep], b[keep]
+        if a.size == 0:
             logger.warning("topic %d: no top-word pair occurs in the reference "
                            "corpus; contributing 0", t_idx)
             scores.append(0.0)
-        else:
-            scores.append(float(np.mean(pair_scores)))
+            continue
+        p_ij = pair_counts[np.minimum(a, b), np.maximum(a, b)] / total
+        p_ij[p_ij == 0.0] = _NPMI_EPS
+        pmi = np.log(p_ij / (word_counts[a] / total * (word_counts[b] / total)))
+        # Both words in every window: perfect association by convention,
+        # since the normalizer log(p_ij) vanishes.
+        pair_scores = np.divide(pmi, -np.log(p_ij), out=np.ones_like(pmi),
+                                where=p_ij < 1.0)
+        scores.append(float(np.mean(pair_scores)))
     return scores
 
 
@@ -140,25 +131,16 @@ def npmi(topics, reference_docs, window: int = 10) -> float:
     return float(np.mean(_npmi_per_topic(topics, token_ids, window)))
 
 
-def _strict_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _we_per_topic(topics, word_vectors) -> list[float | None]:
     values: list[float | None] = []
     for t_idx, topic in enumerate(topics):
-        vecs = [np.asarray(word_vectors[w], dtype=np.float64)
-                for w in topic if w in word_vectors]
+        vecs = [word_vectors[w] for w in topic if w in word_vectors]
         if len(vecs) < 2:
             logger.warning("topic %d: fewer than two embedded terms; skipped "
                            "from word-embedding coherence", t_idx)
             values.append(None)
             continue
-        sims = [_strict_cosine(a, b) for a, b in combinations(vecs, 2)]
-        values.append(float(np.mean(sims)))
+        values.append(_mean_pair_cosine(vecs))
     return values
 
 
@@ -222,8 +204,12 @@ def irbo(topics, p: float = 0.9) -> float:
     topic pairs. 1 means fully distinct topics, 0 means identical ones."""
     if len(topics) < 2:
         raise ValueError("at least two topics are required")
-    sims = _rbo_matrix(topics, topics, p)
-    return 1.0 - float(np.mean(sims[np.triu_indices(len(topics), k=1)]))
+    return 1.0 - _upper_mean(_rbo_matrix(topics, topics, p))
+
+
+def _upper_mean(matrix: np.ndarray) -> float:
+    """Mean of a square matrix above its diagonal: over all unordered pairs."""
+    return float(np.mean(matrix[np.triu_indices(len(matrix), k=1)]))
 
 
 def _unit(vectors) -> np.ndarray:
@@ -234,16 +220,19 @@ def _unit(vectors) -> np.ndarray:
     return arr / norms[..., None]
 
 
+def _mean_pair_cosine(vectors) -> float:
+    """Mean cosine over all pairs of rows, from one Gram of unit vectors."""
+    unit = _unit(vectors)
+    return _upper_mean(unit @ unit.T)
+
+
 def _iec_per_topic(topic_image_sets) -> list[float]:
     values = []
     for t_idx, images in enumerate(topic_image_sets):
         arr = np.asarray(images, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError(f"topic {t_idx}: at least two image embeddings required")
-        unit = _unit(arr)
-        gram = unit @ unit.T
-        iu = np.triu_indices(arr.shape[0], k=1)
-        values.append(float(np.mean(gram[iu])))
+        values.append(_mean_pair_cosine(arr))
     return values
 
 
@@ -267,7 +256,7 @@ def ieps(topic_image_sets) -> float:
         raise ValueError(f"image sets must share one size, got {sorted(sizes)}")
     # Two unit sets' mean cross-pair cosine is the dot product of their means.
     means = np.stack([_unit(s).mean(axis=0) for s in topic_image_sets])
-    return float(np.mean((means @ means.T)[np.triu_indices(k, k=1)]))
+    return _upper_mean(means @ means.T)
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:

@@ -147,6 +147,11 @@ class TestWeCoherence:
         with pytest.raises(ValueError, match="two or more embedded"):
             we_coherence([["x", "y"]], {"a": np.ones(2)})
 
+    def test_zero_word_vector_rejected(self):
+        vectors = {"a": np.array([1.0, 0.0]), "b": np.zeros(2)}
+        with pytest.raises(ValueError, match="zero-norm"):
+            we_coherence([["a", "b"]], vectors)
+
     def test_matches_reference(self):
         rng = np.random.default_rng(62)
         vocab = [f"w{i}" for i in range(15)]

@@ -18,15 +18,17 @@ A plan is a JSON file::
 checkpoint, descriptors, and metrics, and records a manifest. Cells are
 named by dataset file stem and model label, so both must be unique within a
 plan. A cell whose manifest records a completed run over the same corpus
-bytes and the same resolved config is skipped on re-runs, and a completed
-plan re-run leaves every output byte untouched. Aggregation averages
+bytes, resolved config and evaluation settings is skipped on re-runs, and a
+completed plan re-run leaves every output byte untouched. Aggregation averages
 metrics over seeds within each topic count, then over topic counts.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -309,6 +311,7 @@ class RunManifest:
     status: str
     config: dict | None = None
     corpus_fingerprint: str | None = None
+    evaluation: dict | None = None
     metrics: dict | None = None
     timings: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
@@ -337,17 +340,17 @@ def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) ->
 
 def _manifest_is_valid(manifest_path: Path, cell: RunManifest) -> RunManifest | None:
     """The completed manifest at ``manifest_path`` if it records the pending
-    ``cell``'s corpus fingerprint and resolved config and its artifacts
-    still exist, else None. A manifest that is missing or unreadable as a
-    :class:`RunManifest` counts as absent."""
+    ``cell``'s corpus fingerprint, resolved config and evaluation settings
+    and its artifacts still exist, else None. A manifest that is missing or
+    unreadable as a :class:`RunManifest` counts as absent."""
     try:
         manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
         artifacts = [Path(a) for a in manifest.artifacts.values()]
     except (OSError, TypeError, ValueError):  # bad UTF-8 or JSON, wrong fields
         return None
-    current = (manifest.status == "ok"
-               and manifest.corpus_fingerprint == cell.corpus_fingerprint
-               and manifest.config == cell.config and all(a.exists() for a in artifacts))
+    current = (manifest.status == "ok" and all(a.exists() for a in artifacts)
+               and all(getattr(manifest, f) == getattr(cell, f)
+                       for f in ("corpus_fingerprint", "config", "evaluation")))
     return manifest if current else None
 
 
@@ -463,7 +466,9 @@ def _can_fork() -> bool:
 
 def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     """Execute every cell of a plan, skipping cells whose manifest already
-    records a completed run with the same corpus fingerprint and config.
+    records a completed run with the same corpus fingerprint, config and
+    evaluation settings (``descriptor_size``, ``npmi_window``, ``rbo_p`` and
+    the word-vector file's SHA-256).
     Each cell's identity is stated once, as a pending :class:`RunManifest`
     that resume compares against and the cell's outcome fills in.
 
@@ -486,6 +491,11 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     manifest_dir = out_dir / "manifests"
     word_vectors = (load_word_vectors(plan.word_vectors)
                     if plan.word_vectors else None)
+    evaluation = {"descriptor_size": plan.descriptor_size,
+                  "npmi_window": plan.npmi_window, "rbo_p": plan.rbo_p,
+                  "word_vectors_sha256": hashlib.sha256(
+                      Path(plan.word_vectors).read_bytes()).hexdigest()
+                  if plan.word_vectors else None}
 
     results: dict[str, RunManifest] = {}  # by cell id in plan order; pending until run
     corpora: dict[str, Corpus] = {}  # the datasets with a cell to run
@@ -497,7 +507,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
                 dataset=dataset, model_label=entry.name, kind=entry.kind, num_topics=k,
                 seed=seed, status="pending",
                 config=_build_config(plan, entry, k, seed).to_dict(),
-                corpus_fingerprint=fingerprint)
+                corpus_fingerprint=fingerprint, evaluation=evaluation)
             existing = _manifest_is_valid(manifest_dir / f"{cell.cell_id}.json", cell)
             if existing is not None:
                 logger.info("cell %s already complete; skipping", cell.cell_id)
@@ -609,12 +619,13 @@ def emit_report(manifests, fmt: str, out_dir: str | Path) -> Path:
         text = "\n".join(lines) + "\n"
     elif fmt == "csv":
         path = out_dir / "aggregate.csv"
-        lines = ["dataset,model," + ",".join(METRIC_COLUMNS) + ",failed_cells"]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["dataset", "model", *METRIC_COLUMNS, "failed_cells"])
         for row in agg["rows"]:
             cells = [_format_cell(row[c], precision=None) for c in METRIC_COLUMNS]
-            lines.append(",".join([row["dataset"], row["model"], *cells,
-                                   str(len(row["failed"]))]))
-        text = "\n".join(lines) + "\n"
+            writer.writerow([row["dataset"], row["model"], *cells, len(row["failed"])])
+        text = buffer.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}; "
                          "expected json, markdown, or csv")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -443,7 +444,7 @@ def make_plan(tmp_path, dataset, **extra):
 
 # The fields that name a cell and what shaped it, as opposed to its outcome.
 IDENTITY = ("cell_id", "dataset", "model_label", "kind", "num_topics", "seed", "config",
-            "corpus_fingerprint")
+            "corpus_fingerprint", "evaluation")
 
 
 def identity(manifest: RunManifest) -> dict:
@@ -548,6 +549,52 @@ class TestRunPlan:
         for m in manifests:
             model = load_model(m.artifacts["checkpoint"])
             assert model.config.epochs == 3 and len(model.loss_trace) == 3
+
+    def test_changed_evaluation_settings_invalidate_cells(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        one_cell = {"models": [{"kind": "zeroshot"}], "seeds": 1}
+        run_plan(make_plan(tmp_path, dataset, **one_cell))
+        [manifest] = run_plan(make_plan(tmp_path, dataset, **one_cell, descriptor_size=5,
+                                        npmi_window=3, rbo_p=0.5))
+        descriptors = Path(manifest.artifacts["descriptors"]).read_text().splitlines()
+        assert {len(json.loads(line)["keywords"]) for line in descriptors} == {5}
+        report = json.loads(Path(manifest.artifacts["metrics"]).read_text())
+        assert report["params"] == {"n_descriptors": 5, "window": 3, "rbo_p": 0.5}
+        assert manifest.evaluation == {"descriptor_size": 5, "npmi_window": 3,
+                                       "rbo_p": 0.5, "word_vectors_sha256": None}
+
+    def test_edited_word_vector_file_invalidates_cells(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        terms = load_corpus(dataset).vocabulary.terms
+        vectors = tmp_path / "vectors.txt"
+        for seed in (0, 1):
+            values = np.random.default_rng(seed).normal(size=(len(terms), 3))
+            vectors.write_text("".join(f"{t} {' '.join(map(str, v))}\n"
+                                       for t, v in zip(terms, values)))
+            manifests = run_plan(make_plan(tmp_path, dataset, word_vectors=str(vectors)))
+            if seed == 0:
+                first = manifests
+        second = manifests
+        assert all(m.status == "ok" for m in second)
+        assert [m.metrics["we"] for m in second] != [m.metrics["we"] for m in first]
+        assert second[0].evaluation["word_vectors_sha256"] \
+            == hashlib.sha256(vectors.read_bytes()).hexdigest()
+
+    def test_manifest_without_evaluation_settings_reruns_once(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        plan = make_plan(tmp_path, dataset)
+        first = run_plan(plan)
+        path = tmp_path / "runs" / "manifests" / f"{first[0].cell_id}.json"
+        stored = json.loads(path.read_text())
+        del stored["evaluation"]
+        path.write_text(json.dumps(stored))
+        checkpoint = Path(first[0].artifacts["checkpoint"])
+        stamp = checkpoint.stat().st_mtime_ns
+        run_plan(plan)
+        assert checkpoint.stat().st_mtime_ns != stamp
+        before = snapshot_tree(tmp_path / "runs")
+        run_plan(plan)
+        assert snapshot_tree(tmp_path / "runs") == before
 
     @pytest.mark.parametrize("corrupt", [
         lambda m: b'{"cell_id": "\xff"}',
@@ -887,6 +934,14 @@ class TestReportFormats:
         lines = path.read_text().splitlines()
         assert lines[0] == "dataset,model,npmi,we,iec,td,irbo,ieps,failed_cells"
         assert lines[1] == "d.jsonl,m,0.4714,,0.125,1.0,0.987654321,,0"
+
+    def test_csv_quotes_a_dataset_path_with_a_comma(self, tmp_path):
+        manifests = [manifest_stub("m", 2, 0, {"npmi": 0.5}, dataset="a,b.jsonl")]
+        path = emit_report(manifests, "csv", tmp_path)
+        with path.open(newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) == 9
+        assert row[:3] == ["a,b.jsonl", "m", "0.5"]
 
     def test_json_round_trips(self, tmp_path):
         path = emit_report(self.make_manifests(), "json", tmp_path)

@@ -244,42 +244,33 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray):
 def _nce_terms(theta_text: np.ndarray, theta_image: np.ndarray, temperature: float):
     """Per-document InfoNCE terms and the normalized pair weights.
 
-    For each anchor document the two ordered cross-modality pairings are the
-    positives; the denominator runs over every modality pairing against
-    every document in the batch, the anchor's own pairings included:
+    Stack the batch's B text and B image mixtures as X = [T; M], (2B, K),
+    and take one Gram G = X X^T / tau. Anchor i's two ordered
+    cross-modality pairings are its positives, G[i, B+i] = G[B+i, i]; its
+    denominator runs over every pairing in rows i and B+i of G, the
+    anchor's own pairings included:
 
-        nce_i = -2 * (t_i . m_i) / tau + 2 * logsumexp_{j, c, d} (x_i^c . x_j^d) / tau
+        nce_i = -2 * G[i, B+i] + 2 * logsumexp(G[i, :], G[B+i, :])
 
-    Computed with a per-anchor max shift for stability. The weight matrices
-    P[cd][i, j] = exp(s) / denominator_i feed the backward pass.
+    Computed with a per-anchor max shift for stability. The (2B, 2B) weights
+    W[r, c] = exp(G[r, c]) / denominator_(r mod B) feed the backward pass.
     """
-    mats = (theta_text, theta_image)
-    sims = {}
-    for a in range(2):
-        for b in range(2):
-            sims[(a, b)] = (mats[a] @ mats[b].T) / temperature
-    stacked = np.concatenate([sims[(a, b)] for a in range(2) for b in range(2)], axis=1)
-    shift = stacked.max(axis=1, keepdims=True)
-    denom = np.sum(np.exp(stacked - shift), axis=1)
-    log_denom = shift[:, 0] + np.log(denom)
-    weights = {key: np.exp(s - log_denom[:, None]) for key, s in sims.items()}
-    positives = np.sum(theta_text * theta_image, axis=-1) / temperature
-    nce = -2.0 * positives + 2.0 * log_denom
+    x = np.concatenate([theta_text, theta_image])
+    gram = x @ x.T / temperature
+    rows = gram.reshape(2, len(theta_text), -1)  # rows[c, i]: anchor i, modality c
+    shift = rows.max(axis=(0, 2))
+    log_denom = shift + np.log(np.sum(np.exp(rows - shift[:, None]), axis=(0, 2)))
+    weights = np.exp(rows - log_denom[:, None]).reshape(gram.shape)
+    nce = -2.0 * np.diagonal(gram, len(theta_text)) + 2.0 * log_denom
     return nce, weights
 
 
 def _nce_theta_grads(theta_text, theta_image, temperature, weights):
-    """Gradients of sum_i nce_i with respect to both mixture matrices."""
-    t, m = theta_text, theta_image
-    p = weights
-    scale = 2.0 / temperature
-    d_t = scale * (-m
-                   + p[(0, 0)] @ t + p[(0, 1)] @ m
-                   + p[(0, 0)].T @ t + p[(1, 0)].T @ m)
-    d_m = scale * (-t
-                   + p[(1, 0)] @ t + p[(1, 1)] @ m
-                   + p[(0, 1)].T @ t + p[(1, 1)].T @ m)
-    return d_t, d_m
+    """Gradients of sum_i nce_i with respect to both mixture matrices:
+    2/tau ((W + W^T) X - X with its halves swapped), split at row B."""
+    x = np.concatenate([theta_text, theta_image])
+    swapped = np.roll(x, len(theta_text), axis=0)
+    return np.split(2.0 / temperature * ((weights + weights.T) @ x - swapped), 2)
 
 
 def infonce(theta_text: np.ndarray, theta_image: np.ndarray,

@@ -338,10 +338,10 @@ class TestReconstruction:
 
 
 class TestGradients:
-    def run_check(self, kind, **config_overrides):
+    def run_check(self, kind, n=3, **config_overrides):
         rng = np.random.default_rng(51)
         config, params = make_params(kind, **config_overrides)
-        inputs, noise = make_batch(kind, params, rng)
+        inputs, noise = make_batch(kind, params, rng, n)
 
         def loss(p):
             total, grads, _ = batch_objective(kind, inputs, p, config, noise)
@@ -361,6 +361,12 @@ class TestGradients:
 
     def test_contrast_gradients(self):
         report = self.run_check("multimodal_contrast", contrastive_weight=20.0)
+        assert report.max_relative_error < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_contrast_gradients_at_batch_size(self, n):
+        """One document is the edge case for the stacked Gram's halves."""
+        report = self.run_check("multimodal_contrast", n, contrastive_weight=20.0)
         assert report.max_relative_error < 1e-6
 
 

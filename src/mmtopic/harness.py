@@ -491,11 +491,10 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     manifest_dir = out_dir / "manifests"
     word_vectors = (load_word_vectors(plan.word_vectors)
                     if plan.word_vectors else None)
-    evaluation = {"descriptor_size": plan.descriptor_size,
-                  "npmi_window": plan.npmi_window, "rbo_p": plan.rbo_p,
-                  "word_vectors_sha256": hashlib.sha256(
-                      Path(plan.word_vectors).read_bytes()).hexdigest()
-                  if plan.word_vectors else None}
+    vectors_sha256 = (hashlib.sha256(Path(plan.word_vectors).read_bytes()).hexdigest()
+                      if plan.word_vectors else None)
+    evaluation = {"descriptor_size": plan.descriptor_size, "npmi_window": plan.npmi_window,
+                  "rbo_p": plan.rbo_p, "word_vectors_sha256": vectors_sha256}
 
     results: dict[str, RunManifest] = {}  # by cell id in plan order; pending until run
     corpora: dict[str, Corpus] = {}  # the datasets with a cell to run

@@ -37,10 +37,18 @@ class TopicDescriptors:
 def _rank_rows(scores: np.ndarray, n: int) -> np.ndarray:
     """Column positions of the ``n`` largest entries of every row, ties
     broken by ascending position."""
-    m = scores.shape[1]
+    k, m = scores.shape
     if n < 1 or n > m:
         raise ValueError(f"n must lie in [1, {m}], got {n}")
-    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite to rank them")
+    # Sorting the n or more entries at or above each row's n-th largest keeps
+    # the full sort's order.
+    kth = np.negative(scores, order="C")  # rows contiguous for partition
+    kth.partition(n - 1, axis=1)
+    rows, cols = np.nonzero(scores >= -kth[:, n - 1:n])
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    return cols[order][np.searchsorted(rows, np.arange(k))[:, None] + np.arange(n)]
 
 
 def topic_keywords(topic_word_matrix: np.ndarray, vocabulary: Vocabulary,

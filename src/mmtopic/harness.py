@@ -162,6 +162,9 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
     if offset != len(payload):
         raise CheckpointError(f"{path}: payload longer than declared matrices")
 
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"{path}: matrix {name} holds a non-finite value")
     doc_topics = arrays.pop("doc_topics")
     return TrainedTopicModel(config=config, vocabulary=vocabulary, params=arrays,
                              loss_trace=header["loss_trace"], doc_topics=doc_topics)

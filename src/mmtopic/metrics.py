@@ -19,17 +19,11 @@ import numpy as np
 from .corpus import TokenIds
 from .descriptors import topic_documents, topic_keywords
 from .models import MULTIMODAL_KINDS
+from .nncore import one_blas_thread
 
 logger = logging.getLogger(__name__)
 
 _NPMI_EPS = 1e-12
-
-
-# Windows counted per numpy pass; bounds the (windows, width) work arrays and
-# the (windows, width * (width - 1) / 2) pair codes. With 2 sweep workers,
-# 1024 windows per pass raised peak memory by ~0.8 MB over 256, for ~10% less
-# counting time at K=100.
-_CHUNK_WINDOWS = 256
 
 
 def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
@@ -40,48 +34,55 @@ def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
     included) is one window. Returns (word_counts, pair_counts,
     total_windows): ``word_counts[i]`` counts the windows holding
     ``terms[i]``, ``pair_counts[i, j]`` for ``i < j`` the windows holding
-    both (the lower triangle stays 0)."""
+    both (the lower triangle stays 0), as integer-valued float64 arrays.
+
+    A window is counted once per term, at the term's last occurrence in it:
+    one at document position ``p`` whose term next occurs at ``q`` (or
+    never) is last in the window starts ``max(0, p - window + 1) ..
+    min(p, q - window, max(length - window, 0))``. A word count sums these
+    spans, a pair count the overlaps of its two terms' spans."""
     r = len(terms)
-    s = r + 1  # local ids: 0..r-1 for the terms, r for any other position
     index = token_ids.index
-    lookup = np.full(len(index), r, dtype=np.int32 if s * s < 2 ** 31 else np.int64)
+    lookup = np.full(len(index), r, dtype=np.int32 if r * r < 2 ** 31 else np.int64)
     for j, term in enumerate(terms):
         i = index.get(term)
         if i is not None:
             lookup[i] = j
-    # One trailing r at ``pad``: window positions past a document end read it.
-    pad = token_ids.ids.size
-    local = np.full(pad + 1, r, dtype=lookup.dtype)
-    np.take(lookup, token_ids.ids, out=local[:pad])
-
     offsets = token_ids.offsets
     lengths = np.diff(offsets)
-    per_doc = np.where(lengths <= window, 1, lengths - window + 1)
-    first_window = np.cumsum(per_doc) - per_doc
-    total = int(first_window[-1] + per_doc[-1])
-    cols = np.arange(min(window, int(lengths.max())))
-    first, second = np.triu_indices(cols.size, k=1)
-    word_counts = np.zeros(s, dtype=np.int64)
-    pair_counts = np.zeros(s * s, dtype=np.int64)
-    for lo in range(0, total, _CHUNK_WINDOWS):
-        w = np.arange(lo, min(lo + _CHUNK_WINDOWS, total))
-        doc = np.searchsorted(first_window, w, side="right") - 1
-        starts = offsets[doc] + (w - first_window[doc])
-        ends = np.minimum(starts + window, offsets[doc + 1])
-        pos = starts[:, None] + cols
-        rows = local[np.where(pos < ends[:, None], pos, pad)]
-        rows.sort(axis=1)
-        np.putmask(rows[:, 1:], rows[:, 1:] == rows[:, :-1], r)
-        # A row now holds each term at most once, in increasing order, so a
-        # column pair of two terms is one (a, b) with a < b; codes with r
-        # in them land in the row or column that is cut off below. add.at
-        # scatters the codes without a fresh (s * s) table per chunk.
-        word_counts += np.bincount(rows.ravel(), minlength=s)
-        codes = rows[:, first]
-        codes *= s
-        codes += rows[:, second]
-        np.add.at(pair_counts, codes.ravel(), 1)
-    return word_counts[:r], pair_counts.reshape(s, s)[:r, :r], total
+    # Longer windows count the same; the clamp keeps int32 sums in range.
+    window = min(window, max(int(lengths.max()), 1))
+    last = np.maximum(lengths - window, 0)
+    first_window = np.cumsum(last + 1) - (last + 1)
+    total = int(first_window[-1] + last[-1] + 1)
+    # Positions and window numbers, in int32 while they fit.
+    size = np.int32 if offsets[-1] + offsets.size < 2 ** 31 else np.int64
+    pos = np.flatnonzero(lookup[token_ids.ids] < r).astype(size)
+    term = lookup[token_ids.ids[pos]]
+    doc = np.repeat(np.arange(lengths.size, dtype=size), lengths)[pos]
+    order = np.argsort(term.astype(np.int64) * int(offsets[-1]) + pos)
+    prev, succ = order[:-1], order[1:]
+    same = (term[prev] == term[succ]) & (doc[prev] == doc[succ])
+    prev, succ = prev[same], succ[same]  # occurrence prev's term next occurs at succ
+    pos -= offsets[:-1].astype(size)[doc]
+    hi = np.minimum(pos, last.astype(size)[doc])
+    hi[prev] = np.minimum(hi[prev], pos[succ] - window)
+    # Window numbers across the corpus: spans in two documents never overlap.
+    base = first_window.astype(size)[doc]
+    lo = np.maximum(pos - (window - 1), 0) + base
+    hi += base
+    del pos, doc, base, order, prev, succ, same  # freed before the r x r tables
+    word_counts = np.bincount(term, weights=np.maximum(hi - lo + 1, 0), minlength=r)
+    # Term tokens closer than ``window`` are fewer than ``window`` term tokens
+    # apart. Spans of one term never overlap, so such pairs weigh 0.
+    pair_counts = np.zeros(r * r)
+    for d in range(1, min(window, term.size)):
+        overlap = np.minimum(hi[d:], hi[:-d]) - np.maximum(lo[d:], lo[:-d]) + 1
+        a, b = term[:-d], term[d:]
+        np.maximum(overlap, 0, out=overlap)
+        pair_counts += np.bincount(np.minimum(a, b) * r + np.maximum(a, b),
+                                   weights=overlap, minlength=r * r)
+    return word_counts, pair_counts.reshape(r, r), total
 
 
 def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float]:
@@ -317,6 +318,7 @@ class MetricReport:
                 "irbo": self.irbo, "iec": self.iec, "ieps": self.ieps}
 
 
+@one_blas_thread
 def compute_metric_report(model, corpus, *, word_vectors=None,
                           n_descriptors: int = 10, window: int = 10,
                           rbo_p: float = 0.9,

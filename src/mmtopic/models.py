@@ -273,6 +273,7 @@ def _nce_theta_grads(theta_text, theta_image, temperature, weights):
     return np.split(2.0 / temperature * ((weights + weights.T) @ x - swapped), 2)
 
 
+@one_blas_thread
 def infonce(theta_text: np.ndarray, theta_image: np.ndarray,
             temperature: float, weight: float) -> float:
     """Weighted InfoNCE over a batch of paired topic mixtures: ``weight``

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmtopic.corpus import Vocabulary
 from mmtopic.descriptors import (
+    _rank_rows,
     describe_topics,
     top_keywords,
     topic_documents,
@@ -86,6 +87,22 @@ class TestTopicRanking:
         assert topic_keywords(matrix, vocab, n) == [[vocab.terms[i] for i in r] for r in expected]
         corpus = make_corpus([["tok"]] * matrix.shape[1])
         assert topic_documents(matrix.T, corpus, n).tolist() == expected
+
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300]),
+                          min_size=m, max_size=m), min_size=1, max_size=5),
+        st.integers(1, m))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_with_signed_zeros(self, case):
+        rows, n = case
+        matrix = np.array(rows)
+        np.testing.assert_array_equal(
+            _rank_rows(matrix, n), np.argsort(-matrix, axis=1, kind="stable")[:, :n])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _rank_rows(np.array([[1.0, bad, 2.0]]), 3)
 
 
 def fake_model(doc_topics, corpus):

@@ -183,6 +183,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="has shape"):
             load_model(path)
 
+    @pytest.mark.parametrize("name, bad", [("beta", np.nan), ("doc_topics", np.inf)])
+    def test_non_finite_matrix_rejected(self, small_model, tmp_path, name, bad):
+        params = {n: p.copy() for n, p in small_model.params.items()}
+        doc_topics = small_model.doc_topics.copy()
+        params.get(name, doc_topics)[0, 1] = bad
+        path = save_model(dataclasses.replace(small_model, params=params,
+                                              doc_topics=doc_topics), tmp_path / "bad.mmtm")
+        with pytest.raises(CheckpointError, match=f"matrix {name} holds a non-finite value"):
+            load_model(path)
+
     def test_kind_contradicting_config_rejected(self, small_model, tmp_path):
         header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
         header["kind"] = "zeroshot"

@@ -97,16 +97,22 @@ WINDOW_TOKENS = ["a", "b", "c", "d", "e"]
 
 
 class TestWindowCounts:
-    @given(docs=st.lists(st.lists(st.sampled_from(WINDOW_TOKENS), max_size=12),
+    @given(docs=st.lists(st.lists(st.sampled_from(WINDOW_TOKENS), max_size=30),
                          min_size=1, max_size=6),
            terms=st.lists(st.sampled_from(WINDOW_TOKENS + ["absent", "gone"]),
                           min_size=1, max_size=7, unique=True),
-           window=st.integers(1, 6))
+           window=st.integers(1, 12))
     # empty document, documents shorter than the window, a term repeated
     # inside one window, window 1, topic words missing from the corpus
     @example(docs=[[], ["a"], ["a", "b", "a", "c", "a", "a", "d", "e"]],
              terms=["a", "absent", "c", "b"], window=3)
     @example(docs=[["a", "a", "b"], [], ["b"]], terms=["b", "a", "gone"], window=1)
+    # a term repeated exactly ``window`` positions apart
+    @example(docs=[["a", "b", "c", "a", "b", "a"]], terms=["a", "b", "c"], window=3)
+    # the same term ending one document and starting the next
+    @example(docs=[["b", "c", "a"], ["a", "b"], ["a"]], terms=["a", "b"], window=2)
+    # a window longer than every document
+    @example(docs=[["a", "b", "a"], [], ["c", "a"]], terms=["c", "a", "b"], window=12)
     @settings(max_examples=300, deadline=None)
     def test_matches_enumeration_reference(self, docs, terms, window):
         words, pairs, total = _boolean_window_counts(

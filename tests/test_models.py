@@ -6,7 +6,9 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import mmtopic.metrics as metrics_module
 import mmtopic.models as models_module
+import mmtopic.overlap as overlap_module
 from mmtopic.models import (
     ENCODERS,
     ModelConfig,
@@ -552,6 +554,34 @@ class TestBlasThreads:
         finally:
             set_threads(before)
         assert seen and set(seen) == {1}
+
+    def test_evaluation_runs_on_one_thread_and_restores_the_count(self, tiny_corpus,
+                                                                    monkeypatch):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        get_threads, set_threads = calls
+        seen = []
+        for module, name in ((metrics_module, "_npmi_per_topic"),
+                             (overlap_module, "topic_similarity_matrix"),
+                             (models_module, "_nce_terms")):
+            def recording(*args, real=getattr(module, name), name=name, **kwargs):
+                seen.append((name, get_threads()))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        model = train(tiny_corpus, ModelConfig(kind="zeroshot", num_topics=2,
+                                               epochs=1, hidden_dim=4))
+        before = get_threads()
+        set_threads(2)
+        try:
+            metrics_module.compute_metric_report(model, tiny_corpus, n_descriptors=2)
+            overlap_module.overlap_report(model, model, n=2)
+            infonce(np.eye(2), np.eye(2), temperature=0.5, weight=1.0)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [("_npmi_per_topic", 1), ("topic_similarity_matrix", 1),
+                        ("_nce_terms", 1)]
 
     def test_overlapping_pins_on_many_threads_keep_one_thread(self):
         calls = _openblas_thread_calls()

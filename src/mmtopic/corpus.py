@@ -459,13 +459,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
 
     # Disjoint word blocks covering the vocabulary; remainders go to the
     # leading topics one extra term each.
-    base, extra = divmod(v, k)
-    blocks = []
-    start = 0
-    for t in range(k):
-        size = base + (1 if t < extra else 0)
-        blocks.append(np.arange(start, start + size))
-        start += size
+    blocks = np.array_split(np.arange(v), k)
 
     word_probs = np.zeros((k, v))
     for t in range(k):

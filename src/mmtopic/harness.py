@@ -84,12 +84,6 @@ def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
 _HEADER_FIELDS = ("kind", "config", "vocabulary", "matrices", "loss_trace")
 
 
-def _is_matrix_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(d) is int and d >= 0 for d in entry["shape"]))
-
-
 def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTopicModel:
     """Load a checkpoint, verifying the payload checksum. Raises
     :class:`CheckpointError` on a version mismatch, corruption, truncation,
@@ -108,7 +102,7 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
         raise CheckpointError(f"{path}: invalid header JSON ({exc})")
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    payload = raw[header_end + 1:]
+    payload = memoryview(raw)[header_end + 1:]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch "
                               "(file truncated or corrupt)")
@@ -118,10 +112,14 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
     if expected_kind is not None and header["kind"] != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {header['kind']!r} "
                               f"does not match expected {expected_kind!r}")
-    matrices = header["matrices"]
-    if not (isinstance(matrices, list) and all(map(_is_matrix_entry, matrices))):
+    matrices = header["matrices"] if isinstance(header["matrices"], list) else [None]
+    layout = {m["name"]: tuple(m["shape"]) for m in matrices
+              if isinstance(m, dict) and isinstance(m.get("name"), str)
+              and isinstance(m.get("shape"), list)
+              and all(type(d) is int and d >= 0 for d in m["shape"])}
+    if len(layout) != len(matrices):
         raise CheckpointError(f"{path}: header matrices are not a list of "
-                              "{name, shape} entries")
+                              "{name, shape} entries with distinct names")
     if not isinstance(header["loss_trace"], list):
         raise CheckpointError(f"{path}: header loss_trace is not a list")
     terms = header["vocabulary"]
@@ -137,31 +135,22 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
                               f"its config's kind {config.kind!r}")
     expected = {**param_shapes(config, None, None, len(vocabulary)),
                 "doc_topics": (None, config.num_topics)}
-    names = sorted(entry["name"] for entry in matrices)
-    if names != sorted(expected):
+    if layout.keys() != expected.keys():
         raise CheckpointError(f"{path}: a {config.kind} checkpoint holds each of "
-                              f"{sorted(expected)} once, not {names}")
-    for entry in matrices:
-        shape, want = entry["shape"], expected[entry["name"]]
+                              f"{sorted(expected)} once, not {sorted(layout)}")
+    for name, shape in layout.items():
+        want = expected[name]
         if len(shape) != len(want) or any(w is not None and w != d
                                           for d, w in zip(shape, want)):
-            raise CheckpointError(f"{path}: matrix {entry['name']} has shape "
-                                  f"{tuple(shape)}, not {want} (None: any width)")
-
-    arrays = {}
-    offset = 0
-    for entry in matrices:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: payload shorter than declared matrices")
-        arrays[entry["name"]] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: payload longer than declared matrices")
-
+            raise CheckpointError(f"{path}: matrix {name} has shape {shape}, "
+                                  f"not {want} (None: any width)")
+    sizes = [math.prod(shape) for shape in layout.values()]
+    if 8 * sum(sizes) != len(payload):
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, but its "
+                              f"matrices declare {8 * sum(sizes)}")
+    parts = np.split(np.frombuffer(payload, "<f8").astype(np.float64),
+                     np.cumsum(sizes)[:-1])
+    arrays = {name: part.reshape(shape) for (name, shape), part in zip(layout.items(), parts)}
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise CheckpointError(f"{path}: matrix {name} holds a non-finite value")

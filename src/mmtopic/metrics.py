@@ -109,7 +109,9 @@ def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float
                            "corpus; contributing 0", t_idx)
             scores.append(0.0)
             continue
-        p_ij = pair_counts[np.minimum(a, b), np.maximum(a, b)] / total
+        # A repeated word shares every window it occurs in with itself.
+        p_ij = np.where(a == b, word_counts[a],
+                        pair_counts[np.minimum(a, b), np.maximum(a, b)]) / total
         p_ij[p_ij == 0.0] = _NPMI_EPS
         pmi = np.log(p_ij / (word_counts[a] / total * (word_counts[b] / total)))
         # Both words in every window: perfect association by convention,
@@ -159,6 +161,8 @@ def topic_diversity(topics, n: int = 10) -> float:
     """Fraction of distinct words among the top-``n`` slots of all topics."""
     if not topics:
         raise ValueError("at least one topic is required")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if any(len(t) < n for t in topics):
         raise ValueError(f"every topic needs at least {n} words")
     unique = set()

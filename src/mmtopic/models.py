@@ -376,6 +376,13 @@ def _check_dim(name: str, vec: np.ndarray, expected: int):
         raise ValueError(f"{name} has shape {vec.shape}, expected ({expected},)")
 
 
+def _finite_array(name: str, value) -> np.ndarray:
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return array
+
+
 @dataclass
 class TrainedTopicModel:
     """A trained model: configuration, vocabulary, all parameter blocks,
@@ -500,11 +507,12 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
     Runs the first encoder in :data:`ENCODERS` order whose features are all
     given, so the contrastive kind accepts either modality and prefers text,
     and the other kinds need their full input. Raises ``ValueError`` naming
-    the inputs the kind needs when no encoder's features are all given.
+    the inputs the kind needs when no encoder's features are all given, and
+    one naming the argument that holds a NaN or an infinity.
     """
-    given = {feature: np.asarray(value, dtype=np.float64) for feature, value in
-             (("text", text_embedding), ("image", image_embedding), ("bow", bow))
-             if value is not None}
+    given = {feature: _finite_array(_FEATURE_ARGUMENTS[feature], value)
+             for feature, value in (("text", text_embedding), ("image", image_embedding),
+                                    ("bow", bow)) if value is not None}
     if "bow" in given:
         given["bow"] = l1_normalize_bow(given["bow"])
     encoders = ENCODERS[model.kind]
@@ -521,10 +529,11 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
 
 def reconstruct_image_features(model: TrainedTopicModel, topic_dist) -> np.ndarray:
     """Mixture of the model's per-topic image feature rows weighted by a
-    topic distribution. Only defined for kinds that learn one."""
+    topic distribution, which must be finite. Only defined for kinds that
+    learn one."""
     gamma = model.topic_image_matrix
     if gamma is None:
         raise ValueError(f"model kind {model.kind!r} has no topic-image matrix")
-    theta = np.asarray(topic_dist, dtype=np.float64)
+    theta = _finite_array("topic_dist", topic_dist)
     _check_dim("topic_dist", theta, model.num_topics)
     return theta @ gamma

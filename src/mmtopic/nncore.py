@@ -135,7 +135,9 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, g in grads.items():
-        p = params[name]
+        p = params.get(name)
+        if p is None:
+            raise ValueError(f"gradient for {name!r} has no parameter block")
         if g.shape != p.shape:
             raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
                              f"parameter has {p.shape}")

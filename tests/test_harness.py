@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -120,6 +121,28 @@ class TestCheckpoint:
         header["matrices"] = [m for m in header["matrices"] if m["name"] != "doc_topics"]
         path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
         with pytest.raises(CheckpointError, match="doc_topics"):
+            load_model(path)
+
+    def test_repeated_matrix_name_rejected(self, small_model, tmp_path):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        beta = next(m for m in header["matrices"] if m["name"] == "beta")
+        header["matrices"].append(beta)
+        payload += payload[:8 * math.prod(beta["shape"])]
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match="entries with distinct names"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [8, -8, 3])
+    def test_payload_size_differing_from_layout_rejected(self, small_model, tmp_path,
+                                                         change):
+        header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
+        declared = len(payload)
+        payload = payload + bytes(change) if change > 0 else payload[:change]
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path = write_checkpoint(tmp_path / "bad.mmtm", header, payload)
+        with pytest.raises(CheckpointError, match=f"payload holds {len(payload)} bytes, "
+                                                  f"but its matrices declare {declared}"):
             load_model(path)
 
     @pytest.mark.parametrize("kind", KINDS)

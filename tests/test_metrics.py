@@ -75,6 +75,8 @@ class TestNpmi:
         vocab = [f"w{i}" for i in range(12)]
         docs = random_docs(rng, 25, vocab)
         topics = [list(rng.choice(vocab, size=4, replace=False)) for _ in range(4)]
+        # a repeated word shares each of its windows with itself
+        topics.append([topics[0][0], topics[0][0], topics[1][0]])
         ours = npmi(topics, docs, window=3)
         ref = npmi_reference(topics, docs, window=3)
         assert ours == pytest.approx(ref, abs=1e-9)
@@ -198,6 +200,9 @@ class TestTopicDiversity:
             topic_diversity([], n=5)
         with pytest.raises(ValueError, match="at least 5"):
             topic_diversity([["a", "b"]], n=5)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                topic_diversity([["a", "b"]], n=n)
 
 
 ITEMS = [f"w{i}" for i in range(12)]

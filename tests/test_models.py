@@ -676,6 +676,15 @@ class TestInference:
             infer_topic_distribution(models["multimodal_zeroshot"],
                                      text_embedding=np.ones(4), image_embedding=np.ones(9))
 
+    @pytest.mark.parametrize("kind, argument", [("zeroshot", "text_embedding"),
+                                                ("combined", "bow")])
+    def test_non_finite_input_rejected(self, models, tiny_corpus, kind, argument):
+        inputs = {"text_embedding": tiny_corpus.text_embeddings[0].copy(),
+                  "bow": tiny_corpus.bow_matrix()[0].copy()}
+        inputs[argument][0] = np.nan
+        with pytest.raises(ValueError, match=f"{argument} holds a non-finite value"):
+            infer_topic_distribution(models[kind], **inputs)
+
 
 class TestImageReconstruction:
     def test_one_hot_mixture_selects_gamma_row(self, tiny_corpus):
@@ -710,3 +719,9 @@ class TestImageReconstruction:
                                                epochs=1, hidden_dim=8))
         with pytest.raises(ValueError, match="topic_dist"):
             reconstruct_image_features(model, np.full(4, 0.25))
+
+    def test_non_finite_topic_dist_rejected(self, tiny_corpus):
+        model = train(tiny_corpus, ModelConfig(kind="multimodal_zeroshot", num_topics=3,
+                                               epochs=1, hidden_dim=8))
+        with pytest.raises(ValueError, match="topic_dist holds a non-finite value"):
+            reconstruct_image_features(model, np.array([0.5, np.nan, 0.5]))

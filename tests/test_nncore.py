@@ -173,6 +173,10 @@ class TestAdam:
         with pytest.raises(ValueError, match="shape"):
             adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
 
+    def test_gradient_for_unknown_block_rejected(self):
+        with pytest.raises(ValueError, match="gradient for 'v' has no parameter block"):
+            adam_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, AdamState())
+
     def test_moment_buffers_track_each_parameter(self):
         state = AdamState()
         params = {"a": np.zeros(2), "b": np.zeros((2, 2))}

@@ -96,6 +96,10 @@ class Vocabulary:
             raise ValueError("vocabulary terms must be distinct")
         if not terms:
             raise ValueError("vocabulary must contain at least one term")
+        # A sidecar vocabulary file holds one stripped term per line.
+        bad = next((t for t in terms if t.split() != [t]), None)
+        if bad is not None:
+            raise ValueError(f"vocabulary term {bad!r} is empty or holds whitespace")
         return cls(terms=terms, index=index)
 
     def __len__(self) -> int:
@@ -127,18 +131,19 @@ class TokenIds:
     """Token lists as integers: one flat int32 id array plus int64 document
     offsets, so document ``d`` is ``ids[offsets[d]:offsets[d + 1]]``.
     ``index`` maps every distinct token string, in-vocabulary or not, to
-    its id; ids follow first appearance."""
+    its id: the ``leading`` strings take ids 0, 1, ... in order, and the
+    other tokens follow in order of first appearance."""
 
     ids: np.ndarray
     offsets: np.ndarray
     index: dict[str, int] = field(repr=False)
 
     @classmethod
-    def from_token_lists(cls, token_lists) -> "TokenIds":
+    def from_token_lists(cls, token_lists, leading=()) -> "TokenIds":
         token_lists = list(token_lists)
         offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
         np.cumsum([len(tokens) for tokens in token_lists], out=offsets[1:])
-        index: dict[str, int] = {}
+        index = {t: i for i, t in enumerate(leading)}
         ids = np.fromiter((index.setdefault(t, len(index))
                            for tokens in token_lists for t in tokens),
                           dtype=np.int32, count=int(offsets[-1]))
@@ -207,20 +212,22 @@ class Corpus:
     def image_dim(self) -> int:
         return self.image_embeddings.shape[1]
 
-    def bow_matrix(self) -> np.ndarray:
-        """In-vocabulary token counts, shape (N, V), float64, counted from
-        :attr:`token_ids` on each call. Every distinct token id maps to its
-        vocabulary column, or to V when out of vocabulary, and one float64
-        ``bincount`` counts the in-vocabulary document x column codes."""
-        tokens = self.token_ids
-        n, v = self.num_documents, len(self.vocabulary)
-        column = np.fromiter((self.vocabulary.index.get(t, v) for t in tokens.index),
-                             dtype=np.int64, count=len(tokens.index))[tokens.ids]
-        doc = np.repeat(np.arange(n, dtype=np.int64), np.diff(tokens.offsets))
-        known = column < v
-        codes = doc[known] * v + column[known]
-        return np.bincount(codes, weights=np.ones(codes.size),
-                           minlength=n * v).reshape(n, v)
+    def bow_matrix(self, rows=slice(None)) -> np.ndarray:
+        """In-vocabulary token counts of the documents at ``rows`` (a slice
+        or an array of positions), shape (rows, V), float64, counted from
+        :attr:`token_ids` on each call. A term's id is its vocabulary
+        column, so one float64 ``bincount`` counts the row x column codes."""
+        tokens, v = self.token_ids, len(self.vocabulary)
+        starts = tokens.offsets[:-1][rows]
+        lengths = tokens.offsets[1:][rows] - starts
+        row = np.repeat(np.arange(lengths.size), lengths)
+        # A token's place in ``ids``: its document's start plus its rank there.
+        column = tokens.ids[np.arange(row.size)
+                            + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)]
+        codes = (row * v + column)[column < v]
+        counts = np.bincount(codes, weights=np.ones(codes.size), minlength=lengths.size * v)
+        # With no codes to count, bincount returns int64 whatever the weights.
+        return counts.astype(np.float64, copy=False).reshape(lengths.size, v)
 
     def token_lists(self) -> list[tuple[str, ...]]:
         return list(self.tokens)
@@ -234,8 +241,9 @@ class Corpus:
 
     @cached_property
     def token_ids(self) -> TokenIds:
-        """The documents' tokens as :class:`TokenIds`."""
-        return TokenIds.from_token_lists(self.tokens)
+        """The documents' tokens as :class:`TokenIds`, with the vocabulary
+        terms leading, so an in-vocabulary token's id is its column."""
+        return TokenIds.from_token_lists(self.tokens, leading=self.vocabulary.terms)
 
 
 def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:
@@ -310,6 +318,12 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                 raw = obj["tokens"]
                 if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
                     raise DatasetFormatError(f"line {lineno}: 'tokens' must be a list of strings")
+                # Joined and split again, tokens come back unchanged only if
+                # none is empty or holds whitespace: the vocabulary sidecar's rule.
+                if " ".join(raw).split() != raw:
+                    bad = next(t for t in raw if t.split() != [t])
+                    raise DatasetFormatError(
+                        f"line {lineno}: token {bad!r} is empty or holds whitespace")
                 tokens = raw
             for name, buffer in embeddings.items():
                 row = _parse_embedding(obj, name, lineno)

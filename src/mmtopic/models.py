@@ -2,10 +2,10 @@
 
 The four kinds share one objective and differ in what :data:`ENCODERS`
 lists for them and in the terms that follow from it. Each table entry is
-one inference network: its parameter prefix, the prepared input it reads,
+one inference network: its parameter prefix, the batch input it reads,
 the document features stacked into that input, and the name of its KL
-component. The features alone set the encoder's input width, the training
-matrices and the inputs inference needs.
+component. The features alone set the encoder's input width, what each
+training batch gathers from the corpus and the inputs inference needs.
 
 - ``zeroshot``: one encoder over the text embedding.
 - ``combined``: one encoder over the text embedding concatenated with the
@@ -170,8 +170,7 @@ class ModelConfig:
 
 
 def l1_normalize_bow(bow: np.ndarray) -> np.ndarray:
-    """Bag-of-words scaled to sum to one; an all-zero row stays zero."""
-    bow = np.asarray(bow, dtype=np.float64)
+    """Float64 bag-of-words scaled to sum to one; an all-zero row stays zero."""
     totals = bow.sum(axis=-1, keepdims=True)
     return np.divide(bow, totals, out=np.zeros_like(bow), where=totals > 0)
 
@@ -416,20 +415,28 @@ class TrainedTopicModel:
         return f"{self.config.kind}-k{self.config.num_topics}-seed{self.config.seed}"
 
 
-def prepare_inputs(corpus: Corpus, kind: str) -> dict[str, np.ndarray]:
-    """The input matrices a kind trains on: each encoder's features under
-    its input key, the raw counts under ``bow``, and the image embeddings
-    under ``image_target`` for ``multimodal_zeroshot``. A lone feature and
-    ``image_target`` are the corpus matrices themselves, not copies."""
-    if kind not in ENCODERS:
-        raise ValueError(f"unknown model kind {kind!r}")
+def _columns(corpus: Corpus, rows, features) -> dict[str, np.ndarray]:
+    """The named features of the documents at ``rows``: ``text`` and
+    ``image`` embedding rows, raw in-vocabulary ``counts``, and ``bow``,
+    those counts L1-normalized; counts are taken once for both."""
+    columns = {name: matrix[rows] for name, matrix in (
+        ("text", corpus.text_embeddings), ("image", corpus.image_embeddings)) if name in features}
+    if "counts" in features or "bow" in features:
+        columns["counts"] = corpus.bow_matrix(rows)
+    if "bow" in features:
+        columns["bow"] = l1_normalize_bow(columns["counts"])
+    return columns
+
+
+def _batch_inputs(corpus: Corpus, kind: str, rows) -> dict[str, np.ndarray]:
+    """The :func:`batch_objective` inputs of the documents at ``rows``, each
+    feature built once: every encoder's input under its key, the raw counts
+    under ``bow``, and the image rows under ``image_target`` for
+    ``multimodal_zeroshot``."""
     encoders = ENCODERS[kind]
-    bows = corpus.bow_matrix()
-    columns = {"text": corpus.text_embeddings, "image": corpus.image_embeddings}
-    if any("bow" in features for _, _, features, _ in encoders):
-        columns["bow"] = l1_normalize_bow(bows)
+    columns = _columns(corpus, rows, {"counts"}.union(*(f for _, _, f, _ in encoders)))
     inputs = {key: _encoder_input(features, columns) for _, key, features, _ in encoders}
-    inputs["bow"] = bows
+    inputs["bow"] = columns["counts"]
     if kind == "multimodal_zeroshot":
         inputs["image_target"] = columns["image"]
     return inputs
@@ -449,7 +456,6 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     """
     kind = config.kind
     encoders = ENCODERS[kind]
-    inputs = prepare_inputs(corpus, kind)
     n = corpus.num_documents
     k = config.num_topics
 
@@ -471,7 +477,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
         sums: dict[str, float] = {}
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            batch = {key: arr[idx] for key, arr in inputs.items()}
+            batch = _batch_inputs(corpus, kind, idx)
             noise = tuple(noise_rng.standard_normal((idx.size, k)) for _ in encoders)
             masks = None if rate == 0.0 else tuple(
                 (dropout_rng.random((idx.size, config.hidden_dim)) >= rate) * scale
@@ -487,8 +493,9 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
                 sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
         trace.append({name: value / n for name, value in sums.items()})
 
-    prefix, key, _, _ = encoders[0]
-    doc_topics = _mean_theta(params, prefix, inputs[key])
+    prefix, _, features, _ = encoders[0]
+    doc_topics = _mean_theta(params, prefix, _encoder_input(
+        features, _columns(corpus, slice(None), features)))
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 

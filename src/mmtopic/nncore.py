@@ -186,12 +186,20 @@ def gradcheck(loss_fn, params: dict, step: float = 1e-5,
     block's relative error is the l2 distance between analytic and
     finite-difference values over those coordinates, divided by the larger
     of their norms. Parameters are copied; the caller's arrays are left
-    untouched.
+    untouched. Raises ``ValueError`` for a coordinate count below 1, for no
+    parameter blocks, and naming a block the analytic gradients lack.
     """
+    if max_coords_per_block < 1:
+        raise ValueError(f"max_coords_per_block must be >= 1, got {max_coords_per_block}")
+    if not params:
+        raise ValueError("gradcheck needs at least one parameter block")
     if rng is None:
         rng = np.random.default_rng(0)
     work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     _, analytic = loss_fn(work)
+    missing = sorted(set(work) - set(analytic))
+    if missing:
+        raise ValueError(f"analytic gradients lack the blocks {missing}")
     per_block = {}
     for name in sorted(work):
         flat = work[name].reshape(-1)

@@ -114,7 +114,7 @@ class OverlapReport:
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
+        atomic_write_text(path, json.dumps(self.to_dict()) + "\n")
         return path
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -65,6 +66,13 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="distinct"):
             Vocabulary.from_terms(["a", "a"])
 
+    # the sidecar file strips each line and skips blank ones, so such a
+    # term would not come back from a saved dataset
+    @pytest.mark.parametrize("term", ["", " y", "y ", "a b", "a\nb", "\t"])
+    def test_term_that_cannot_round_trip_rejected(self, term):
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            Vocabulary.from_terms(["x", term])
+
 
 TERMS = ("a", "b", "c", "d", "e")
 
@@ -111,6 +119,26 @@ class TestBowMatrix:
             bow = corpus.bow_matrix()
             assert bow.dtype == np.float64 and bow.shape == (len(docs), len(terms))
             assert bow.tolist() == expected
+
+    @given(docs=st.lists(st.lists(st.sampled_from(TERMS[:3] + ("oov",)), max_size=6),
+                         max_size=6),
+           picks=st.lists(st.integers(0, 99), max_size=12),
+           bounds=st.none() | st.tuples(st.none() | st.integers(-8, 8),
+                                        st.none() | st.integers(-8, 8),
+                                        st.sampled_from([None, -2, -1, 1, 2])))
+    # repeated positions, an empty document and an out-of-vocabulary token
+    @example(docs=[["a", "oov"], [], ["c", "c"]], picks=[2, 0, 2, 1], bounds=None)
+    def test_rows_count_only_their_documents(self, docs, picks, bounds):
+        vocab = Vocabulary.from_terms(TERMS[:3])
+        corpus = make_corpus(docs + [["a"]], vocabulary=vocab)
+        n = corpus.num_documents
+        # picks become positions, bounds a slice
+        rows = np.array(picks, dtype=np.int64) % n if bounds is None else slice(*bounds)
+        bow = corpus.bow_matrix(rows)
+        assert bow.dtype == np.float64
+        assert bow.tolist() == [bow_reference(corpus.tokens[i], vocab)
+                                for i in np.arange(n)[rows]]
+        np.testing.assert_array_equal(bow, corpus.bow_matrix()[rows])
 
 
 def columns(corpus, **changes):
@@ -187,6 +215,15 @@ class TestTokenIds:
         assert [tuple(terms[i] for i in ids.ids[a:b])
                 for a, b in zip(ids.offsets[:-1], ids.offsets[1:])] == docs
 
+    def test_leading_strings_take_the_first_ids(self, tiny_corpus):
+        docs = [("b", "oov", "b"), (), ("a", "oov")]
+        ids = TokenIds.from_token_lists(docs, leading=("a", "unused"))
+        assert ids.index == {"a": 0, "unused": 1, "b": 2, "oov": 3}
+        assert ids.ids.tolist() == [2, 3, 2, 0, 3]
+        # a corpus leads with its vocabulary, so a term's id is its column
+        terms = tiny_corpus.vocabulary.terms
+        assert list(tiny_corpus.token_ids.index)[:len(terms)] == list(terms)
+
     def test_corpus_builds_once_on_first_use(self, tmp_path, tiny_corpus):
         loaded = load_corpus(save_corpus(tiny_corpus, tmp_path / "c.jsonl"))
         assert "token_ids" not in vars(loaded)
@@ -197,7 +234,8 @@ class TestTokenIds:
 
     def test_threads_racing_on_first_use_see_whole_arrays(self, tiny_planted):
         corpus, _ = tiny_planted
-        expected = TokenIds.from_token_lists(corpus.token_lists())
+        expected = TokenIds.from_token_lists(corpus.token_lists(),
+                                             leading=corpus.vocabulary.terms)
         fresh = Corpus(**columns(corpus))
         seen = []
         threads = [threading.Thread(target=lambda: seen.append(fresh.token_ids))
@@ -297,6 +335,17 @@ class TestDatasetIO:
              "image_embedding": [1.0]},
         ])
         with pytest.raises(DatasetFormatError, match="line 1.*non-finite"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("token", ["", " y", "a b", "z\n"])
+    def test_token_that_cannot_round_trip_rejected(self, tmp_path, token):
+        path = self._write(tmp_path, [
+            {"id": "a", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]},
+            {"id": "b", "tokens": ["x", token], "text_embedding": [1.0],
+             "image_embedding": [1.0]},
+        ])
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"line 2: token {token!r} is empty or holds")):
             load_corpus(path)
 
     def test_sidecar_vocab_pins_vocabulary(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import mmtopic.metrics as metrics_module
 import mmtopic.models as models_module
 import mmtopic.overlap as overlap_module
+from mmtopic.corpus import SyntheticSpec, generate_synthetic
 from mmtopic.models import (
     ENCODERS,
     ModelConfig,
@@ -18,7 +20,6 @@ from mmtopic.models import (
     init_params,
     l1_normalize_bow,
     param_shapes,
-    prepare_inputs,
     reconstruct_image_features,
     train,
 )
@@ -129,24 +130,40 @@ class TestInputs:
             config = ModelConfig(kind=kind, num_topics=3, hidden_dim=6)
             params = init_params(config, tiny_corpus.text_dim, tiny_corpus.image_dim,
                                  len(tiny_corpus.vocabulary), np.random.default_rng(0))
-            inputs = prepare_inputs(tiny_corpus, kind)
+            inputs = models_module._batch_inputs(tiny_corpus, kind, np.array([2, 0]))
             for prefix, key, _, _ in ENCODERS[kind]:
                 assert params[f"{prefix}.W_hidden"].shape[1] == inputs[key].shape[1]
 
-    def test_prepare_inputs_shapes(self, tiny_corpus):
-        n = tiny_corpus.num_documents
-        v = len(tiny_corpus.vocabulary)
-        t, m = tiny_corpus.text_dim, tiny_corpus.image_dim
-        assert prepare_inputs(tiny_corpus, "zeroshot")["x"].shape == (n, t)
-        combined = prepare_inputs(tiny_corpus, "combined")
-        assert combined["x"].shape == (n, t + v)
-        np.testing.assert_allclose(combined["x"][:, t:].sum(axis=1), 1.0)
-        mzs = prepare_inputs(tiny_corpus, "multimodal_zeroshot")
-        assert mzs["x"].shape == (n, t + m)
-        assert mzs["image_target"] is tiny_corpus.image_embeddings
-        contrast = prepare_inputs(tiny_corpus, "multimodal_contrast")
-        assert contrast["x_text"] is tiny_corpus.text_embeddings
-        assert contrast["x_image"] is tiny_corpus.image_embeddings
+    def test_batch_inputs_gather_rows(self, tiny_corpus):
+        rows = np.array([3, 1, 3])
+        t = tiny_corpus.text_dim
+        text, image = tiny_corpus.text_embeddings[rows], tiny_corpus.image_embeddings[rows]
+        counts = tiny_corpus.bow_matrix()[rows]
+        batch = {kind: models_module._batch_inputs(tiny_corpus, kind, rows) for kind in KINDS}
+        assert {kind: set(inputs) for kind, inputs in batch.items()} == {
+            "zeroshot": {"x", "bow"}, "combined": {"x", "bow"},
+            "multimodal_zeroshot": {"x", "bow", "image_target"},
+            "multimodal_contrast": {"x_text", "x_image", "bow"}}
+        for inputs in batch.values():
+            np.testing.assert_array_equal(inputs["bow"], counts)
+        np.testing.assert_array_equal(batch["zeroshot"]["x"], text)
+        combined = batch["combined"]["x"]
+        np.testing.assert_array_equal(combined[:, :t], text)
+        np.testing.assert_array_equal(combined[:, t:], l1_normalize_bow(counts))
+        np.testing.assert_allclose(combined[:, t:].sum(axis=1), 1.0)
+        np.testing.assert_array_equal(batch["multimodal_zeroshot"]["x"],
+                                      np.concatenate([text, image], axis=1))
+        np.testing.assert_array_equal(batch["multimodal_zeroshot"]["image_target"], image)
+        np.testing.assert_array_equal(batch["multimodal_contrast"]["x_text"], text)
+        np.testing.assert_array_equal(batch["multimodal_contrast"]["x_image"], image)
+
+    def test_batch_inputs_pass_a_lone_feature_uncopied(self, tiny_corpus):
+        everything = slice(None)
+        mzs = models_module._batch_inputs(tiny_corpus, "multimodal_zeroshot", everything)
+        assert np.shares_memory(mzs["image_target"], tiny_corpus.image_embeddings)
+        contrast = models_module._batch_inputs(tiny_corpus, "multimodal_contrast", everything)
+        assert np.shares_memory(contrast["x_text"], tiny_corpus.text_embeddings)
+        assert np.shares_memory(contrast["x_image"], tiny_corpus.image_embeddings)
 
     def test_init_params_blocks_per_kind(self):
         _, p = make_params("zeroshot")
@@ -465,6 +482,24 @@ class TestTraining:
         # one more encoder pass computes the posterior-mean doc_topics
         assert calls == {"batch_objective": batches, "adam_step": batches,
                          "inference_forward": batches * encoders + 1}
+
+    def test_batches_never_hold_a_corpus_wide_count_matrix(self):
+        # Each batch counts its own documents' tokens. combined is left out:
+        # its final doc_topics pass reads the bag-of-words of all N documents.
+        corpus, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=2, vocab_size=2000, docs=400, doc_length=4,
+            embed_dim_text=4, embed_dim_image=4, seed=0))
+        n, v = corpus.num_documents, len(corpus.vocabulary)
+        for kind in ("zeroshot", "multimodal_zeroshot", "multimodal_contrast"):
+            config = ModelConfig(kind=kind, num_topics=2, epochs=1, hidden_dim=4,
+                                 batch_size=16)
+            tracemalloc.start()
+            try:
+                train(corpus, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * v * 8, kind
 
     def test_loss_descends_on_planted_data(self, tiny_planted):
         corpus, _ = tiny_planted

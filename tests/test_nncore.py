@@ -305,6 +305,20 @@ class TestGradcheck:
         report = gradcheck(loss, {"w": big}, max_coords_per_block=8)
         assert report.per_block["w"] < 1e-9
 
+    # each would otherwise report ok=True for a 50x wrong gradient, or raise
+    # a stray error naming nothing
+    @pytest.mark.parametrize("params, coords, message", [
+        ({"w": np.ones(3)}, 0, "max_coords_per_block must be >= 1, got 0"),
+        ({}, 32, "at least one parameter block"),
+        ({"w": np.ones(3), "v": np.ones(2)}, 32, r"lack the blocks \['v'\]"),
+    ])
+    def test_checks_that_cannot_fail_are_refused(self, params, coords, message):
+        def loss(p):
+            return float(np.sum(p["w"] ** 2)), {"w": 100.0 * p["w"]}
+
+        with pytest.raises(ValueError, match=message):
+            gradcheck(loss, params, max_coords_per_block=coords)
+
 
 class TestNamedRng:
     def test_same_seed_and_name_reproduce(self):

@@ -152,10 +152,12 @@ class TestOverlapReport:
         a, b = two_models
         report = overlap_report(a, b, n=3)
         path = report.write_json(tmp_path / "overlap.json")
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        assert text.count("\n") == 1  # one compact line
+        data = json.loads(text)
         assert data["model_a"] == a.label
         assert data["assignment"] == list(report.assignment)
-        np.testing.assert_allclose(np.array(data["similarity"]), report.similarity)
+        assert np.array(data["similarity"]).tobytes() == report.similarity.tobytes()
         clone = OverlapReport(
             model_a=data["model_a"], model_b=data["model_b"],
             similarity=np.array(data["similarity"]),

@@ -56,7 +56,7 @@ MULTIMODAL_KINDS = ("multimodal_zeroshot", "multimodal_contrast")
 
 # Per kind, one (parameter prefix, input key, features, KL component) per
 # encoder. Features are "text" and "image" (the embeddings) and "bow" (the
-# L1-normalized bag-of-words), concatenated in the listed order. Table order
+# bag-of-words, L1-normalized in the input), concatenated in the listed order. Table order
 # is the order of initialization, noise and dropout draws and KL components;
 # inference runs the first encoder whose features are all given.
 ENCODERS = {
@@ -169,18 +169,32 @@ class ModelConfig:
         return cls(**d)
 
 
-def l1_normalize_bow(bow: np.ndarray) -> np.ndarray:
-    """Float64 bag-of-words scaled to sum to one; an all-zero row stays zero."""
+def l1_normalize_bow(bow: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Float64 bag-of-words scaled to sum to one; an all-zero row stays zero.
+    Written into ``out`` when given, which must hold zeros."""
     totals = bow.sum(axis=-1, keepdims=True)
-    return np.divide(bow, totals, out=np.zeros_like(bow), where=totals > 0)
+    return np.divide(bow, totals, out=np.zeros_like(bow) if out is None else out,
+                     where=totals > 0)
 
 
 def _encoder_input(features: tuple[str, ...], columns: dict) -> np.ndarray:
     """One encoder's input: its feature columns side by side along the last
-    axis. A single feature is passed through as is, not copied."""
-    if len(features) == 1:
+    axis, written into one buffer, with the raw counts under ``bow``
+    L1-normalized on the way. A single embedding is passed through as is,
+    not copied."""
+    if features in (("text",), ("image",)):
         return columns[features[0]]
-    return np.concatenate([columns[f] for f in features], axis=-1)
+    parts = [columns[f] for f in features]
+    x = np.zeros(parts[0].shape[:-1] + (sum(part.shape[-1] for part in parts),))
+    start = 0
+    for feature, part in zip(features, parts):
+        out = x[..., start:start + part.shape[-1]]
+        if feature == "bow":
+            l1_normalize_bow(part, out=out)
+        else:
+            out[...] = part
+        start += part.shape[-1]
+    return x
 
 
 def param_shapes(config: ModelConfig, text_dim: int | None, image_dim: int | None,
@@ -208,10 +222,17 @@ def init_params(config: ModelConfig, text_dim: int, image_dim: int,
                 vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot-uniform weight matrices and zero bias vectors for every block
     of :func:`param_shapes`, drawn in its order so a seeded generator
-    reproduces the same initialization."""
-    return {name: glorot_uniform(rng, shape) if len(shape) == 2 else np.zeros(shape)
-            for name, shape in param_shapes(config, text_dim, image_dim,
-                                            vocab_size).items()}
+    reproduces the same initialization. The blocks are views that tile one
+    float64 buffer in that order, the layout ``adam_step`` updates."""
+    shapes = param_shapes(config, text_dim, image_dim, vocab_size)
+    arena = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        params[name] = arena[start:start + math.prod(shape)].reshape(shape)
+        if len(shape) == 2:
+            params[name][...] = glorot_uniform(rng, shape)
+        start += params[name].size
+    return params
 
 
 def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
@@ -417,14 +438,12 @@ class TrainedTopicModel:
 
 def _columns(corpus: Corpus, rows, features) -> dict[str, np.ndarray]:
     """The named features of the documents at ``rows``: ``text`` and
-    ``image`` embedding rows, raw in-vocabulary ``counts``, and ``bow``,
-    those counts L1-normalized; counts are taken once for both."""
+    ``image`` embedding rows and the raw in-vocabulary counts under
+    ``bow``."""
     columns = {name: matrix[rows] for name, matrix in (
         ("text", corpus.text_embeddings), ("image", corpus.image_embeddings)) if name in features}
-    if "counts" in features or "bow" in features:
-        columns["counts"] = corpus.bow_matrix(rows)
     if "bow" in features:
-        columns["bow"] = l1_normalize_bow(columns["counts"])
+        columns["bow"] = corpus.bow_matrix(rows)
     return columns
 
 
@@ -434,9 +453,9 @@ def _batch_inputs(corpus: Corpus, kind: str, rows) -> dict[str, np.ndarray]:
     under ``bow``, and the image rows under ``image_target`` for
     ``multimodal_zeroshot``."""
     encoders = ENCODERS[kind]
-    columns = _columns(corpus, rows, {"counts"}.union(*(f for _, _, f, _ in encoders)))
+    columns = _columns(corpus, rows, {"bow"}.union(*(f for _, _, f, _ in encoders)))
     inputs = {key: _encoder_input(features, columns) for _, key, features, _ in encoders}
-    inputs["bow"] = columns["counts"]
+    inputs["bow"] = columns["bow"]
     if kind == "multimodal_zeroshot":
         inputs["image_target"] = columns["image"]
     return inputs
@@ -520,8 +539,6 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
     given = {feature: _finite_array(_FEATURE_ARGUMENTS[feature], value)
              for feature, value in (("text", text_embedding), ("image", image_embedding),
                                     ("bow", bow)) if value is not None}
-    if "bow" in given:
-        given["bow"] = l1_normalize_bow(given["bow"])
     encoders = ENCODERS[model.kind]
     for prefix, _, features, _ in encoders:
         if all(f in given for f in features):

@@ -120,20 +120,55 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam with bias correction. ``adam_step`` owns the moment buffers."""
+    """Adam with bias correction over one parameter arena. ``adam_step``
+    owns the flat first and second moments and the flat gradient and
+    scratch buffers, each as long as the arena, and remembers the blocks
+    whose tiling it last checked."""
 
     learning_rate: float = 2e-3
     step: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    blocks: tuple = field(default=(), repr=False)
+    arena: np.ndarray | None = field(default=None, repr=False)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _arena(blocks: tuple) -> np.ndarray:
+    """The 1-D float64 buffer that ``blocks`` tile, each C-contiguous and
+    each starting where the one before ends, as a view. Raises
+    ``ValueError`` when they do not tile one buffer in order."""
+    first = blocks[0]
+    owner = first if first.base is None else first.base
+    start = end = _address(first)
+    for block in blocks:
+        if (block.dtype != np.float64 or not block.flags.c_contiguous
+                or _address(block) != end):
+            owner = None
+            break
+        end += block.nbytes
+    if (isinstance(owner, np.ndarray) and owner.dtype == np.float64
+            and owner.flags.c_contiguous and start >= _address(owner)):
+        offset = (start - _address(owner)) // 8
+        arena = owner.reshape(-1)[offset:offset + (end - start) // 8]
+        if arena.nbytes == end - start:
+            return arena
+    raise ValueError("parameter blocks must tile one float64 buffer in order, "
+                     "as models.init_params lays them out")
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
-    """One Adam update, in place. Every gradient must match its parameter's
-    shape. Returns the same (params, state) pair."""
-    state.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.step
-    c2 = 1.0 - ADAM_BETA2 ** state.step
+    """One Adam update, in place, over the one float64 buffer that the
+    parameter blocks tile in order (``models.init_params`` lays them out
+    so): each formula step is one pass over the whole buffer. Every block
+    needs a gradient of its shape. Returns the same (params, state) pair.
+    Raises ``ValueError`` for a gradient with no parameter block, a
+    misshapen or missing gradient, and blocks that do not tile one buffer."""
     for name, g in grads.items():
         p = params.get(name)
         if p is None:
@@ -141,15 +176,38 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         if g.shape != p.shape:
             raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
                              f"parameter has {p.shape}")
-        if name not in state.first_moment:
-            state.first_moment[name] = np.zeros_like(p)
-            state.second_moment[name] = np.zeros_like(p)
-        m, v = state.first_moment[name], state.second_moment[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+    if len(grads) != len(params):
+        raise ValueError(f"no gradient for the blocks {sorted(set(params) - set(grads))}")
+    blocks = tuple(params.values())
+    if len(blocks) != len(state.blocks) or any(
+            a is not b for a, b in zip(blocks, state.blocks)):
+        arena = _arena(blocks)
+        if state.first_moment is None:
+            state.first_moment, state.second_moment = np.zeros((2, arena.size))
+            state.grad, state.scratch = np.empty((2, arena.size))
+        elif state.first_moment.size != arena.size:
+            raise ValueError(f"the parameters hold {arena.size} values, "
+                             f"the Adam moments {state.first_moment.size}")
+        state.blocks, state.arena = blocks, arena
+    p, m, v = state.arena, state.first_moment, state.second_moment
+    g, s = state.grad, state.scratch
+    np.concatenate([grads[name] for name in params], axis=None, out=g)
+    state.step += 1
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    s *= g
+    v += s
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPSILON
+    np.divide(m, c1, out=g)
+    g *= state.learning_rate
+    g /= s
+    p -= g
     return params, state
 
 

@@ -148,8 +148,9 @@ class TestInputs:
             np.testing.assert_array_equal(inputs["bow"], counts)
         np.testing.assert_array_equal(batch["zeroshot"]["x"], text)
         combined = batch["combined"]["x"]
-        np.testing.assert_array_equal(combined[:, :t], text)
-        np.testing.assert_array_equal(combined[:, t:], l1_normalize_bow(counts))
+        # written in one buffer, byte for byte the concatenation of the parts
+        assert combined.tobytes() == np.concatenate(
+            [text, l1_normalize_bow(counts)], axis=1).tobytes()
         np.testing.assert_allclose(combined[:, t:].sum(axis=1), 1.0)
         np.testing.assert_array_equal(batch["multimodal_zeroshot"]["x"],
                                       np.concatenate([text, image], axis=1))
@@ -409,6 +410,21 @@ class TestParamLayout:
         for name, weights in drawn.items():
             assert params[name].tobytes() == weights.tobytes()
         assert rng_a.random() == rng_b.random()
+
+    def test_init_params_tile_one_buffer(self, kind):
+        config, params = make_params(kind, seed=8)
+        arena = params["enc.W_hidden" if kind != "multimodal_contrast"
+                       else "enc_text.W_hidden"].base
+        rng = np.random.default_rng(8)
+        drawn = [glorot_uniform(rng, shape) if len(shape) == 2 else np.zeros(shape)
+                 for shape in param_shapes(config, 5, 4, 12).values()]
+        assert arena.tobytes() == np.concatenate([d.ravel() for d in drawn]).tobytes()
+        start = arena.__array_interface__["data"][0]
+        for p in params.values():
+            assert p.base is arena and p.flags.c_contiguous
+            assert p.__array_interface__["data"][0] == start
+            start += p.nbytes
+        assert start == arena.__array_interface__["data"][0] + arena.nbytes
 
     def test_objective_grads_match_params(self, kind):
         config, params = make_params(kind)

@@ -178,13 +178,53 @@ class TestAdam:
             adam_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, AdamState())
 
     def test_moment_buffers_track_each_parameter(self):
+        # the moments are flat, one entry per parameter in arena order
+        arena = np.zeros(6)
+        params = {"a": arena[:2], "b": arena[2:].reshape(2, 2)}
+        grads = {"a": np.ones(2), "b": np.full((2, 2), 2.0)}
         state = AdamState()
-        params = {"a": np.zeros(2), "b": np.zeros((2, 2))}
-        grads = {"a": np.ones(2), "b": np.ones((2, 2))}
         adam_step(params, grads, state)
-        assert set(state.first_moment) == {"a", "b"}
-        assert state.first_moment["b"].shape == (2, 2)
+        assert state.first_moment.shape == state.second_moment.shape == (6,)
+        np.testing.assert_allclose(state.first_moment, 0.01 * np.repeat([1.0, 2.0], [2, 4]))
+        np.testing.assert_allclose(state.second_moment, 0.001 * np.repeat([1.0, 4.0], [2, 4]))
         assert state.step == 1
+
+    def test_arena_steps_match_a_per_block_recurrence(self):
+        config = ModelConfig(kind="multimodal_contrast", num_topics=3, hidden_dim=5)
+        params = init_params(config, 4, 6, 7, np.random.default_rng(0))
+        expected = {name: p.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        rng, state = np.random.default_rng(1), AdamState(learning_rate=0.01)
+        for t in range(1, 201):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)
+                     for name, p in reversed(params.items())}
+            adam_step(params, grads, state)
+            for name, g in grads.items():  # the textbook recurrence, block by block
+                m, v = moments[name]
+                m[...] = 0.99 * m + 0.01 * g
+                v[...] = 0.999 * v + 0.001 * g * g
+                expected[name] -= 0.01 * (m / (1 - 0.99 ** t)) / (
+                    np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        for name, p in params.items():
+            np.testing.assert_allclose(p, expected[name], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("layout", ["separate", "reordered", "gap", "transposed"])
+    def test_blocks_that_do_not_tile_one_buffer_rejected(self, layout):
+        arena = np.zeros(12)
+        a, b = arena[:4], arena[4:8].reshape(2, 2)
+        params = {"separate": {"a": np.zeros(4), "b": np.zeros((2, 2))},
+                  "reordered": {"b": b, "a": a},
+                  "gap": {"a": a, "b": arena[8:].reshape(2, 2)},
+                  "transposed": {"a": a, "b": b.T}}[layout]
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        with pytest.raises(ValueError, match="tile one float64 buffer"):
+            adam_step(params, grads, AdamState())
+        np.testing.assert_array_equal(arena, 0.0)
+
+    def test_missing_gradient_rejected(self):
+        arena = np.zeros(4)
+        with pytest.raises(ValueError, match=r"no gradient for the blocks \['b'\]"):
+            adam_step({"a": arena[:2], "b": arena[2:]}, {"a": np.ones(2)}, AdamState())
 
 
 def encoder_params(input_dim, num_topics, rng, hidden_dim):

@@ -184,16 +184,14 @@ def _encoder_input(features: tuple[str, ...], columns: dict) -> np.ndarray:
     not copied."""
     if features in (("text",), ("image",)):
         return columns[features[0]]
-    parts = [columns[f] for f in features]
-    x = np.zeros(parts[0].shape[:-1] + (sum(part.shape[-1] for part in parts),))
-    start = 0
-    for feature, part in zip(features, parts):
-        out = x[..., start:start + part.shape[-1]]
+    widths = np.array([columns[f].shape[-1] for f in features])
+    ends = np.cumsum(widths)
+    x = np.zeros(columns[features[0]].shape[:-1] + (ends[-1],))
+    for feature, start, end in zip(features, ends - widths, ends):
         if feature == "bow":
-            l1_normalize_bow(part, out=out)
+            l1_normalize_bow(columns[feature], out=x[..., start:end])
         else:
-            out[...] = part
-        start += part.shape[-1]
+            x[..., start:end] = columns[feature]
     return x
 
 
@@ -473,18 +471,27 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     component per document. Raises ``ValueError`` naming the epoch and
     batch (counted from 1) whose loss is not finite.
     """
+    params = init_params(config, corpus.text_dim, corpus.image_dim,
+                         len(corpus.vocabulary), named_rng(config.seed, "init"))
+    trace = _fit(corpus, config, params)
+    prefix, _, features, _ = ENCODERS[config.kind][0]
+    doc_topics = _mean_theta(params, prefix, _encoder_input(
+        features, _columns(corpus, slice(None), features)))
+    return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
+                             params=params, loss_trace=trace, doc_topics=doc_topics)
+
+
+def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, float]]:
+    """The epochs of :func:`train`: Adam on ``params`` in place, returning
+    the loss trace. Its state and the last batch are freed on return, so
+    the final all-documents pass does not hold them."""
     kind = config.kind
     encoders = ENCODERS[kind]
     n = corpus.num_documents
     k = config.num_topics
-
-    init_rng = named_rng(config.seed, "init")
     shuffle_rng = named_rng(config.seed, "shuffle")
     dropout_rng = named_rng(config.seed, "dropout")
     noise_rng = named_rng(config.seed, "noise")
-
-    params = init_params(config, corpus.text_dim, corpus.image_dim,
-                         len(corpus.vocabulary), init_rng)
     adam = AdamState(learning_rate=config.learning_rate)
     trace: list[dict[str, float]] = []
     rate = config.dropout_rate
@@ -511,12 +518,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
             for name, rows in comps.items():
                 sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
         trace.append({name: value / n for name, value in sums.items()})
-
-    prefix, _, features, _ = encoders[0]
-    doc_topics = _mean_theta(params, prefix, _encoder_input(
-        features, _columns(corpus, slice(None), features)))
-    return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
-                             params=params, loss_trace=trace, doc_topics=doc_topics)
+    return trace
 
 
 def _mean_theta(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:

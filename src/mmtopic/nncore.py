@@ -19,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,15 +30,21 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
+def _softplus_parts(pre: np.ndarray):
+    """log(1 + exp(pre)) as max(pre, 0) + log1p(e) with e = exp(-|pre|),
+    overflow-safe with one ``exp``; returns it and e. Overwrites ``pre``
+    with max(pre, 0) and allocates only the two results."""
+    e = np.abs(pre, out=np.empty_like(pre))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.log1p(e)
+    out += np.maximum(pre, 0.0, out=pre)
+    return out, e
+
+
 def softplus(x):
     """log(1 + exp(x)), overflow-safe for large positive inputs."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-
-
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return _softplus_parts(np.array(x, dtype=np.float64))[0]
 
 
 def softmax(x, axis=-1):
@@ -84,21 +92,25 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
     1/(1-rate)) applied to the hidden activation, or None to disable.
     Returns (mu, logvar, cache) where cache feeds the backward pass.
     """
-    w1 = params[prefix + ".W_hidden"]
-    pre = x @ w1.T + params[prefix + ".b_hidden"]
-    hidden = softplus(pre)
-    dropped = hidden if dropout_mask is None else hidden * dropout_mask
+    relu = x @ params[prefix + ".W_hidden"].T
+    relu += params[prefix + ".b_hidden"]
+    dropped, e = _softplus_parts(relu)
+    if dropout_mask is not None:
+        dropped *= dropout_mask
     mu = dropped @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"]
     logvar = dropped @ params[prefix + ".W_logvar"].T + params[prefix + ".b_logvar"]
-    return mu, logvar, (x, pre, dropped, dropout_mask)
+    return mu, logvar, (x, relu, e, dropped, dropout_mask)
 
 
 def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict:
     """The encoder's six parameter gradients, keyed like its parameters."""
-    x, pre, dropped, mask = cache
-    d_dropped = d_mu @ params[prefix + ".W_mu"] + d_logvar @ params[prefix + ".W_logvar"]
-    d_hidden = d_dropped if mask is None else d_dropped * mask
-    d_pre = d_hidden * sigmoid(pre)
+    x, relu, e, dropped, mask = cache
+    d_pre = d_mu @ params[prefix + ".W_mu"] + d_logvar @ params[prefix + ".W_logvar"]
+    if mask is not None:
+        d_pre *= mask
+    # softplus' = sigmoid(pre) = where(pre > 0, 1, e) / (1 + e) from the
+    # forward's e = exp(-|pre|); at pre = 0 both branches give 1/2.
+    d_pre *= np.where(relu > 0, 1.0, e) / (1.0 + e)
     return {prefix + ".W_hidden": d_pre.T @ x, prefix + ".b_hidden": d_pre.sum(axis=0),
             prefix + ".W_mu": d_mu.T @ dropped, prefix + ".b_mu": d_mu.sum(axis=0),
             prefix + ".W_logvar": d_logvar.T @ dropped,
@@ -120,9 +132,8 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam with bias correction over one parameter arena. ``adam_step``
-    owns the flat first and second moments and the flat gradient and
-    scratch buffers, each as long as the arena, and remembers the blocks
+    """Adam with bias correction over one parameter arena: ``adam_step``
+    owns the flat moment, gradient and scratch buffers, and the blocks
     whose tiling it last checked."""
 
     learning_rate: float = 2e-3
@@ -140,35 +151,32 @@ def _address(a: np.ndarray) -> int:
 
 
 def _arena(blocks: tuple) -> np.ndarray:
-    """The 1-D float64 buffer that ``blocks`` tile, each C-contiguous and
-    each starting where the one before ends, as a view. Raises
-    ``ValueError`` when they do not tile one buffer in order."""
-    first = blocks[0]
-    owner = first if first.base is None else first.base
-    start = end = _address(first)
+    """The float64 buffer that ``blocks`` tile in order, each C-contiguous
+    and starting where the one before ends, as a flat view. Raises
+    ``ValueError`` when there is none."""
+    owner = blocks[0] if blocks[0].base is None else blocks[0].base
+    start = end = _address(blocks[0])
     for block in blocks:
-        if (block.dtype != np.float64 or not block.flags.c_contiguous
-                or _address(block) != end):
-            owner = None
+        if block.dtype != np.float64 or not block.flags.c_contiguous or _address(block) != end:
             break
         end += block.nbytes
-    if (isinstance(owner, np.ndarray) and owner.dtype == np.float64
-            and owner.flags.c_contiguous and start >= _address(owner)):
-        offset = (start - _address(owner)) // 8
-        arena = owner.reshape(-1)[offset:offset + (end - start) // 8]
-        if arena.nbytes == end - start:
-            return arena
+    else:
+        if (isinstance(owner, np.ndarray) and owner.dtype == np.float64
+                and owner.flags.c_contiguous and start >= _address(owner)):
+            offset = (start - _address(owner)) // 8
+            arena = owner.reshape(-1)[offset:offset + (end - start) // 8]
+            if arena.nbytes == end - start:
+                return arena
     raise ValueError("parameter blocks must tile one float64 buffer in order, "
                      "as models.init_params lays them out")
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
-    """One Adam update, in place, over the one float64 buffer that the
-    parameter blocks tile in order (``models.init_params`` lays them out
-    so): each formula step is one pass over the whole buffer. Every block
-    needs a gradient of its shape. Returns the same (params, state) pair.
-    Raises ``ValueError`` for a gradient with no parameter block, a
-    misshapen or missing gradient, and blocks that do not tile one buffer."""
+    """One Adam update, in place, as one pass per formula step over the
+    float64 buffer that the parameter blocks tile in order (as
+    ``models.init_params`` lays them out). Returns the same (params, state)
+    pair. Raises ``ValueError`` for blocks that tile no buffer and for a
+    gradient that is missing, misshapen or has no parameter block."""
     for name, g in grads.items():
         p = params.get(name)
         if p is None:
@@ -179,16 +187,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     if len(grads) != len(params):
         raise ValueError(f"no gradient for the blocks {sorted(set(params) - set(grads))}")
     blocks = tuple(params.values())
-    if len(blocks) != len(state.blocks) or any(
-            a is not b for a, b in zip(blocks, state.blocks)):
-        arena = _arena(blocks)
-        if state.first_moment is None:
-            state.first_moment, state.second_moment = np.zeros((2, arena.size))
-            state.grad, state.scratch = np.empty((2, arena.size))
-        elif state.first_moment.size != arena.size:
-            raise ValueError(f"the parameters hold {arena.size} values, "
-                             f"the Adam moments {state.first_moment.size}")
-        state.blocks, state.arena = blocks, arena
+    if len(blocks) != len(state.blocks) or any(map(operator.is_not, blocks, state.blocks)):
+        state.blocks, state.arena = blocks, _arena(blocks)
+    if state.first_moment is None:
+        state.first_moment, state.second_moment, state.grad, state.scratch = np.zeros(
+            (4, state.arena.size))
     p, m, v = state.arena, state.first_moment, state.second_moment
     g, s = state.grad, state.scratch
     np.concatenate([grads[name] for name in params], axis=None, out=g)
@@ -201,13 +204,13 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     np.multiply(g, 1.0 - ADAM_BETA2, out=s)
     s *= g
     v += s
-    np.divide(v, c2, out=s)
-    np.sqrt(s, out=s)
-    s += ADAM_EPSILON
-    np.divide(m, c1, out=g)
-    g *= state.learning_rate
-    g /= s
-    p -= g
+    # Kingma & Ba's ordering (arXiv 1412.6980, section 2): the bias
+    # corrections fold into the step size and epsilon.
+    np.sqrt(v, out=s)
+    s += ADAM_EPSILON * math.sqrt(c2)
+    np.divide(m, s, out=s)
+    s *= state.learning_rate * math.sqrt(c2) / c1
+    p -= s
     return params, state
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mmtopic.nncore import (
     kl_rows,
     named_rng,
     prior_variance,
-    sigmoid,
     softmax,
     softmax_backward,
     softplus,
@@ -31,6 +31,31 @@ from oracles import (adam_scalar_reference, prior_variance_reference,
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+INPUTS = [
+    lambda rng: rng.normal(size=(64, 100)) * 5,
+    lambda rng: rng.uniform(-800, 800, size=(64, 100)),
+    lambda rng: np.array([sign * v for v in (0.0, 700.0, 800.0, 1e-300, np.inf)
+                          for sign in (1.0, -1.0)]),
+    lambda rng: rng.normal(size=(4000, 100)) * 30,
+]
+INPUT_IDS = ["normal-x5", "uniform-800", "edges", "large-x30"]
+
+
+def encoder_d_pre(pre):
+    """The gradient ``inference_backward`` carries to the encoder's
+    pre-activations ``pre`` (flattened into one row of hidden units) under
+    a unit upstream gradient and no dropout, read off the hidden bias's
+    gradient: softplus' at ``pre``."""
+    h = pre.size
+    params = {"enc.W_hidden": np.zeros((h, 1)), "enc.b_hidden": pre.reshape(-1),
+              "enc.W_mu": np.ones((1, h)), "enc.b_mu": np.zeros(1),
+              "enc.W_logvar": np.zeros((1, h)), "enc.b_logvar": np.zeros(1)}
+    with np.errstate(invalid="ignore"):  # 0 * inf in the logvar head at pre = inf
+        _, _, cache = inference_forward(params, "enc", np.zeros((1, 1)))
+        grads = inference_backward(params, "enc", cache, np.ones((1, 1)), np.zeros((1, 1)))
+    return grads["enc.b_hidden"].reshape(pre.shape)
+
+
 class TestActivations:
     def test_softplus_at_zero_is_log_two(self):
         assert softplus(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -41,21 +66,23 @@ class TestActivations:
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[2] == pytest.approx(1000.0, abs=1e-12)
 
-    def test_sigmoid_matches_definition_both_branches(self):
-        for x in (-3.0, -0.5, 0.0, 0.5, 3.0):
-            assert sigmoid(np.array(x)) == pytest.approx(1 / (1 + math.exp(-x)))
-        assert np.isfinite(sigmoid(np.array([-1000.0, 1000.0]))).all()
+    @pytest.mark.parametrize("make_x", INPUTS[:3], ids=INPUT_IDS[:3])
+    def test_softplus_within_two_ulp_of_logaddexp(self, make_x):
+        x = make_x(np.random.default_rng(0))
+        ours, reference = softplus(x), np.logaddexp(0.0, x)
+        # both are >= 0, so their bit patterns order like their values
+        ulps = np.abs(ours.view(np.int64) - reference.view(np.int64))
+        assert ulps.max() <= 2
 
-    @pytest.mark.parametrize("make_x", [
-        lambda rng: rng.normal(size=(64, 100)) * 5,
-        lambda rng: rng.uniform(-800, 800, size=(64, 100)),
-        lambda rng: np.array([sign * v for v in (0.0, 700.0, 800.0, 1e-300, np.inf)
-                              for sign in (1.0, -1.0)]),
-        lambda rng: rng.normal(size=(4000, 100)) * 30,
-    ], ids=["normal-x5", "uniform-800", "edges", "large-x30"])
+    def test_sigmoid_matches_definition_both_branches(self):
+        x = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        np.testing.assert_allclose(encoder_d_pre(x), 1 / (1 + np.exp(-x)), rtol=1e-15)
+        assert np.isfinite(encoder_d_pre(np.array([-1000.0, 1000.0]))).all()
+
+    @pytest.mark.parametrize("make_x", INPUTS, ids=INPUT_IDS)
     def test_sigmoid_bytes_equal_the_masked_formula(self, make_x):
         x = make_x(np.random.default_rng(0))
-        assert sigmoid(x).tobytes() == sigmoid_masked_reference(x).tobytes()
+        assert encoder_d_pre(x).tobytes() == sigmoid_masked_reference(x).tobytes()
 
     def test_softmax_hand_value(self):
         out = softmax(np.array([2.0, 0.0, 0.0]))
@@ -262,6 +289,21 @@ class TestEncoder:
                                    atol=1e-14)
         np.testing.assert_allclose(
             logvar, hidden @ params["enc.W_logvar"].T + params["enc.b_logvar"], atol=1e-14)
+
+    def test_forward_allocates_three_hidden_arrays(self):
+        # the pre-activations (then max(pre, 0)), exp(-|pre|) and the hidden
+        # layer, each (rows, H), then the two (rows, K) heads: no softplus
+        # temporaries
+        rng = np.random.default_rng(11)
+        params = encoder_params(20, 5, rng, hidden_dim=100)
+        x, mask = rng.normal(size=(2000, 20)), np.ones((2000, 100))
+        tracemalloc.start()
+        try:
+            inference_forward(params, "enc", x, dropout_mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2000 * (3 * 100 + 4 * 5) + 64 * 1024
 
     def test_dropout_mask_scales_hidden_layer(self):
         rng = np.random.default_rng(7)

@@ -56,9 +56,10 @@ MULTIMODAL_KINDS = ("multimodal_zeroshot", "multimodal_contrast")
 
 # Per kind, one (parameter prefix, input key, features, KL component) per
 # encoder. Features are "text" and "image" (the embeddings) and "bow" (the
-# bag-of-words, L1-normalized in the input), concatenated in the listed order. Table order
-# is the order of initialization, noise and dropout draws and KL components;
-# inference runs the first encoder whose features are all given.
+# bag-of-words, L1-normalized in the input), concatenated in the listed
+# order. Table order is the order of initialization, noise and dropout draws
+# and KL components; inference runs the first encoder whose features are
+# all given.
 ENCODERS = {
     "zeroshot": (("enc", "x", ("text",), "kl"),),
     "combined": (("enc", "x", ("text", "bow"), "kl"),),
@@ -169,12 +170,11 @@ class ModelConfig:
         return cls(**d)
 
 
-def l1_normalize_bow(bow: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Float64 bag-of-words scaled to sum to one; an all-zero row stays zero.
-    Written into ``out`` when given, which must hold zeros."""
+def l1_normalize_bow(bow: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Float64 bag-of-words scaled to sum to one, written into ``out``,
+    which must hold zeros: an all-zero row stays zero."""
     totals = bow.sum(axis=-1, keepdims=True)
-    return np.divide(bow, totals, out=np.zeros_like(bow) if out is None else out,
-                     where=totals > 0)
+    return np.divide(bow, totals, out=out, where=totals > 0)
 
 
 def _encoder_input(features: tuple[str, ...], columns: dict) -> np.ndarray:

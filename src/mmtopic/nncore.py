@@ -92,14 +92,14 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
     1/(1-rate)) applied to the hidden activation, or None to disable.
     Returns (mu, logvar, cache) where cache feeds the backward pass.
     """
-    relu = x @ params[prefix + ".W_hidden"].T
-    relu += params[prefix + ".b_hidden"]
-    dropped, e = _softplus_parts(relu)
+    pre = x @ params[prefix + ".W_hidden"].T
+    pre += params[prefix + ".b_hidden"]
+    dropped, e = _softplus_parts(pre)  # leaves max(pre, 0) in pre
     if dropout_mask is not None:
         dropped *= dropout_mask
     mu = dropped @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"]
     logvar = dropped @ params[prefix + ".W_logvar"].T + params[prefix + ".b_logvar"]
-    return mu, logvar, (x, relu, e, dropped, dropout_mask)
+    return mu, logvar, (x, pre, e, dropped, dropout_mask)
 
 
 def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict:
@@ -151,22 +151,19 @@ def _address(a: np.ndarray) -> int:
 
 
 def _arena(blocks: tuple) -> np.ndarray:
-    """The float64 buffer that ``blocks`` tile in order, each C-contiguous
-    and starting where the one before ends, as a flat view. Raises
+    """The 1-D float64 buffer that ``blocks`` tile whole and in order, each
+    C-contiguous and starting where the one before ends. Raises
     ``ValueError`` when there is none."""
-    owner = blocks[0] if blocks[0].base is None else blocks[0].base
-    start = end = _address(blocks[0])
+    arena = blocks[0].reshape(-1) if blocks[0].base is None else blocks[0].base
+    end = _address(arena)
     for block in blocks:
         if block.dtype != np.float64 or not block.flags.c_contiguous or _address(block) != end:
             break
         end += block.nbytes
     else:
-        if (isinstance(owner, np.ndarray) and owner.dtype == np.float64
-                and owner.flags.c_contiguous and start >= _address(owner)):
-            offset = (start - _address(owner)) // 8
-            arena = owner.reshape(-1)[offset:offset + (end - start) // 8]
-            if arena.nbytes == end - start:
-                return arena
+        if (isinstance(arena, np.ndarray) and arena.ndim == 1 and arena.dtype == np.float64
+                and arena.flags.c_contiguous and end == _address(arena) + arena.nbytes):
+            return arena
     raise ValueError("parameter blocks must tile one float64 buffer in order, "
                      "as models.init_params lays them out")
 

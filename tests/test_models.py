@@ -119,7 +119,7 @@ class TestModelConfig:
 class TestInputs:
     def test_l1_normalize_rows_sum_to_one(self):
         bow = np.array([[2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 2.0]])
-        out = l1_normalize_bow(bow)
+        out = l1_normalize_bow(bow, np.zeros_like(bow))
         np.testing.assert_allclose(out[0], [0.5, 0.0, 0.5])
         np.testing.assert_array_equal(out[1], 0.0)
         assert out[2].sum() == pytest.approx(1.0)
@@ -148,9 +148,11 @@ class TestInputs:
             np.testing.assert_array_equal(inputs["bow"], counts)
         np.testing.assert_array_equal(batch["zeroshot"]["x"], text)
         combined = batch["combined"]["x"]
-        # written in one buffer, byte for byte the concatenation of the parts
-        assert combined.tobytes() == np.concatenate(
-            [text, l1_normalize_bow(counts)], axis=1).tobytes()
+        # written in one buffer, byte for byte the concatenation of the text
+        # rows and the separately normalized counts
+        totals = counts.sum(axis=1, keepdims=True)
+        bow = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
+        assert combined.tobytes() == np.concatenate([text, bow], axis=1).tobytes()
         np.testing.assert_allclose(combined[:, t:].sum(axis=1), 1.0)
         np.testing.assert_array_equal(batch["multimodal_zeroshot"]["x"],
                                       np.concatenate([text, image], axis=1))

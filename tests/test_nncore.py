@@ -235,13 +235,15 @@ class TestAdam:
         for name, p in params.items():
             np.testing.assert_allclose(p, expected[name], rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("layout", ["separate", "reordered", "gap", "transposed"])
+    @pytest.mark.parametrize("layout", ["separate", "reordered", "gap", "partial",
+                                        "transposed"])
     def test_blocks_that_do_not_tile_one_buffer_rejected(self, layout):
         arena = np.zeros(12)
         a, b = arena[:4], arena[4:8].reshape(2, 2)
         params = {"separate": {"a": np.zeros(4), "b": np.zeros((2, 2))},
                   "reordered": {"b": b, "a": a},
                   "gap": {"a": a, "b": arena[8:].reshape(2, 2)},
+                  "partial": {"a": a, "b": b},
                   "transposed": {"a": a, "b": b.T}}[layout]
         grads = {name: np.ones_like(p) for name, p in params.items()}
         with pytest.raises(ValueError, match="tile one float64 buffer"):

@@ -234,20 +234,23 @@ def init_params(config: ModelConfig, text_dim: int, image_dim: int,
 
 
 def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
-    """Negative log likelihood of raw counts under softmax(theta @ beta),
-    and those word probabilities. One max shift and one ``exp`` give both."""
+    """Negative log likelihood of raw counts under softmax(theta @ beta), and
+    those word probabilities: one shift and one ``exp``, in place in 2 (B, V) arrays."""
     logits = theta @ beta
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    row_sums = np.sum(e, axis=-1, keepdims=True)
-    recon = -np.sum(bows * (shifted - np.log(row_sums)), axis=-1)
-    return recon, e / row_sums
+    logits -= np.max(logits, axis=-1, keepdims=True)
+    probs = np.exp(logits)
+    row_sums = np.sum(probs, axis=-1, keepdims=True)
+    logits -= np.log(row_sums)
+    logits *= bows
+    probs /= row_sums
+    return -np.sum(logits, axis=-1), probs
 
 
 def _recon_backward(theta, beta, bows, probs):
-    """Gradients of sum recon with respect to theta and beta."""
-    d_logits = probs * bows.sum(axis=-1, keepdims=True) - bows
-    return d_logits @ beta.T, theta.T @ d_logits
+    """Gradients of sum recon with respect to theta and beta; overwrites probs."""
+    probs *= bows.sum(axis=-1, keepdims=True)
+    probs -= bows
+    return probs @ beta.T, theta.T @ probs
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray):

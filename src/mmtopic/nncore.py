@@ -128,13 +128,13 @@ def softmax_backward(theta: np.ndarray, d_theta: np.ndarray) -> np.ndarray:
 ADAM_BETA1 = 0.99
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_ADAM_CHUNK = 32768  # the 5 float64 slices a chunk touches (1.25 MiB) stay in a 2 MiB L2
 
 
 @dataclass
 class AdamState:
-    """Adam with bias correction over one parameter arena: ``adam_step``
-    owns the flat moment, gradient and scratch buffers, and the blocks
-    whose tiling it last checked."""
+    """Adam over one parameter arena: ``adam_step`` owns the flat moments and
+    gradient, a one-chunk scratch, and the blocks whose tiling it last checked."""
 
     learning_rate: float = 2e-3
     step: int = 0
@@ -169,11 +169,12 @@ def _arena(blocks: tuple) -> np.ndarray:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
-    """One Adam update, in place, as one pass per formula step over the
-    float64 buffer that the parameter blocks tile in order (as
-    ``models.init_params`` lays them out). Returns the same (params, state)
-    pair. Raises ``ValueError`` for blocks that tile no buffer and for a
-    gradient that is missing, misshapen or has no parameter block."""
+    """One Adam update, in place, over the float64 buffer that the parameter
+    blocks tile in order (as ``models.init_params`` lays them out), one pass
+    per formula step over each ``_ADAM_CHUNK`` slice in turn. Returns the same
+    (params, state) pair. Raises ``ValueError`` for blocks that tile no buffer,
+    for a gradient that is missing, misshapen or has no parameter block, and
+    for moments built for an arena of another size."""
     for name, g in grads.items():
         p = params.get(name)
         if p is None:
@@ -186,28 +187,34 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     blocks = tuple(params.values())
     if len(blocks) != len(state.blocks) or any(map(operator.is_not, blocks, state.blocks)):
         state.blocks, state.arena = blocks, _arena(blocks)
+    p = state.arena
     if state.first_moment is None:
-        state.first_moment, state.second_moment, state.grad, state.scratch = np.zeros(
-            (4, state.arena.size))
-    p, m, v = state.arena, state.first_moment, state.second_moment
-    g, s = state.grad, state.scratch
+        state.first_moment, state.second_moment, state.grad = np.zeros((3, p.size))
+        state.scratch = np.empty(min(p.size, _ADAM_CHUNK))
+    elif state.first_moment.size != p.size:
+        raise ValueError(f"moments for {state.first_moment.size} parameters, arena of {p.size}")
+    m, v, g = state.first_moment, state.second_moment, state.grad
     np.concatenate([grads[name] for name in params], axis=None, out=g)
     state.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.step
-    c2 = 1.0 - ADAM_BETA2 ** state.step
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-    v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-    s *= g
-    v += s
     # Kingma & Ba's ordering (arXiv 1412.6980, section 2): the bias
     # corrections fold into the step size and epsilon.
-    np.sqrt(v, out=s)
-    s += ADAM_EPSILON * math.sqrt(c2)
-    np.divide(m, s, out=s)
-    s *= state.learning_rate * math.sqrt(c2) / c1
-    p -= s
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    eps_hat = ADAM_EPSILON * root_c2
+    step_size = state.learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** state.step)
+    for start in range(0, p.size, _ADAM_CHUNK):
+        pc, mc, vc, gc = (a[start:start + _ADAM_CHUNK] for a in (p, m, v, g))
+        s = state.scratch[:gc.size]
+        mc *= ADAM_BETA1
+        mc += np.multiply(gc, 1.0 - ADAM_BETA1, out=s)
+        vc *= ADAM_BETA2
+        np.multiply(gc, 1.0 - ADAM_BETA2, out=s)
+        s *= gc
+        vc += s
+        np.sqrt(vc, out=s)
+        s += eps_hat
+        np.divide(mc, s, out=s)
+        s *= step_size
+        pc -= s
     return params, state
 
 

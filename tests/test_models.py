@@ -358,6 +358,30 @@ class TestReconstruction:
         assert probs.tobytes() == softmax(logits, axis=-1).tobytes()
         assert recon.tobytes() == (-np.sum(bows * logp, axis=-1)).tobytes()
 
+    def test_forward_and_backward_hold_few_batch_by_vocabulary_arrays(self):
+        rng = np.random.default_rng(13)
+        b, k, v = 64, 50, 2000
+        theta = softmax(rng.normal(size=(b, k)), axis=-1)
+        beta = rng.normal(size=(k, v))
+        bows = rng.integers(0, 3, size=(b, v)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            _, probs = models_module._recon_forward(theta, beta, bows)
+            models_module._recon_backward(theta, beta, bows, probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * b * v * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_objective_leaves_its_inputs_alone(self, kind):
+        rng = np.random.default_rng(14)
+        config, params = make_params(kind)
+        inputs, noise = make_batch(kind, params, rng)
+        before = {key: array.tobytes() for key, array in inputs.items()}
+        batch_objective(kind, inputs, params, config, noise)
+        assert {key: array.tobytes() for key, array in inputs.items()} == before
+
 
 class TestGradients:
     def run_check(self, kind, n=3, **config_overrides):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmtopic.nncore as nncore_module
 from mmtopic.nncore import (
     AdamState,
     GradcheckReport,
@@ -254,6 +255,39 @@ class TestAdam:
         arena = np.zeros(4)
         with pytest.raises(ValueError, match=r"no gradient for the blocks \['b'\]"):
             adam_step({"a": arena[:2], "b": arena[2:]}, {"a": np.ones(2)}, AdamState())
+
+    def test_chunks_give_the_whole_buffer_bytes(self):
+        # blocks straddle every chunk boundary; a dropped or repeated element
+        # at a boundary leaves a parameter or moment off the reference
+        chunk = nncore_module._ADAM_CHUNK
+        sizes = (chunk - 5, chunk + 11, chunk - 3, 1000)
+        arena = np.random.default_rng(3).normal(size=sum(sizes))
+        params, start = {}, 0
+        for i, size in enumerate(sizes):
+            params[f"b{i}"] = arena[start:start + size]
+            start += size
+        p, m, v = arena.copy(), np.zeros(arena.size), np.zeros(arena.size)
+        rng, state = np.random.default_rng(4), AdamState(learning_rate=0.01)
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=b.size) for name, b in params.items()}
+            adam_step(params, grads, state)
+            g = np.concatenate(list(grads.values()))  # one pass per step, whole buffer
+            root_c2 = math.sqrt(1.0 - 0.999 ** t)
+            m *= 0.99
+            m += g * (1.0 - 0.99)
+            v *= 0.999
+            v += g * (1.0 - 0.999) * g
+            p -= m / (np.sqrt(v) + 1e-8 * root_c2) * (0.01 * root_c2 / (1.0 - 0.99 ** t))
+        assert state.scratch.size == chunk
+        assert arena.tobytes() == p.tobytes()
+        assert state.first_moment.tobytes() == m.tobytes()
+        assert state.second_moment.tobytes() == v.tobytes()
+
+    def test_moments_for_another_arena_size_rejected(self):
+        state = AdamState()
+        adam_step({"w": np.zeros(4)}, {"w": np.ones(4)}, state)
+        with pytest.raises(ValueError, match=r"moments for 4 parameters, arena of 6"):
+            adam_step({"w": np.zeros(6)}, {"w": np.ones(6)}, state)
 
 
 def encoder_params(input_dim, num_topics, rng, hidden_dim):

@@ -19,7 +19,6 @@ from .corpus import (
     save_corpus,
 )
 from .descriptors import (
-    TopicDescriptors,
     describe_topics,
     top_keywords,
     topic_documents,

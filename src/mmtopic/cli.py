@@ -49,8 +49,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(**json.loads(Path(args.spec).read_text("utf-8")))
-    corpus, planted = generate_synthetic(spec)
+    d = json.loads(Path(args.spec).read_text("utf-8"))
+    corpus_mod._check_json_keys(d, SyntheticSpec, "spec")
+    corpus, planted = generate_synthetic(SyntheticSpec(**d))
     save_corpus(corpus, args.out)
     if args.ground_truth:
         payload = [{
@@ -61,7 +62,7 @@ def _cmd_synth(args) -> int:
             "image_centroid": t.image_centroid.tolist(),
             "doc_weights": t.doc_weights.tolist(),
         } for t in planted]
-        Path(args.ground_truth).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        atomic_write_text(Path(args.ground_truth), json.dumps(payload) + "\n")
     print(f"wrote {corpus.num_documents} documents to {args.out}")
     return 0
 

@@ -20,7 +20,8 @@ Dataset format (UTF-8, one JSON object per line)::
 already been done elsewhere; a line must carry exactly one of the two. A
 sidecar vocabulary file (``<stem>.vocab.txt`` next to the dataset, or
 ``vocab.txt`` in the same directory, one term per line) pins the vocabulary;
-otherwise it is built from the data.
+otherwise it is built from the data. A corpus holds only its columns, so the
+same dataset bytes load as equal corpora wherever the file lies.
 
 Every output file the package writes, except a saved dataset, goes through
 :func:`atomic_write_bytes`: a temp file plus rename, so a failed write keeps
@@ -35,7 +36,7 @@ import string
 import tempfile
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -48,6 +49,49 @@ DEFAULT_VOCAB_CAP = 2000
 # Small enough that most documents are dominated by one planted topic, which
 # keeps each topic's empirical top words inside its own word block.
 _MIXTURE_CONCENTRATION = 0.03
+
+# The JSON values each dataclass field annotation accepts, and their names.
+_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
+               "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
+               "dict": (dict, "object")}
+
+
+def _json_type_error(value, annotation: str) -> str | None:
+    """None if a JSON value fits a field annotation, else the JSON type the
+    annotation asks for. A ``tuple[X, ...]`` field takes an array of X, and
+    no field takes a boolean."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        wanted = _json_type_error(value, annotation.removesuffix(" | None"))
+        return wanted and f"{wanted} or null"
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").split(",")[0]
+        if isinstance(value, list) and not any(_json_type_error(v, item) for v in value):
+            return None
+        return f"a JSON array of {_JSON_TYPES[item][1]}s"
+    types, name = _JSON_TYPES[annotation]
+    if isinstance(value, types) and not isinstance(value, bool):
+        return None
+    return f"a JSON {name}"
+
+
+def _check_json_keys(d, cls, what: str) -> None:
+    """Raise ``ValueError`` unless ``d`` is a JSON object of ``cls`` field names."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+
+
+def _check_json_fields(obj, what: str) -> None:
+    """Raise ``TypeError`` naming the first field of ``obj`` its annotation refuses."""
+    for f in fields(obj):
+        wanted = _json_type_error(getattr(obj, f.name), str(f.type))
+        if wanted:
+            raise TypeError(f"{what} field {f.name!r} must be {wanted}, "
+                            f"got {getattr(obj, f.name)!r}")
 
 
 class DatasetFormatError(ValueError):
@@ -178,7 +222,6 @@ class Corpus:
     image_refs: tuple[str | None, ...]
     text_embeddings: np.ndarray
     image_embeddings: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -276,14 +319,13 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
 
 
 def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
-                stopwords: frozenset[str] | None = None,
-                vocabulary: Vocabulary | None = None) -> Corpus:
+                stopwords: frozenset[str] | None = None) -> Corpus:
     """Load a JSON-lines dataset into a :class:`Corpus`.
 
     Lines carrying ``text`` are preprocessed with :func:`preprocess_tokens`;
-    lines carrying ``tokens`` are taken verbatim. The vocabulary comes from,
-    in order of precedence: the ``vocabulary`` argument, a sidecar vocab file
-    next to the dataset, or a frequency build capped at ``cap``.
+    lines carrying ``tokens`` are taken verbatim. The vocabulary comes from
+    a sidecar vocab file next to the dataset, or else from a frequency build
+    capped at ``cap``.
 
     Raises :class:`DatasetFormatError` naming the offending line for any
     malformed document.
@@ -340,19 +382,11 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
     ids, token_lists, image_refs = zip(*rows)
     text, image = (np.frombuffer(b).reshape(len(rows), -1) for b in embeddings.values())
 
-    vocab_source = "argument"
-    if vocabulary is None:
-        sidecar = _find_sidecar_vocab(path)
-        if sidecar is not None:
-            vocabulary = read_vocab_file(sidecar)
-            vocab_source = str(sidecar)
-        else:
-            vocabulary = build_vocabulary(token_lists, cap=cap)
-            vocab_source = f"built (cap={cap})"
-
-    meta = {"name": path.stem, "path": str(path), "vocab_source": vocab_source}
+    sidecar = _find_sidecar_vocab(path)
+    vocabulary = (read_vocab_file(sidecar) if sidecar is not None
+                  else build_vocabulary(token_lists, cap=cap))
     return Corpus(vocabulary=vocabulary, ids=ids, tokens=token_lists, image_refs=image_refs,
-                  text_embeddings=text, image_embeddings=image, meta=meta)
+                  text_embeddings=text, image_embeddings=image)
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -397,7 +431,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for the planted-topic synthetic corpus generator."""
+    """Parameters for the planted-topic synthetic corpus generator. Each
+    field must hold its annotated JSON type, never a boolean."""
 
     num_topics_true: int
     vocab_size: int
@@ -410,6 +445,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_json_fields(self, "spec")
         if self.num_topics_true < 1:
             raise ValueError("num_topics_true must be >= 1")
         if self.vocab_size < self.num_topics_true:
@@ -441,7 +477,6 @@ class PlantedTopic:
 
     index: int
     terms: tuple[str, ...]
-    word_ids: tuple[int, ...]
     word_probs: np.ndarray
     text_centroid: np.ndarray
     image_centroid: np.ndarray
@@ -511,16 +546,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
         planted.append(PlantedTopic(
             index=t,
             terms=tuple(terms[i] for i in order),
-            word_ids=tuple(int(i) for i in order),
             word_probs=word_probs[t],
             text_centroid=text_centroids[t],
             image_centroid=image_centroids[t],
             doc_weights=mixtures[:, t].copy(),
         ))
 
-    meta = {"name": f"synthetic-k{k}", "synthetic_spec": spec.to_dict()}
     return Corpus(vocabulary=vocabulary, tokens=tuple(token_lists),
                   ids=tuple(f"doc{d:0{id_width}d}" for d in range(spec.docs)),
                   image_refs=tuple(f"img{d:0{id_width}d}" for d in range(spec.docs)),
-                  text_embeddings=text_embeddings, image_embeddings=image_embeddings,
-                  meta=meta), planted
+                  text_embeddings=text_embeddings, image_embeddings=image_embeddings), planted

@@ -3,13 +3,14 @@ whose images represent it best.
 
 Keywords rank a topic's row of the topic-word matrix; images rank documents
 by the topic's share of their inferred mixture. Image selection never looks
-at the topic-image feature matrix, so it works for every model kind.
+at the topic-image feature matrix, so it works for every model kind. A
+topic's descriptor is the record its file line holds, with image references
+only: ``{"topic_id", "keywords", "images": [{"doc_id", "image_ref"}]}``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +19,6 @@ from .corpus import Corpus, Vocabulary, atomic_write_text
 from .models import TrainedTopicModel
 
 DEFAULT_DESCRIPTOR_SIZE = 10
-
-
-@dataclass(frozen=True)
-class TopicImage:
-    doc_id: str
-    image_ref: str | None
-    embedding: np.ndarray
-
-
-@dataclass(frozen=True)
-class TopicDescriptors:
-    topic_id: int
-    keywords: tuple[str, ...]
-    images: tuple[TopicImage, ...]
 
 
 def _rank_rows(scores: np.ndarray, n: int) -> np.ndarray:
@@ -80,25 +67,18 @@ def topic_documents(doc_topics: np.ndarray, corpus: Corpus,
 
 
 def describe_topics(model: TrainedTopicModel, corpus: Corpus,
-                    n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[TopicDescriptors]:
-    """Keywords and representative images for every topic of a model."""
+                    n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[dict]:
+    """The descriptor record of every topic of a model."""
     keywords = topic_keywords(model.topic_word_matrix, model.vocabulary, n)
     documents = topic_documents(model.doc_topics, corpus, n).tolist()
-    return [TopicDescriptors(
-        topic_id=t,
-        keywords=tuple(words),
-        images=tuple(TopicImage(doc_id=corpus.ids[i], image_ref=corpus.image_refs[i],
-                                embedding=corpus.image_embeddings[i]) for i in docs),
-    ) for t, (words, docs) in enumerate(zip(keywords, documents))]
+    return [{"topic_id": t, "keywords": words,
+             "images": [{"doc_id": corpus.ids[i], "image_ref": corpus.image_refs[i]}
+                        for i in docs]}
+            for t, (words, docs) in enumerate(zip(keywords, documents))]
 
 
-def write_descriptors(descriptors: list[TopicDescriptors], path: str | Path) -> Path:
-    """One JSON object per topic: id, keywords, and image document ids with
-    their refs. Embeddings stay in the corpus; only references are written."""
+def write_descriptors(descriptors: list[dict], path: str | Path) -> Path:
+    """Write :func:`describe_topics` records as JSON lines, one per topic."""
     path = Path(path)
-    atomic_write_text(path, "".join(json.dumps({
-        "topic_id": d.topic_id,
-        "keywords": list(d.keywords),
-        "images": [{"doc_id": im.doc_id, "image_ref": im.image_ref} for im in d.images],
-    }) + "\n" for d in descriptors))
+    atomic_write_text(path, "".join(json.dumps(d) + "\n" for d in descriptors))
     return path

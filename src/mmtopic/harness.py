@@ -40,12 +40,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _find_sidecar_vocab,
+from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_json_fields,
+                     _check_json_keys, _find_sidecar_vocab, _json_type_error,
                      atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
-from .models import (ModelConfig, TrainedTopicModel, _json_type_error, param_shapes,
-                     train)
+from .models import ModelConfig, TrainedTopicModel, param_shapes, train
 
 logger = logging.getLogger(__name__)
 
@@ -84,11 +84,11 @@ def save_model(model: TrainedTopicModel, path: str | Path) -> Path:
 _HEADER_FIELDS = ("kind", "config", "vocabulary", "matrices", "loss_trace")
 
 
-def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTopicModel:
+def load_model(path: str | Path) -> TrainedTopicModel:
     """Load a checkpoint, verifying the payload checksum. Raises
     :class:`CheckpointError` on a version mismatch, corruption, truncation,
-    a malformed header, matrices that do not fit its config and vocabulary,
-    or when ``expected_kind`` differs from the stored kind."""
+    a malformed header, a header kind that differs from its config's, or
+    matrices that do not fit its config and vocabulary."""
     raw = Path(path).read_bytes()
     magic_end = raw.find(b"\n")
     if magic_end < 0 or raw[:magic_end].decode("utf-8", "replace") != _CHECKPOINT_MAGIC:
@@ -109,9 +109,6 @@ def load_model(path: str | Path, expected_kind: str | None = None) -> TrainedTop
     missing = [name for name in _HEADER_FIELDS if name not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
-    if expected_kind is not None and header["kind"] != expected_kind:
-        raise CheckpointError(f"{path}: checkpoint kind {header['kind']!r} "
-                              f"does not match expected {expected_kind!r}")
     matrices = header["matrices"] if isinstance(header["matrices"], list) else [None]
     layout = {m["name"]: tuple(m["shape"]) for m in matrices
               if isinstance(m, dict) and isinstance(m.get("name"), str)
@@ -260,12 +257,8 @@ class ExperimentPlan:
         defaulting to its field's default; ``seeds`` may be a count. Raises
         ``ValueError`` when the plan is not a JSON object, or naming the
         first key whose value has the wrong JSON type."""
-        if not isinstance(d, dict):
-            raise ValueError(f"plan must be a JSON object, got {d!r}")
+        _check_json_keys(d, cls, "plan")
         fields = dataclasses.fields(cls)
-        unknown = sorted(set(d) - {f.name for f in fields})
-        if unknown:
-            raise ValueError(f"unknown plan keys: {unknown}")
         missing = [f.name for f in fields
                    if f.default is dataclasses.MISSING and f.name not in d]
         if missing:
@@ -316,10 +309,7 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         """A manifest from its JSON form; ``TypeError`` names a bad field."""
         manifest = cls(**d)
-        for f in dataclasses.fields(cls):
-            wanted = _json_type_error(getattr(manifest, f.name), str(f.type))
-            if wanted:
-                raise TypeError(f"manifest field {f.name!r} must be {wanted}")
+        _check_json_fields(manifest, "manifest")
         return manifest
 
 

@@ -313,10 +313,6 @@ class MetricReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(**d)
-
     def values(self) -> dict[str, float | None]:
         return {"npmi": self.npmi, "we": self.we, "td": self.td,
                 "irbo": self.irbo, "iec": self.iec, "ieps": self.ieps}

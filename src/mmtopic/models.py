@@ -31,11 +31,11 @@ lists a kind's parameter blocks, for initialization and checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, _check_json_fields
 from .nncore import (
     AdamState,
     adam_step,
@@ -74,32 +74,6 @@ _FEATURE_ARGUMENTS = {"text": "text_embedding", "image": "image_embedding", "bow
 # Norm products below this are treated as degenerate in cosine terms.
 _COSINE_TINY = 1e-12
 
-# The JSON values each config, plan or manifest field annotation accepts,
-# and their names.
-_JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
-               "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
-               "dict": (dict, "object")}
-
-
-def _json_type_error(value, annotation: str) -> str | None:
-    """None if a JSON value fits a field annotation, else the JSON type the
-    annotation asks for. A ``tuple[X, ...]`` field takes an array of X, and
-    no field takes a boolean."""
-    if annotation.endswith(" | None"):
-        if value is None:
-            return None
-        wanted = _json_type_error(value, annotation.removesuffix(" | None"))
-        return wanted and f"{wanted} or null"
-    if annotation.startswith("tuple["):
-        item = annotation.removeprefix("tuple[").split(",")[0]
-        if isinstance(value, list) and not any(_json_type_error(v, item) for v in value):
-            return None
-        return f"a JSON array of {_JSON_TYPES[item][1]}s"
-    types, name = _JSON_TYPES[annotation]
-    if isinstance(value, types) and not isinstance(value, bool):
-        return None
-    return f"a JSON {name}"
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -123,11 +97,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            wanted = _json_type_error(getattr(self, f.name), str(f.type))
-            if wanted:
-                raise TypeError(f"config field {f.name!r} must be {wanted}, "
-                                f"got {getattr(self, f.name)!r}")
+        _check_json_fields(self, "config")
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
         if self.num_topics < 2:

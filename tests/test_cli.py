@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mmtopic import cli
-from mmtopic.corpus import load_corpus, save_corpus
+from mmtopic.corpus import load_corpus, read_vocab_file, save_corpus
 from mmtopic.harness import load_model, save_model
 from mmtopic.models import ModelConfig, train
 
@@ -74,3 +74,59 @@ def test_run_rejects_a_worker_count_below_one(dataset, tmp_path, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         cli.main(["run", "--plan", str(plan), "--workers", workers])
     assert not (tmp_path / "runs").exists()
+
+
+SPEC = {"num_topics_true": 3, "vocab_size": 30, "docs": 12, "doc_length": 10,
+        "embed_dim_text": 4, "embed_dim_image": 3, "seed": 1}
+
+
+def synth(tmp_path, spec, *extra):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "synth.jsonl"), *extra])
+
+
+class TestSynth:
+    def test_dataset_and_ground_truth_round_trip(self, tmp_path):
+        truth = tmp_path / "truth.json"
+        assert synth(tmp_path, SPEC, "--ground-truth", str(truth)) == 0
+        corpus = load_corpus(tmp_path / "synth.jsonl")
+        assert corpus.num_documents == SPEC["docs"]
+        planted = json.loads(truth.read_text())
+        assert len(planted) == SPEC["num_topics_true"]
+        # the topics' word blocks partition the vocabulary
+        assert sorted(t for topic in planted for t in topic["terms"]) \
+            == sorted(corpus.vocabulary.terms)
+
+    @pytest.mark.parametrize("spec, error, match", [
+        ({**SPEC, "docs": "5"}, TypeError, "spec field 'docs' must be a JSON integer"),
+        ({**SPEC, "bogus": 1}, ValueError, r"unknown spec keys: \['bogus'\]"),
+        ([SPEC], ValueError, "spec must be a JSON object"),
+    ])
+    def test_malformed_spec_named(self, tmp_path, spec, error, match):
+        with pytest.raises(error, match=match):
+            synth(tmp_path, spec)
+        assert not (tmp_path / "synth.jsonl").exists()
+
+    def test_failed_ground_truth_write_keeps_previous_file(self, tmp_path, full_disk):
+        truth = tmp_path / "truth.json"
+        truth.write_bytes(b"previous truth\n")
+        with pytest.raises(OSError, match="No space"):
+            synth(tmp_path, SPEC, "--ground-truth", str(truth))
+        assert truth.read_bytes() == b"previous truth\n"
+
+
+def test_prep_pins_the_vocabulary_in_a_sidecar(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps({"id": f"r{i}", "text": text, "text_embedding": [1.0, i],
+                                       "image_embedding": [0.5]}) + "\n"
+                           for i, text in enumerate(["The sun, the moon.", "Moon and tide",
+                                                     "sun sun star"])))
+    (tmp_path / "stop.txt").write_text("the\nand\n")
+    out = tmp_path / "prepped.jsonl"
+    assert cli.main(["prep", "--input", str(raw), "--output", str(out),
+                     "--vocab-cap", "3", "--stopwords", str(tmp_path / "stop.txt")]) == 0
+    # frequency order, ties lexicographic; "star" and "tide" fall past the cap
+    assert read_vocab_file(tmp_path / "prepped.vocab.txt").terms == ("sun", "moon", "star")
+    assert load_corpus(out).vocabulary.terms == ("sun", "moon", "star")
+    assert load_corpus(out).tokens == (("sun", "moon"), ("moon", "tide"), ("sun", "sun", "star"))

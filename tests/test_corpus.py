@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -112,7 +113,6 @@ class TestBowMatrix:
             # save_corpus writes the vocabulary as a sidecar file, which
             # load_corpus then reads in place of a frequency build
             loaded = load_corpus(save_corpus(built, Path(tmp) / "c.jsonl"))
-        assert loaded.meta["vocab_source"].endswith("c.vocab.txt")
         assert loaded.vocabulary.terms == vocab.terms
         expected = [bow_reference(tokens, vocab) for tokens in docs]
         for corpus in (built, loaded):
@@ -145,7 +145,7 @@ def columns(corpus, **changes):
     """The keyword arguments that rebuild ``corpus``, with ``changes``."""
     return {"vocabulary": corpus.vocabulary, "ids": corpus.ids, "tokens": corpus.tokens,
             "image_refs": corpus.image_refs, "text_embeddings": corpus.text_embeddings,
-            "image_embeddings": corpus.image_embeddings, "meta": corpus.meta, **changes}
+            "image_embeddings": corpus.image_embeddings, **changes}
 
 
 class TestCorpusValidation:
@@ -367,6 +367,19 @@ class TestDatasetIO:
         for name in ("text_embeddings", "image_embeddings"):
             assert getattr(again, name).tobytes() == getattr(tiny_corpus, name).tobytes()
 
+    def test_same_bytes_at_two_paths_load_equal(self, tmp_path, tiny_corpus):
+        first = save_corpus(tiny_corpus, tmp_path / "data.jsonl")
+        (tmp_path / "copy").mkdir()
+        for path in (first, first.with_name("data.vocab.txt")):
+            (tmp_path / "copy" / path.name).write_bytes(path.read_bytes())
+        a, b = load_corpus(first), load_corpus(tmp_path / "copy" / "data.jsonl")
+        for f in dataclasses.fields(Corpus):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+
 
 class TestSyntheticGenerator:
     SPEC = SyntheticSpec(num_topics_true=5, vocab_size=200, docs=400, doc_length=30,
@@ -402,12 +415,13 @@ class TestSyntheticGenerator:
                                        planted[0].image_centroid, atol=1e-9)
 
     def test_word_blocks_disjoint_and_cover_vocabulary(self):
-        _, planted = generate_synthetic(self.SPEC)
+        corpus, planted = generate_synthetic(self.SPEC)
         seen = []
         for t in planted:
-            seen.extend(t.word_ids)
+            word_ids = [corpus.vocabulary.index[term] for term in t.terms]
+            seen.extend(word_ids)
             support = np.flatnonzero(t.word_probs)
-            assert sorted(t.word_ids) == sorted(support.tolist())
+            assert sorted(word_ids) == sorted(support.tolist())
         assert sorted(seen) == list(range(self.SPEC.vocab_size))
 
     def test_top_words_by_empirical_frequency_stay_in_block(self):

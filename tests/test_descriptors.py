@@ -128,17 +128,16 @@ class TestTopImages:
             [0.2, 0.8],
         ])
         assert topic_documents(doc_topics, corpus, 2).tolist() == [[1, 2], [0, 3]]
-        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 2)[1].images
-        assert [p.doc_id for p in picks] == ["d0", "d3"]
-        np.testing.assert_array_equal(picks[0].embedding, corpus.image_embeddings[0])
-        assert picks[0].image_ref == "img0"
+        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 2)[1]["images"]
+        assert picks == [{"doc_id": "d0", "image_ref": "img0"},
+                         {"doc_id": "d3", "image_ref": "img3"}]
 
     def test_ties_break_toward_earlier_document(self):
         corpus = self.make(4)
         doc_topics = np.tile([0.5, 0.5], (4, 1))
         assert topic_documents(doc_topics, corpus, 3).tolist() == [[0, 1, 2], [0, 1, 2]]
-        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 3)[0].images
-        assert [p.doc_id for p in picks] == ["d0", "d1", "d2"]
+        picks = describe_topics(fake_model(doc_topics, corpus), corpus, 3)[0]["images"]
+        assert [p["doc_id"] for p in picks] == ["d0", "d1", "d2"]
 
     def test_matches_full_sort_on_random_columns(self):
         rng = np.random.default_rng(19)
@@ -147,7 +146,7 @@ class TestTopImages:
         expected = ranked_reference(doc_topics.T.tolist(), 4)
         assert topic_documents(doc_topics, corpus, 4).tolist() == expected
         descriptors = describe_topics(fake_model(doc_topics, corpus), corpus, 4)
-        assert [[p.doc_id for p in d.images] for d in descriptors] == \
+        assert [[p["doc_id"] for p in d["images"]] for d in descriptors] == \
             [[f"d{i}" for i in row] for row in expected]
 
     def test_bounds_checked(self):
@@ -179,32 +178,34 @@ def described():
 class TestDescribeAndWrite:
     def test_one_descriptor_per_topic(self, described):
         corpus, model, descriptors = described
-        assert [d.topic_id for d in descriptors] == [0, 1]
+        assert [d["topic_id"] for d in descriptors] == [0, 1]
         for d in descriptors:
-            assert len(d.keywords) == 3
-            assert len(d.images) == 3
-            assert d.keywords == tuple(
-                top_keywords(model.topic_word_matrix, model.vocabulary, d.topic_id, 3))
+            assert len(d["images"]) == 3
+            assert d["keywords"] == top_keywords(model.topic_word_matrix, model.vocabulary,
+                                                 d["topic_id"], 3)
 
     def test_round_trips_through_jsonl(self, described, tmp_path):
         _, _, descriptors = described
         path = write_descriptors(descriptors, tmp_path / "topics.jsonl")
         lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["topic_id"] == 0
-        assert first["keywords"] == list(descriptors[0].keywords)
-        assert first["images"][0] == {"doc_id": descriptors[0].images[0].doc_id,
-                                      "image_ref": descriptors[0].images[0].image_ref}
-        # embeddings are deliberately not serialized
-        assert "embedding" not in first["images"][0]
+        assert [json.loads(line) for line in lines] == descriptors
+
+    def test_file_bytes_pinned(self, tmp_path):
+        corpus = dataclasses.replace(make_corpus([[f"tok{i}"] for i in range(4)]),
+                                     image_refs=("img0", None, "img2", "img3"))
+        doc_topics = np.array([[0.1, 0.9], [0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+        descriptors = describe_topics(fake_model(doc_topics, corpus), corpus, 2)
+        path = write_descriptors(descriptors, tmp_path / "topics.jsonl")
+        assert path.read_bytes().splitlines()[0] == (
+            b'{"topic_id": 0, "keywords": ["tok0", "tok1"], "images": '
+            b'[{"doc_id": "d1", "image_ref": null}, {"doc_id": "d2", "image_ref": "img2"}]}')
 
     def test_failed_write_keeps_previous_file(self, described, tmp_path):
         _, _, descriptors = described
         path = write_descriptors(descriptors, tmp_path / "topics.jsonl")
         before = path.read_bytes()
         # the second topic cannot be serialized, so the write fails partway
-        broken = [descriptors[1], dataclasses.replace(descriptors[0], keywords=(object(),))]
+        broken = [descriptors[1], {**descriptors[0], "keywords": [object()]}]
         with pytest.raises(TypeError):
             write_descriptors(broken, path)
         assert path.read_bytes() == before

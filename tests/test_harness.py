@@ -62,12 +62,6 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[name], arr)
         np.testing.assert_array_equal(loaded.doc_topics, small_model.doc_topics)
 
-    def test_expected_kind_enforced(self, small_model, tmp_path):
-        path = save_model(small_model, tmp_path / "model.mmtm")
-        load_model(path, expected_kind="multimodal_zeroshot")
-        with pytest.raises(CheckpointError, match="does not match expected"):
-            load_model(path, expected_kind="zeroshot")
-
     def test_truncated_payload_detected(self, small_model, tmp_path):
         path = save_model(small_model, tmp_path / "model.mmtm")
         raw = path.read_bytes()
@@ -532,8 +526,8 @@ class TestRunPlan:
             assert m.metrics["npmi"] is not None
             for artifact in m.artifacts.values():
                 assert Path(artifact).exists()
-        loaded = load_model(manifests[2].artifacts["checkpoint"],
-                            expected_kind="multimodal_zeroshot")
+        loaded = load_model(manifests[2].artifacts["checkpoint"])
+        assert loaded.kind == "multimodal_zeroshot"
         assert loaded.config.image_loss_weight == 2.0
         assert loaded.config.epochs == 2
         runs = tmp_path / "runs"

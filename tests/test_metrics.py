@@ -483,5 +483,5 @@ class TestMetricReport:
         model = train(report_corpus, ModelConfig(kind="multimodal_contrast",
                                                  num_topics=2, epochs=1, hidden_dim=8))
         report = compute_metric_report(model, report_corpus, n_descriptors=2)
-        clone = MetricReport.from_dict(report.to_dict())
+        clone = MetricReport(**report.to_dict())
         assert clone == report

@@ -400,9 +400,19 @@ class TestGradcheck:
         assert report.ok is False
 
     def test_non_finite_error_fails(self):
-        report = GradcheckReport(per_block={"w": float("nan")},
-                                 max_relative_error=float("nan"), step=1e-5)
+        report = GradcheckReport(per_block={"w": float("nan")})
         assert not report.ok
+
+    def test_nan_in_a_later_block_fails(self):
+        # Python's max keeps an earlier value when a NaN comes later
+        def loss(p):
+            return float(np.sum(p["a"] ** 2 + p["b"])), \
+                {"a": 2.0 * p["a"], "b": np.full_like(p["b"], np.nan)}
+
+        report = gradcheck(loss, {"a": np.array([1.0, -2.0]), "b": np.array([0.5])})
+        assert report.per_block["a"] < 1e-8
+        assert np.isnan(report.max_relative_error)
+        assert report.ok is False
 
     def test_caller_parameters_untouched(self):
         w = np.array([1.0, 2.0])

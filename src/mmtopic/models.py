@@ -441,15 +441,24 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     on one thread, so identical (corpus, config) pairs produce bit-identical
     parameters whatever the BLAS thread setting. The loss trace
     records, per epoch, the batch-size-weighted mean of every objective
-    component per document. Raises ``ValueError`` naming the epoch and
-    batch (counted from 1) whose loss is not finite.
+    component per document. ``doc_topics`` is computed ``batch_size`` rows
+    at a time, so no (N, ...) encoder input is built. Raises ``ValueError``
+    naming the epoch and batch (counted from 1) whose loss is not finite.
     """
     params = init_params(config, corpus.text_dim, corpus.image_dim,
                          len(corpus.vocabulary), named_rng(config.seed, "init"))
     trace = _fit(corpus, config, params)
     prefix, _, features, _ = ENCODERS[config.kind][0]
-    doc_topics = _mean_theta(params, prefix, _encoder_input(
-        features, _columns(corpus, slice(None), features)))
+    n = corpus.num_documents
+    size = min(config.batch_size, n)
+    doc_topics = np.empty((n, config.num_topics))
+    for start in range(0, n, size):
+        # The last block ends at row n and keeps the full size: BLAS may
+        # route a shorter product to another kernel that rounds differently.
+        start = min(start, n - size)
+        rows = slice(start, start + size)
+        doc_topics[rows] = _mean_theta(params, prefix, _encoder_input(
+            features, _columns(corpus, rows, features)))
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 
@@ -457,7 +466,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
 def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, float]]:
     """The epochs of :func:`train`: Adam on ``params`` in place, returning
     the loss trace. Its state and the last batch are freed on return, so
-    the final all-documents pass does not hold them."""
+    the final doc-topic pass does not hold them."""
     kind = config.kind
     encoders = ENCODERS[kind]
     n = corpus.num_documents

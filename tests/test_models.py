@@ -14,6 +14,7 @@ from mmtopic.corpus import SyntheticSpec, generate_synthetic
 from mmtopic.models import (
     ENCODERS,
     ModelConfig,
+    _encoder_input,
     batch_objective,
     infer_topic_distribution,
     infonce,
@@ -519,20 +520,21 @@ class TestTraining:
         config = ModelConfig(kind=kind, num_topics=3, epochs=3, hidden_dim=8,
                              batch_size=3)
         train(tiny_corpus, config)
-        batches = config.epochs * math.ceil(tiny_corpus.num_documents / config.batch_size)
+        blocks = math.ceil(tiny_corpus.num_documents / config.batch_size)
+        batches = config.epochs * blocks
         encoders = 2 if kind == "multimodal_contrast" else 1
-        # one more encoder pass computes the posterior-mean doc_topics
+        # one more encoder pass per block computes the posterior-mean doc_topics
         assert calls == {"batch_objective": batches, "adam_step": batches,
-                         "inference_forward": batches * encoders + 1}
+                         "inference_forward": batches * encoders + blocks}
 
     def test_batches_never_hold_a_corpus_wide_count_matrix(self):
-        # Each batch counts its own documents' tokens. combined is left out:
-        # its final doc_topics pass reads the bag-of-words of all N documents.
+        # Each batch, and each block of the doc_topics pass, counts its own
+        # documents' tokens.
         corpus, _ = generate_synthetic(SyntheticSpec(
             num_topics_true=2, vocab_size=2000, docs=400, doc_length=4,
             embed_dim_text=4, embed_dim_image=4, seed=0))
         n, v = corpus.num_documents, len(corpus.vocabulary)
-        for kind in ("zeroshot", "multimodal_zeroshot", "multimodal_contrast"):
+        for kind in KINDS:
             config = ModelConfig(kind=kind, num_topics=2, epochs=1, hidden_dim=4,
                                  batch_size=16)
             tracemalloc.start()
@@ -542,6 +544,54 @@ class TestTraining:
             finally:
                 tracemalloc.stop()
             assert peak < n * v * 8, kind
+
+    def test_doc_topics_pass_never_holds_the_whole_encoder_input(self):
+        corpus, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=2, vocab_size=50, docs=2000, doc_length=4,
+            embed_dim_text=128, embed_dim_image=128, seed=0))
+        config = ModelConfig(kind="multimodal_zeroshot", num_topics=2, epochs=1,
+                             hidden_dim=4, batch_size=16)
+        tracemalloc.start()
+        try:
+            train(corpus, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < corpus.num_documents * (corpus.text_dim + corpus.image_dim) * 8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_doc_topics_equal_one_whole_matrix_pass(self, kind):
+        # Two 64-row blocks and 5 rows more, at the benchmark's encoder
+        # widths, where OpenBLAS computes 64 rows and 133 in one kernel.
+        corpus, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=3, vocab_size=300, docs=133, doc_length=20,
+            embed_dim_text=384, embed_dim_image=512, seed=0))
+        model = train(corpus, ModelConfig(kind=kind, num_topics=50, epochs=1,
+                                          batch_size=64))
+        prefix, _, features, _ = ENCODERS[kind][0]
+        with one_blas_thread:
+            whole = models_module._mean_theta(model.params, prefix, _encoder_input(
+                features, models_module._columns(corpus, slice(None), features)))
+        assert model.doc_topics.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("docs", [5, 70, 133])
+    def test_doc_topics_pass_runs_full_batch_sized_blocks(self, docs, monkeypatch):
+        # The last block ends at the last row and keeps the full size, so
+        # every row comes from the same BLAS kernel whatever N mod batch_size.
+        corpus, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=2, vocab_size=30, docs=docs, doc_length=4,
+            embed_dim_text=4, embed_dim_image=4, seed=0))
+        sizes = []
+        real = models_module._mean_theta
+
+        def counted(params, prefix, x):
+            sizes.append(len(x))
+            return real(params, prefix, x)
+
+        monkeypatch.setattr(models_module, "_mean_theta", counted)
+        train(corpus, ModelConfig(kind="combined", num_topics=2, epochs=0,
+                                  hidden_dim=4, batch_size=64))
+        assert sizes == [min(docs, 64)] * math.ceil(docs / 64)
 
     def test_loss_descends_on_planted_data(self, tiny_planted):
         corpus, _ = tiny_planted

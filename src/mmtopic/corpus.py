@@ -203,13 +203,14 @@ class MultimodalDocument:
     image_ref: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Immutable columns of N >= 1 documents over one vocabulary: ``ids``,
     ``tokens`` and ``image_refs`` tuples, and the (N, Dt) ``text_embeddings``
     and (N, Di) ``image_embeddings`` float64 matrices (Dt, Di >= 1), frozen
     once validated. Construction also requires finite embedding values and at
-    least one in-vocabulary token in the corpus.
+    least one in-vocabulary token in the corpus. Two corpora are ``==`` when
+    their vocabulary terms, tuple columns and embedding bytes are equal.
 
     :attr:`documents` and :attr:`token_ids` are built on first use and kept
     in the instance ``__dict__``, out of ``==`` and ``repr``. Threads that
@@ -242,6 +243,15 @@ class Corpus:
             raise ValueError("no document has any in-vocabulary token")
         for matrix in matrices:
             matrix.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.vocabulary.terms == other.vocabulary.terms
+                and all(getattr(self, name) == getattr(other, name)
+                        for name in ("ids", "tokens", "image_refs"))
+                and all(getattr(self, name).tobytes() == getattr(other, name).tobytes()
+                        for name in ("text_embeddings", "image_embeddings")))
 
     @property
     def num_documents(self) -> int:
@@ -323,9 +333,9 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
     """Load a JSON-lines dataset into a :class:`Corpus`.
 
     Lines carrying ``text`` are preprocessed with :func:`preprocess_tokens`;
-    lines carrying ``tokens`` are taken verbatim. The vocabulary comes from
-    a sidecar vocab file next to the dataset, or else from a frequency build
-    capped at ``cap``.
+    lines carrying ``tokens`` are taken verbatim. Equal tokens share one
+    string object. The vocabulary comes from a sidecar vocab file next to
+    the dataset, or else from a frequency build capped at ``cap``.
 
     Raises :class:`DatasetFormatError` naming the offending line for any
     malformed document.
@@ -335,6 +345,7 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
         stopwords = load_stopwords()
 
     rows = []
+    shared: dict[str, str] = {}  # one string object per distinct token
     # Rows go into growable buffers, so no per-line array outlives its line.
     embeddings = {"text_embedding": array("d"), "image_embedding": array("d")}
     with path.open("r", encoding="utf-8") as fh:
@@ -375,7 +386,8 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                         f"expected {len(buffer) // len(rows)}")
                 buffer.frombytes(row.tobytes())
             ref = obj.get("image_ref")
-            rows.append((str(obj["id"]), tuple(tokens), None if ref is None else str(ref)))
+            rows.append((str(obj["id"]), tuple(map(shared.setdefault, tokens, tokens)),
+                         None if ref is None else str(ref)))
 
     if not rows:
         raise DatasetFormatError(f"{path}: dataset contains no documents")

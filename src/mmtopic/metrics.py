@@ -186,14 +186,18 @@ def _rbo_matrix(rankings_a, rankings_b, p: float) -> np.ndarray:
     a, b = (np.array([[ids.setdefault(x, len(ids)) for x in r] for r in rankings])
             for rankings in (rankings_a, rankings_b))
     d = a.shape[1]
+    # rank_x[s, w] is item w's depth in ranking s, or d where s lacks it.
+    rank_a, rank_b = (np.full((len(x), len(ids)), d) for x in (a, b))
+    for rank, x in ((rank_a, a), (rank_b, b)):
+        np.put_along_axis(rank, x, np.arange(d), axis=1)
     # overlap[s, t] is |a_s[:i+1] & b_t[:i+1]| after depth i: the new item
     # of a_s met anywhere in b_t's prefix, plus the new item of b_t met in
     # a_s's shorter prefix, so a match at the same depth counts once.
     overlap = np.zeros((len(a), len(b)), dtype=np.int64)
     tail = np.zeros(overlap.shape)
     for i in range(d):
-        overlap += (a[:, None, i, None] == b[None, :, :i + 1]).sum(axis=2)
-        overlap += (b[None, :, i, None] == a[:, None, :i]).sum(axis=2)
+        overlap += rank_b[:, a[:, i]].T <= i
+        overlap += rank_a[:, b[:, i]] < i
         tail += overlap / (i + 1) * p ** (i + 1)
     return overlap / d * p ** d + (1.0 - p) / p * tail
 

@@ -113,7 +113,7 @@ def random_objective_instance(kind, point_seed, *, vocab_size=50, num_topics=5,
 
 def test_c01_gradient_correctness():
     t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for point in range(10):
         for kind in ("multimodal_zeroshot", "multimodal_contrast"):
             config, params, inputs, noise = random_objective_instance(kind, 1000 + point)
@@ -123,7 +123,8 @@ def test_c01_gradient_correctness():
                 return total, grads
 
             report = gradcheck(loss, params, rng=np.random.default_rng(point))
-            worst = max(worst, report.max_relative_error)
+            errors.append(report.max_relative_error)
+    worst = np.max(errors)  # propagates a NaN, which Python's max can drop
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60
     announce("C1", "analytic gradients match finite differences on both "

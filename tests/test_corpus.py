@@ -380,6 +380,25 @@ class TestDatasetIO:
             else:
                 assert x == y, f.name
 
+    def test_two_loads_are_equal_and_one_flipped_bit_is_not(self, tmp_path, tiny_corpus):
+        path = save_corpus(tiny_corpus, tmp_path / "data.jsonl")
+        a, b = load_corpus(path), load_corpus(path)
+        assert a == b
+        for name in ("text_embeddings", "image_embeddings"):
+            flipped = getattr(a, name).copy()
+            flipped.view(np.uint64)[1, 0] ^= 1
+            assert a != Corpus(**columns(a, **{name: flipped})), name
+
+    @pytest.mark.parametrize("field", ["tokens", "text"])
+    def test_each_distinct_token_is_one_object(self, tmp_path, field):
+        words = ["ocean", "waves", "ocean", "sand", "waves", "ocean"]
+        path = self._write(tmp_path, [
+            {"id": str(i), field: words[i:] if field == "tokens" else " ".join(words[i:]),
+             "text_embedding": [1.0], "image_embedding": [1.0]} for i in range(4)])
+        tokens = [t for doc in load_corpus(path).tokens for t in doc]
+        assert len(tokens) == 18
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == 3
+
 
 class TestSyntheticGenerator:
     SPEC = SyntheticSpec(num_topics_true=5, vocab_size=200, docs=400, doc_length=30,

@@ -12,6 +12,7 @@ from mmtopic.descriptors import top_keywords
 from mmtopic.metrics import (
     MetricReport,
     _boolean_window_counts,
+    _rbo_matrix,
     compute_metric_report,
     iec,
     ieps,
@@ -219,6 +220,29 @@ def rankings(draw, count):
 P = st.floats(0.05, 0.95)
 
 
+@st.composite
+def ranking_sets(draw):
+    """Two lists of rankings of one shared length, of different counts."""
+    ka = draw(st.integers(1, 5))
+    both = draw(rankings(2 * ka + draw(st.integers(1, 3))))
+    return both[:ka], both[ka:]
+
+
+def rbo_matrix_broadcast(rankings_a, rankings_b, p):
+    """``_rbo_matrix`` as per-depth (Ka, Kb, depth) broadcast comparisons."""
+    ids = {}
+    a, b = (np.array([[ids.setdefault(x, len(ids)) for x in r] for r in rankings])
+            for rankings in (rankings_a, rankings_b))
+    d = a.shape[1]
+    overlap = np.zeros((len(a), len(b)), dtype=np.int64)
+    tail = np.zeros(overlap.shape)
+    for i in range(d):
+        overlap += (a[:, None, i, None] == b[None, :, :i + 1]).sum(axis=2)
+        overlap += (b[None, :, i, None] == a[:, None, :i]).sum(axis=2)
+        tail += overlap / (i + 1) * p ** (i + 1)
+    return overlap / d * p ** d + (1.0 - p) / p * tail
+
+
 class TestRboKernel:
     """The array kernel behind ``rbo``, ``irbo`` and
     ``topic_similarity_matrix`` does the oracle's arithmetic in the oracle's
@@ -250,6 +274,13 @@ class TestRboKernel:
         a, b = topics[:k], topics[k:]
         expected = [[rbo_reference(x, y, p) for y in b] for x in a]
         assert topic_similarity_matrix(a, b, p=p).tolist() == expected
+
+    @given(ranking_sets(), P)
+    @example(([["a", "b", "c"]], [["c", "a", "x"], ["x", "y", "z"]]), 0.9)
+    @settings(max_examples=200, deadline=None)
+    def test_rank_tables_give_the_broadcast_bytes(self, sets, p):
+        a, b = sets
+        assert _rbo_matrix(a, b, p).tobytes() == rbo_matrix_broadcast(a, b, p).tobytes()
 
     def test_every_ranking_is_validated(self):
         with pytest.raises(ValueError, match="duplicates"):

@@ -39,6 +39,7 @@ from .corpus import Corpus, Vocabulary, _check_json_fields
 from .nncore import (
     AdamState,
     adam_step,
+    encoder_hidden,
     glorot_uniform,
     inference_backward,
     inference_forward,
@@ -441,9 +442,10 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     on one thread, so identical (corpus, config) pairs produce bit-identical
     parameters whatever the BLAS thread setting. The loss trace
     records, per epoch, the batch-size-weighted mean of every objective
-    component per document. ``doc_topics`` is computed ``batch_size`` rows
-    at a time, so no (N, ...) encoder input is built. Raises ``ValueError``
-    naming the epoch and batch (counted from 1) whose loss is not finite.
+    component per document. ``doc_topics`` takes the encoder's hidden layer
+    ``batch_size`` rows at a time, so no (N, ...) encoder input is built.
+    Raises ``ValueError`` naming the epoch and batch (counted from 1) whose
+    loss is not finite.
     """
     params = init_params(config, corpus.text_dim, corpus.image_dim,
                          len(corpus.vocabulary), named_rng(config.seed, "init"))
@@ -451,14 +453,17 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     prefix, _, features, _ = ENCODERS[config.kind][0]
     n = corpus.num_documents
     size = min(config.batch_size, n)
-    doc_topics = np.empty((n, config.num_topics))
+    hidden = np.empty((n, config.hidden_dim))
     for start in range(0, n, size):
         # The last block ends at row n and keeps the full size: BLAS may
         # route a shorter product to another kernel that rounds differently.
         start = min(start, n - size)
         rows = slice(start, start + size)
-        doc_topics[rows] = _mean_theta(params, prefix, _encoder_input(
-            features, _columns(corpus, rows, features)))
+        hidden[rows] = encoder_hidden(params, prefix, _encoder_input(
+            features, _columns(corpus, rows, features)))[0]
+    # The mu head runs once over all N rows for the same reason: with few
+    # topics, a batch-sized head product takes another kernel than N rows.
+    doc_topics = _mean_theta(params, prefix, hidden)
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 
@@ -503,9 +508,9 @@ def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, fl
     return trace
 
 
-def _mean_theta(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:
-    mu, _, _ = inference_forward(params, prefix, x)
-    return softmax(mu, axis=-1)
+def _mean_theta(params: dict, prefix: str, hidden: np.ndarray) -> np.ndarray:
+    """Posterior-mean topic mixtures from the encoder's hidden layer."""
+    return softmax(hidden @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"], axis=-1)
 
 
 @one_blas_thread
@@ -529,7 +534,8 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
             x = _encoder_input(features, given)
             _check_dim(" + ".join(_FEATURE_ARGUMENTS[f] for f in features), x,
                        model.params[f"{prefix}.W_hidden"].shape[1])
-            return _mean_theta(model.params, prefix, np.atleast_2d(x))[0]
+            hidden = encoder_hidden(model.params, prefix, np.atleast_2d(x))[0]
+            return _mean_theta(model.params, prefix, hidden)[0]
     needs = " or ".join(" and ".join(_FEATURE_ARGUMENTS[f] for f in features)
                         for _, _, features, _ in encoders)
     raise ValueError(f"{model.kind} inference needs {needs}")

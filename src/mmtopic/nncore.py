@@ -84,6 +84,16 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
+def encoder_hidden(params: dict, prefix: str, x: np.ndarray):
+    """The encoder's softplus hidden layer over a row-stacked batch.
+    Returns it, max(pre, 0) and e = exp(-|pre|); the backward pass reads
+    the last two."""
+    pre = x @ params[prefix + ".W_hidden"].T
+    pre += params[prefix + ".b_hidden"]
+    hidden, e = _softplus_parts(pre)  # leaves max(pre, 0) in pre
+    return hidden, pre, e
+
+
 def inference_forward(params: dict, prefix: str, x: np.ndarray,
                       dropout_mask: np.ndarray | None = None):
     """Encoder forward pass over a row-stacked batch.
@@ -92,14 +102,12 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
     1/(1-rate)) applied to the hidden activation, or None to disable.
     Returns (mu, logvar, cache) where cache feeds the backward pass.
     """
-    pre = x @ params[prefix + ".W_hidden"].T
-    pre += params[prefix + ".b_hidden"]
-    dropped, e = _softplus_parts(pre)  # leaves max(pre, 0) in pre
+    dropped, relu, e = encoder_hidden(params, prefix, x)
     if dropout_mask is not None:
         dropped *= dropout_mask
     mu = dropped @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"]
     logvar = dropped @ params[prefix + ".W_logvar"].T + params[prefix + ".b_logvar"]
-    return mu, logvar, (x, pre, e, dropped, dropout_mask)
+    return mu, logvar, (x, relu, e, dropped, dropout_mask)
 
 
 def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict:

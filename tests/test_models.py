@@ -24,8 +24,8 @@ from mmtopic.models import (
     reconstruct_image_features,
     train,
 )
-from mmtopic.nncore import (_openblas_thread_calls, glorot_uniform, gradcheck, named_rng,
-                            one_blas_thread, softmax)
+from mmtopic.nncore import (_openblas_thread_calls, glorot_uniform, gradcheck,
+                            inference_forward, named_rng, one_blas_thread, softmax)
 
 from conftest import make_corpus, run_fresh_python
 from oracles import contrast_loss_reference, infonce_reference, mzs_loss_reference
@@ -508,7 +508,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_objective_and_adam_step_per_batch(self, tiny_corpus, kind, monkeypatch):
-        calls = {"batch_objective": 0, "adam_step": 0, "inference_forward": 0}
+        calls = {"batch_objective": 0, "adam_step": 0, "inference_forward": 0,
+                 "encoder_hidden": 0}
         for name in calls:
             real = getattr(models_module, name)
 
@@ -523,9 +524,9 @@ class TestTraining:
         blocks = math.ceil(tiny_corpus.num_documents / config.batch_size)
         batches = config.epochs * blocks
         encoders = 2 if kind == "multimodal_contrast" else 1
-        # one more encoder pass per block computes the posterior-mean doc_topics
+        # the posterior-mean doc_topics pass runs the hidden layer once per block
         assert calls == {"batch_objective": batches, "adam_step": batches,
-                         "inference_forward": batches * encoders + blocks}
+                         "inference_forward": batches * encoders, "encoder_hidden": blocks}
 
     def test_batches_never_hold_a_corpus_wide_count_matrix(self):
         # Each batch, and each block of the doc_topics pass, counts its own
@@ -560,35 +561,41 @@ class TestTraining:
         assert peak < corpus.num_documents * (corpus.text_dim + corpus.image_dim) * 8
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_doc_topics_equal_one_whole_matrix_pass(self, kind):
-        # Two 64-row blocks and 5 rows more, at the benchmark's encoder
-        # widths, where OpenBLAS computes 64 rows and 133 in one kernel.
+    @pytest.mark.parametrize("docs, widths, num_topics", [
+        (133, (384, 512), 50), (1000, (16, 16), 5)], ids=["train-large", "sweep-small"])
+    def test_doc_topics_equal_one_whole_matrix_pass_at_benchmark_shapes(
+            self, kind, docs, widths, num_topics):
+        # At the benchmark's encoder widths and topic counts; 133 documents
+        # leave a 5-row remainder. Equality rests on OpenBLAS computing a
+        # batch-sized block of the hidden layer in the same kernel as all N
+        # rows, as it does at these widths; a batch-sized mu head with 5
+        # topics would not match the 1000-row one.
         corpus, _ = generate_synthetic(SyntheticSpec(
-            num_topics_true=3, vocab_size=300, docs=133, doc_length=20,
-            embed_dim_text=384, embed_dim_image=512, seed=0))
-        model = train(corpus, ModelConfig(kind=kind, num_topics=50, epochs=1,
-                                          batch_size=64))
+            num_topics_true=3, vocab_size=200, docs=docs, doc_length=20,
+            embed_dim_text=widths[0], embed_dim_image=widths[1], seed=0))
+        model = train(corpus, ModelConfig(kind=kind, num_topics=num_topics, epochs=1))
         prefix, _, features, _ = ENCODERS[kind][0]
         with one_blas_thread:
-            whole = models_module._mean_theta(model.params, prefix, _encoder_input(
+            mu, _, _ = inference_forward(model.params, prefix, _encoder_input(
                 features, models_module._columns(corpus, slice(None), features)))
-        assert model.doc_topics.tobytes() == whole.tobytes()
+        assert model.doc_topics.tobytes() == softmax(mu, axis=-1).tobytes()
 
     @pytest.mark.parametrize("docs", [5, 70, 133])
     def test_doc_topics_pass_runs_full_batch_sized_blocks(self, docs, monkeypatch):
-        # The last block ends at the last row and keeps the full size, so
-        # every row comes from the same BLAS kernel whatever N mod batch_size.
+        # The last hidden-layer block ends at the last row and keeps the full
+        # size, so every row comes from the same BLAS kernel whatever
+        # N mod batch_size.
         corpus, _ = generate_synthetic(SyntheticSpec(
             num_topics_true=2, vocab_size=30, docs=docs, doc_length=4,
             embed_dim_text=4, embed_dim_image=4, seed=0))
         sizes = []
-        real = models_module._mean_theta
+        real = models_module.encoder_hidden
 
         def counted(params, prefix, x):
             sizes.append(len(x))
             return real(params, prefix, x)
 
-        monkeypatch.setattr(models_module, "_mean_theta", counted)
+        monkeypatch.setattr(models_module, "encoder_hidden", counted)
         train(corpus, ModelConfig(kind="combined", num_topics=2, epochs=0,
                                   hidden_dim=4, batch_size=64))
         assert sizes == [min(docs, 64)] * math.ceil(docs / 64)

@@ -442,8 +442,8 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     on one thread, so identical (corpus, config) pairs produce bit-identical
     parameters whatever the BLAS thread setting. The loss trace
     records, per epoch, the batch-size-weighted mean of every objective
-    component per document. ``doc_topics`` takes the encoder's hidden layer
-    ``batch_size`` rows at a time, so no (N, ...) encoder input is built.
+    component per document. ``doc_topics`` is computed ``batch_size`` rows
+    at a time, so no (N, ...) encoder input or hidden layer is built.
     Raises ``ValueError`` naming the epoch and batch (counted from 1) whose
     loss is not finite.
     """
@@ -452,18 +452,11 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
     trace = _fit(corpus, config, params)
     prefix, _, features, _ = ENCODERS[config.kind][0]
     n = corpus.num_documents
-    size = min(config.batch_size, n)
-    hidden = np.empty((n, config.hidden_dim))
-    for start in range(0, n, size):
-        # The last block ends at row n and keeps the full size: BLAS may
-        # route a shorter product to another kernel that rounds differently.
-        start = min(start, n - size)
-        rows = slice(start, start + size)
-        hidden[rows] = encoder_hidden(params, prefix, _encoder_input(
-            features, _columns(corpus, rows, features)))[0]
-    # The mu head runs once over all N rows for the same reason: with few
-    # topics, a batch-sized head product takes another kernel than N rows.
-    doc_topics = _mean_theta(params, prefix, hidden)
+    doc_topics = np.empty((n, config.num_topics))
+    for start in range(0, n, config.batch_size):
+        rows = slice(start, start + config.batch_size)
+        doc_topics[rows] = _posterior_mean(params, prefix, _encoder_input(
+            features, _columns(corpus, rows, features)))
     return TrainedTopicModel(config=config, vocabulary=corpus.vocabulary,
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 
@@ -471,7 +464,7 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
 def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, float]]:
     """The epochs of :func:`train`: Adam on ``params`` in place, returning
     the loss trace. Its state and the last batch are freed on return, so
-    the final doc-topic pass does not hold them."""
+    the ``doc_topics`` pass does not hold them."""
     kind = config.kind
     encoders = ENCODERS[kind]
     n = corpus.num_documents
@@ -508,8 +501,9 @@ def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, fl
     return trace
 
 
-def _mean_theta(params: dict, prefix: str, hidden: np.ndarray) -> np.ndarray:
-    """Posterior-mean topic mixtures from the encoder's hidden layer."""
+def _posterior_mean(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:
+    """Posterior-mean topic mixtures of encoder inputs, without noise or dropout."""
+    hidden = encoder_hidden(params, prefix, x)[0]
     return softmax(hidden @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"], axis=-1)
 
 
@@ -534,8 +528,7 @@ def infer_topic_distribution(model: TrainedTopicModel, *,
             x = _encoder_input(features, given)
             _check_dim(" + ".join(_FEATURE_ARGUMENTS[f] for f in features), x,
                        model.params[f"{prefix}.W_hidden"].shape[1])
-            hidden = encoder_hidden(model.params, prefix, np.atleast_2d(x))[0]
-            return _mean_theta(model.params, prefix, hidden)[0]
+            return _posterior_mean(model.params, prefix, np.atleast_2d(x))[0]
     needs = " or ".join(" and ".join(_FEATURE_ARGUMENTS[f] for f in features)
                         for _, _, features, _ in encoders)
     raise ValueError(f"{model.kind} inference needs {needs}")

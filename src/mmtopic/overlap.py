@@ -17,7 +17,6 @@ import numpy as np
 from .corpus import atomic_write_text
 from .descriptors import topic_keywords
 from .metrics import _rbo_matrix
-from .nncore import one_blas_thread
 
 
 def topic_similarity_matrix(topics_a, topics_b, p: float = 0.9) -> np.ndarray:
@@ -118,7 +117,6 @@ class OverlapReport:
         return path
 
 
-@one_blas_thread
 def overlap_report(model_a, model_b, n: int = 10, p: float = 0.9) -> OverlapReport:
     """Match two trained models' topics by keyword RBO and summarize the
     assigned similarities."""

@@ -9,7 +9,6 @@ import pytest
 
 import mmtopic.metrics as metrics_module
 import mmtopic.models as models_module
-import mmtopic.overlap as overlap_module
 from mmtopic.corpus import SyntheticSpec, generate_synthetic
 from mmtopic.models import (
     ENCODERS,
@@ -689,7 +688,6 @@ class TestBlasThreads:
         get_threads, set_threads = calls
         seen = []
         for module, name in ((metrics_module, "_npmi_per_topic"),
-                             (overlap_module, "topic_similarity_matrix"),
                              (models_module, "_nce_terms")):
             def recording(*args, real=getattr(module, name), name=name, **kwargs):
                 seen.append((name, get_threads()))
@@ -701,13 +699,11 @@ class TestBlasThreads:
         set_threads(2)
         try:
             metrics_module.compute_metric_report(model, tiny_corpus, n_descriptors=2)
-            overlap_module.overlap_report(model, model, n=2)
             infonce(np.eye(2), np.eye(2), temperature=0.5, weight=1.0)
             assert get_threads() == 2
         finally:
             set_threads(before)
-        assert seen == [("_npmi_per_topic", 1), ("topic_similarity_matrix", 1),
-                        ("_nce_terms", 1)]
+        assert seen == [("_npmi_per_topic", 1), ("_nce_terms", 1)]
 
     def test_overlapping_pins_on_many_threads_keep_one_thread(self):
         calls = _openblas_thread_calls()

@@ -23,19 +23,27 @@ sidecar vocabulary file (``<stem>.vocab.txt`` next to the dataset, or
 otherwise it is built from the data. A corpus holds only its columns, so the
 same dataset bytes load as equal corpora wherever the file lies.
 
-Every output file the package writes, except a saved dataset, goes through
-:func:`atomic_write_bytes`: a temp file plus rename, so a failed write keeps
-the previous file whole.
+A columns file (``<stem>.columns.npz`` next to the dataset) holds a parsed
+dataset's columns in binary, under a record of the SHA-256 of the dataset
+bytes they came from. :func:`load_corpus` reads it only when that record
+matches, and otherwise parses the JSON lines and rewrites it.
+
+Every output file the package writes goes through a temp file plus rename,
+so a failed write keeps the previous file whole.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import os
 import string
 import tempfile
+import zipfile
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
@@ -43,7 +51,14 @@ from pathlib import Path
 
 import numpy as np
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_VOCAB_CAP = 2000
+
+# The columns file's layout version, and what reading an unusable one raises.
+_COLUMNS_VERSION = 1
+_UNUSABLE = (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
+             zipfile.BadZipFile)
 
 # Per-document topic-mixture concentration used by the synthetic generator.
 # Small enough that most documents are dominated by one planted topic, which
@@ -328,28 +343,36 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
     return Vocabulary.from_terms(t.strip() for t in lines if t.strip())
 
 
-def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
-                stopwords: frozenset[str] | None = None) -> Corpus:
-    """Load a JSON-lines dataset into a :class:`Corpus`.
+def _sha256_file(path: str | Path):
+    """A SHA-256 hash object over a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest
 
-    Lines carrying ``text`` are preprocessed with :func:`preprocess_tokens`;
-    lines carrying ``tokens`` are taken verbatim. Equal tokens share one
-    string object. The vocabulary comes from a sidecar vocab file next to
-    the dataset, or else from a frequency build capped at ``cap``.
 
-    Raises :class:`DatasetFormatError` naming the offending line for any
-    malformed document.
-    """
-    path = Path(path)
-    if stopwords is None:
-        stopwords = load_stopwords()
+def _stopwords_digest(stopwords) -> str:
+    return hashlib.sha256(json.dumps(sorted(stopwords)).encode()).hexdigest()
 
+
+def _columns_path(path: Path) -> Path:
+    return path.with_name(path.stem + ".columns.npz")
+
+
+def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
+    """The :class:`Corpus` columns of a JSON-lines dataset, and the record
+    that binds them: the SHA-256 of the very bytes parsed and, if a line
+    carried ``text``, the digest of ``stopwords``."""
     rows = []
+    seen: dict[str, int] = {}  # the line of each id
     shared: dict[str, str] = {}  # one string object per distinct token
     # Rows go into growable buffers, so no per-line array outlives its line.
     embeddings = {"text_embedding": array("d"), "image_embedding": array("d")}
-    with path.open("r", encoding="utf-8") as fh:
+    digest, any_text = hashlib.sha256(), False
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            digest.update(line)
             if not line.strip():
                 continue
             try:
@@ -360,6 +383,11 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                 raise DatasetFormatError(f"line {lineno}: expected a JSON object")
             if "id" not in obj:
                 raise DatasetFormatError(f"line {lineno}: missing required field 'id'")
+            doc_id = str(obj["id"])
+            if doc_id in seen:
+                raise DatasetFormatError(
+                    f"line {lineno}: id {doc_id!r} was already used on line {seen[doc_id]}")
+            seen[doc_id] = lineno
             has_text = "text" in obj
             has_tokens = "tokens" in obj
             if has_text == has_tokens:
@@ -367,6 +395,7 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                     f"line {lineno}: exactly one of 'text' or 'tokens' is required")
             if has_text:
                 tokens = preprocess_tokens(str(obj["text"]), stopwords)
+                any_text = True
             else:
                 raw = obj["tokens"]
                 if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
@@ -386,34 +415,125 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
                         f"expected {len(buffer) // len(rows)}")
                 buffer.frombytes(row.tobytes())
             ref = obj.get("image_ref")
-            rows.append((str(obj["id"]), tuple(map(shared.setdefault, tokens, tokens)),
+            rows.append((doc_id, tuple(map(shared.setdefault, tokens, tokens)),
                          None if ref is None else str(ref)))
 
     if not rows:
         raise DatasetFormatError(f"{path}: dataset contains no documents")
+    record = {"sha256": digest.hexdigest()}
+    if any_text:
+        record["stopwords"] = _stopwords_digest(stopwords)
     ids, token_lists, image_refs = zip(*rows)
     text, image = (np.frombuffer(b).reshape(len(rows), -1) for b in embeddings.values())
+    return (ids, token_lists, image_refs, text, image), record
 
+
+def _read_columns(path: Path, stopwords) -> tuple:
+    """The :class:`Corpus` columns in ``path``'s columns file. Raises one of
+    ``_UNUSABLE``, naming what differs, unless its record matches ``path``'s
+    bytes (and ``stopwords``, if a line carried ``text``) and its token
+    arrays have the dtypes, shapes and ranges the record implies."""
+    with np.load(_columns_path(path), allow_pickle=False) as stored:
+        raw = stored["record"]
+        if raw.dtype != np.uint8 or raw.ndim != 1:
+            raise ValueError("the record is not a uint8 vector")
+        record = json.loads(raw.tobytes())
+        if not isinstance(record, dict) or record.get("version") != _COLUMNS_VERSION:
+            raise ValueError("the record is of another format version")
+        if "stopwords" in record and record["stopwords"] != _stopwords_digest(stopwords):
+            raise ValueError("the stopword set differs")
+        if record.get("sha256") != _sha256_file(path).hexdigest():
+            raise ValueError("the dataset bytes differ")
+        ids, table = record["ids"], record["table"]
+        token_ids, offsets = stored["token_ids"], stored["offsets"]
+        text, image = stored["text_embeddings"], stored["image_embeddings"]
+    if (token_ids.dtype != np.int32 or token_ids.ndim != 1
+            or offsets.dtype != np.int64 or offsets.shape != (len(ids) + 1,)):
+        raise ValueError("the token ids or offsets have the wrong dtype or shape")
+    if offsets[0] != 0 or offsets[-1] != token_ids.size or (np.diff(offsets) < 0).any():
+        raise ValueError("the offsets do not rise from 0 to the token count")
+    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= len(table)):
+        raise ValueError("a token id lies outside the token table")
+    words, bounds = np.array(table, dtype=object)[token_ids], offsets.tolist()
+    tokens = tuple(tuple(words[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return tuple(ids), tokens, tuple(record["image_refs"]), text, image
+
+
+def _write_columns(fh, corpus: Corpus, record: dict) -> None:
+    """Write ``corpus``'s columns to ``fh`` as an uncompressed npz: ``record``
+    plus the ids, image refs and distinct-token table as UTF-8 JSON bytes,
+    the tokens as :class:`TokenIds` ids into that table, and the embeddings."""
+    tokens = TokenIds.from_token_lists(corpus.tokens)
+    record = {**record, "version": _COLUMNS_VERSION, "ids": corpus.ids,
+              "image_refs": corpus.image_refs, "table": list(tokens.index)}
+    np.savez(fh, record=np.frombuffer(json.dumps(record).encode(), dtype=np.uint8),
+             token_ids=tokens.ids, offsets=tokens.offsets,
+             text_embeddings=corpus.text_embeddings, image_embeddings=corpus.image_embeddings)
+
+
+def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
+                stopwords: frozenset[str] | None = None) -> Corpus:
+    """Load a JSON-lines dataset into a :class:`Corpus`.
+
+    Lines carrying ``text`` are preprocessed with :func:`preprocess_tokens`;
+    lines carrying ``tokens`` are taken verbatim. Equal tokens share one
+    string object. The vocabulary comes from a sidecar vocab file next to
+    the dataset, or else from a frequency build capped at ``cap``.
+
+    The columns come from the dataset's columns file when its record
+    matches the dataset bytes (and ``stopwords``, if a line carried
+    ``text``). Otherwise the JSON lines are parsed, and the columns file is
+    rewritten; a failed write is logged and ignored.
+
+    Raises :class:`DatasetFormatError` naming the offending line for any
+    malformed document, or a reused ``id``.
+    """
+    path = Path(path)
+    if stopwords is None:
+        stopwords = load_stopwords()
     sidecar = _find_sidecar_vocab(path)
-    vocabulary = (read_vocab_file(sidecar) if sidecar is not None
-                  else build_vocabulary(token_lists, cap=cap))
-    return Corpus(vocabulary=vocabulary, ids=ids, tokens=token_lists, image_refs=image_refs,
-                  text_embeddings=text, image_embeddings=image)
+    pinned = read_vocab_file(sidecar) if sidecar is not None else None
+
+    def corpus(ids, tokens, image_refs, text, image) -> Corpus:
+        vocabulary = pinned if pinned is not None else build_vocabulary(tokens, cap=cap)
+        return Corpus(vocabulary=vocabulary, ids=ids, tokens=tokens, image_refs=image_refs,
+                      text_embeddings=text, image_embeddings=image)
+
+    try:
+        return corpus(*_read_columns(path, stopwords))
+    except _UNUSABLE as exc:
+        logger.debug("%s: columns file not used (%s); parsing the JSON lines", path, exc)
+    columns, record = _parse_dataset(path, stopwords)
+    loaded = corpus(*columns)
+    try:
+        with _atomic_file(_columns_path(path)) as fh:
+            _write_columns(fh, loaded, record)
+    except OSError as exc:
+        logger.info("%s: columns file not written: %s", path, exc)
+    return loaded
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename, so readers
-    never observe a partial file and concurrent writers cannot interleave."""
+@contextmanager
+def _atomic_file(path: Path):
+    """A binary file open on a temp file in ``path``'s directory, renamed to
+    ``path`` on a clean exit and deleted on any error, so readers never
+    observe a partial file and concurrent writers cannot interleave."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file plus rename."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -422,10 +542,16 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write ``corpus`` as a JSON-lines dataset plus a ``<stem>.vocab.txt``
-    sidecar pinning the vocabulary. Loading the result reproduces the corpus
-    bit for bit (floats round-trip exactly through JSON)."""
+    sidecar pinning the vocabulary and the dataset's columns file. The three
+    are written to temp files first and renamed into place only once all
+    are whole, so a failed save keeps the previous files. Loading the result
+    reproduces the corpus bit for bit (floats round-trip exactly through
+    JSON)."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    vocab = path.with_name(path.stem + ".vocab.txt")
+    with (_atomic_file(path) as data, _atomic_file(vocab) as terms,
+          _atomic_file(_columns_path(path)) as columns):
+        digest = hashlib.sha256()
         for d in corpus.documents:
             obj = {
                 "id": d.id,
@@ -435,9 +561,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
             }
             if d.image_ref is not None:
                 obj["image_ref"] = d.image_ref
-            fh.write(json.dumps(obj) + "\n")
-    sidecar = path.with_name(path.stem + ".vocab.txt")
-    sidecar.write_text("\n".join(corpus.vocabulary.terms) + "\n", encoding="utf-8")
+            line = (json.dumps(obj) + "\n").encode("utf-8")
+            digest.update(line)
+            data.write(line)
+        terms.write(("\n".join(corpus.vocabulary.terms) + "\n").encode("utf-8"))
+        _write_columns(columns, corpus, {"sha256": digest.hexdigest()})
     return path
 
 

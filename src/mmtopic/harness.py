@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_json_fields,
                      _check_json_keys, _find_sidecar_vocab, _json_type_error,
-                     atomic_write_bytes, atomic_write_text, load_corpus)
+                     _sha256_file, atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, param_shapes, train
@@ -158,8 +158,9 @@ def load_model(path: str | Path) -> TrainedTopicModel:
 
 def corpus_fingerprint(path: str | Path, vocab_cap: int = DEFAULT_VOCAB_CAP) -> str:
     """Hash of a dataset file's bytes and of what shapes its vocabulary:
-    the sidecar file :func:`load_corpus` would read, else ``vocab_cap``."""
-    digest = hashlib.sha256(Path(path).read_bytes())
+    the sidecar file :func:`load_corpus` would read, else ``vocab_cap``.
+    The dataset's columns file, derived from those bytes, is not hashed."""
+    digest = _sha256_file(path)
     sidecar = _find_sidecar_vocab(Path(path))
     digest.update((b"\0vocab\0" + sidecar.read_bytes()) if sidecar is not None
                   else f"\0cap\0{vocab_cap}".encode())
@@ -473,8 +474,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     manifest_dir = out_dir / "manifests"
     word_vectors = (load_word_vectors(plan.word_vectors)
                     if plan.word_vectors else None)
-    vectors_sha256 = (hashlib.sha256(Path(plan.word_vectors).read_bytes()).hexdigest()
-                      if plan.word_vectors else None)
+    vectors_sha256 = _sha256_file(plan.word_vectors).hexdigest() if plan.word_vectors else None
     evaluation = {"descriptor_size": plan.descriptor_size, "npmi_window": plan.npmi_window,
                   "rbo_p": plan.rbo_p, "word_vectors_sha256": vectors_sha256}
 

@@ -75,12 +75,15 @@ def tiny_corpus():
 @pytest.fixture
 def full_disk(monkeypatch):
     """Make every file opened with ``os.fdopen`` accept half of its first
-    write and then fail as a full disk does."""
+    write and then fail as a full disk does. Other file methods pass through."""
     real_fdopen = os.fdopen
 
     class HalfWriter:
         def __init__(self, fh):
             self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
 
         def __enter__(self):
             return self

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import re
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mmtopic.corpus
 from mmtopic.corpus import (
     Corpus,
     DatasetFormatError,
@@ -274,14 +276,35 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
 
-class TestDatasetIO:
-    def _write(self, tmp_path, lines, name="data.jsonl"):
-        path = tmp_path / name
-        path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
-        return path
+@pytest.fixture
+def parses(monkeypatch):
+    """The path of each JSON-lines parse that ``load_corpus`` makes."""
+    seen, parse = [], mmtopic.corpus._parse_dataset
+    monkeypatch.setattr(mmtopic.corpus, "_parse_dataset",
+                        lambda path, stopwords: seen.append(path) or parse(path, stopwords))
+    return seen
 
+
+def load_corpus_via(path, source, **kwargs):
+    """Load ``path`` once, or on the second load, twice (the first writes
+    the columns file when it is missing), and check that both agree."""
+    first = load_corpus(path, **kwargs)
+    if source != "second load":
+        return first
+    second = load_corpus(path, **kwargs)
+    assert second == first
+    return second
+
+
+def write_lines(tmp_path, lines, name="data.jsonl"):
+    path = tmp_path / name
+    path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    return path
+
+
+class TestDatasetIO:
     def test_loads_text_and_tokens_lines(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "text": "Red pandas eat bamboo",
              "text_embedding": [1.0, 2.0], "image_embedding": [0.5],
              "image_ref": "a.jpg"},
@@ -303,7 +326,7 @@ class TestDatasetIO:
             load_corpus(path)
 
     def test_text_and_tokens_together_rejected(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "text": "x", "tokens": ["x"],
              "text_embedding": [1.0], "image_embedding": [1.0]},
         ])
@@ -311,7 +334,7 @@ class TestDatasetIO:
             load_corpus(path)
 
     def test_missing_embedding_names_line(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "tokens": ["x"], "text_embedding": [1.0],
              "image_embedding": [1.0]},
             {"id": "b", "tokens": ["y"], "text_embedding": [1.0]},
@@ -320,7 +343,7 @@ class TestDatasetIO:
             load_corpus(path)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "tokens": ["x"], "text_embedding": [1.0, 2.0],
              "image_embedding": [1.0]},
             {"id": "b", "tokens": ["x"], "text_embedding": [1.0],
@@ -330,7 +353,7 @@ class TestDatasetIO:
             load_corpus(path)
 
     def test_non_finite_embedding_rejected(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "tokens": ["x"], "text_embedding": [float("nan")],
              "image_embedding": [1.0]},
         ])
@@ -339,7 +362,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("token", ["", " y", "a b", "z\n"])
     def test_token_that_cannot_round_trip_rejected(self, tmp_path, token):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]},
             {"id": "b", "tokens": ["x", token], "text_embedding": [1.0],
              "image_embedding": [1.0]},
@@ -349,7 +372,7 @@ class TestDatasetIO:
             load_corpus(path)
 
     def test_sidecar_vocab_pins_vocabulary(self, tmp_path):
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": "a", "tokens": ["x", "y"], "text_embedding": [1.0],
              "image_embedding": [1.0]},
         ])
@@ -357,9 +380,13 @@ class TestDatasetIO:
         corpus = load_corpus(path)
         assert corpus.vocabulary.terms == ("y", "x", "unused")
 
-    def test_round_trip_is_bit_identical(self, tmp_path, tiny_corpus):
+    @pytest.mark.parametrize("source", ["save", "first load", "second load"])
+    def test_round_trip_is_bit_identical(self, tmp_path, tiny_corpus, parses, source):
         path = save_corpus(tiny_corpus, tmp_path / "out.jsonl")
-        again = load_corpus(path)
+        if source != "save":  # the first load then parses and writes the columns file
+            path.with_name("out.columns.npz").unlink()
+        again = load_corpus_via(path, source)
+        assert len(parses) == (source != "save")
         assert again.vocabulary.terms == tiny_corpus.vocabulary.terms
         assert again.bow_matrix().tobytes() == tiny_corpus.bow_matrix().tobytes()
         assert (again.ids, again.tokens, again.image_refs) \
@@ -389,15 +416,184 @@ class TestDatasetIO:
             flipped.view(np.uint64)[1, 0] ^= 1
             assert a != Corpus(**columns(a, **{name: flipped})), name
 
+    @pytest.mark.parametrize("source", ["first load", "second load"])
     @pytest.mark.parametrize("field", ["tokens", "text"])
-    def test_each_distinct_token_is_one_object(self, tmp_path, field):
+    def test_each_distinct_token_is_one_object(self, tmp_path, parses, field, source):
         words = ["ocean", "waves", "ocean", "sand", "waves", "ocean"]
-        path = self._write(tmp_path, [
+        path = write_lines(tmp_path, [
             {"id": str(i), field: words[i:] if field == "tokens" else " ".join(words[i:]),
              "text_embedding": [1.0], "image_embedding": [1.0]} for i in range(4)])
-        tokens = [t for doc in load_corpus(path).tokens for t in doc]
+        tokens = [t for doc in load_corpus_via(path, source).tokens for t in doc]
+        assert len(parses) == 1
         assert len(tokens) == 18
         assert len({id(t) for t in tokens}) == len(set(tokens)) == 3
+
+
+def rewrite_columns(path, record_changes=None, **arrays):
+    """Rewrite a columns file with some arrays replaced (``None`` drops
+    one) and, if given, some of its record's keys changed."""
+    with np.load(path) as stored:
+        kept = dict(stored)
+    if record_changes is not None:
+        record = {**json.loads(kept["record"].tobytes()), **record_changes}
+        kept["record"] = np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)
+    kept.update(arrays)
+    np.savez(path, **{name: a for name, a in kept.items() if a is not None})
+
+
+def shifted_offsets(offsets, at, by):
+    changed = offsets.copy()
+    changed[at] += by
+    return changed
+
+
+class TestColumnsFile:
+    """``<stem>.columns.npz`` stands in for the JSON lines only when its
+    record matches them; anything else sends ``load_corpus`` back to
+    parsing, which rewrites the file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, tiny_corpus):
+        path = save_corpus(tiny_corpus, tmp_path / "data.jsonl")
+        return path, path.with_name("data.columns.npz")
+
+    def test_save_writes_the_file_that_the_next_load_reads(self, saved, tiny_corpus, parses):
+        path, stored = saved
+        assert stored.exists()
+        assert load_corpus(path) == tiny_corpus
+        assert parses == []
+
+    def test_one_byte_edit_of_the_dataset_parses_again(self, saved, tiny_corpus, parses):
+        path, _ = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"id": "d1"', b'"id": "e1"'))
+        edited = load_corpus(path)
+        assert len(parses) == 1
+        assert edited.ids == ("d0", "e1", "d2", "d3")
+        assert edited == Corpus(**columns(tiny_corpus, ids=edited.ids))
+        assert load_corpus(path) == edited and len(parses) == 1  # rewritten
+
+    def test_other_stopwords_parse_a_text_dataset_again(self, tmp_path, parses):
+        path = write_lines(tmp_path, [
+            {"id": "a", "text": "the red fox and the dog",
+             "text_embedding": [1.0], "image_embedding": [1.0]}])
+        assert load_corpus(path, stopwords=frozenset({"the"})).tokens \
+            == (("red", "fox", "and", "dog"),)
+        assert load_corpus(path, stopwords=frozenset({"and"})).tokens \
+            == (("the", "red", "fox", "the", "dog"),)
+        assert len(parses) == 2
+        load_corpus(path, stopwords=frozenset({"and"}))
+        assert len(parses) == 2
+
+    def test_stopwords_do_not_bind_a_tokens_dataset(self, saved, tiny_corpus, parses):
+        path, _ = saved
+        assert load_corpus(path, stopwords=frozenset({"apple"})) == tiny_corpus
+        assert parses == []
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "not a zip", "foreign", "no offsets", "record not uint8",
+        "record not an object", "other version", "negative token id",
+        "token id past the table", "offsets not monotone", "offsets not from 0",
+        "offsets short of the end", "int64 token ids", "float32 embeddings",
+        "too few offsets", "NaN embedding"])
+    def test_damaged_file_parses_again(self, saved, tiny_corpus, parses, damage, caplog):
+        path, stored = saved
+        with np.load(stored) as arrays:
+            token_ids, offsets = arrays["token_ids"], arrays["offsets"]
+            text = arrays["text_embeddings"].copy()
+            record = json.loads(arrays["record"].tobytes())
+        text[0, 0] = np.nan
+        if damage == "truncated":
+            stored.write_bytes(stored.read_bytes()[:stored.stat().st_size // 2])
+        elif damage == "not a zip":
+            stored.write_bytes(b"not an npz file")
+        elif damage == "foreign":
+            np.savez(stored, a=np.arange(3))
+        else:
+            rewrite_columns(stored, **{
+                "no offsets": {"offsets": None},
+                "record not uint8": {"record": np.frombuffer(
+                    json.dumps(record).encode(), dtype=np.int8)},
+                "record not an object": {"record": np.frombuffer(b"[1]", dtype=np.uint8)},
+                "other version": {"record_changes": {"version": 0}},
+                "negative token id": {"token_ids": np.where(token_ids == 0, -1, token_ids)
+                                      .astype(np.int32)},
+                "token id past the table": {"token_ids": np.where(
+                    token_ids == 0, len(record["table"]), token_ids).astype(np.int32)},
+                "offsets not monotone": {"offsets": shifted_offsets(offsets, 1, 4)},
+                "offsets not from 0": {"offsets": shifted_offsets(offsets, 0, 1)},
+                "offsets short of the end": {"offsets": shifted_offsets(offsets, -1, -1)},
+                "int64 token ids": {"token_ids": token_ids.astype(np.int64)},
+                "float32 embeddings": {"text_embeddings": text.astype(np.float32)},
+                "too few offsets": {"offsets": offsets[:-1]},
+                "NaN embedding": {"text_embeddings": text},
+            }[damage])
+        with caplog.at_level(logging.DEBUG, logger="mmtopic.corpus"):
+            assert load_corpus(path) == tiny_corpus
+        assert len(parses) == 1
+        assert "columns file not used" in caplog.text
+        assert load_corpus(path) == tiny_corpus and len(parses) == 1  # rewritten
+
+    def test_edited_vocabulary_and_other_cap_give_the_fresh_parse(self, saved, tmp_path,
+                                                                  parses):
+        path, stored = saved
+        vocab = path.with_name("data.vocab.txt")
+        vocab.write_text("durian\ncherry\nunused\n")
+        via_columns = load_corpus(path)
+        stored.unlink()
+        assert via_columns == load_corpus(path) and len(parses) == 1
+        assert via_columns.vocabulary.terms == ("durian", "cherry", "unused")
+
+        vocab.unlink()
+        for cap in (1, 2, 4):
+            via_columns = load_corpus(path, cap=cap)  # written by the load before
+            stored.unlink()
+            assert via_columns == load_corpus(path, cap=cap)
+            assert len(parses) == 1 + cap.bit_length() and len(via_columns.vocabulary) == cap
+
+    @pytest.mark.parametrize("failure", ["read-only directory", "full disk"])
+    def test_unwritable_directory_still_loads(self, saved, tiny_corpus, parses, monkeypatch,
+                                              request, failure, caplog):
+        path, stored = saved
+        stored.unlink()
+        if failure == "full disk":
+            request.getfixturevalue("full_disk")
+        else:  # what mkstemp raises in a directory the user may not write
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path.parent))
+            monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        with caplog.at_level(logging.INFO, logger="mmtopic.corpus"):
+            assert load_corpus(path) == tiny_corpus
+        assert "columns file not written" in caplog.text
+        assert sorted(p.name for p in path.parent.iterdir()) == ["data.jsonl", "data.vocab.txt"]
+
+    def test_malformed_dataset_raises_despite_a_valid_file_from_other_bytes(self, saved):
+        path, stored = saved
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0] + "\n{broken\n")
+        with pytest.raises(DatasetFormatError, match="line 2: invalid JSON"):
+            load_corpus(path)
+        assert stored.exists()
+
+    def test_failed_save_keeps_the_previous_files(self, saved, tiny_corpus, tmp_path,
+                                                  request):
+        path, _ = saved
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["data.columns.npz", "data.jsonl", "data.vocab.txt"]
+        other = make_corpus([["kiwi", "lime"], ["lime"]])
+        request.getfixturevalue("full_disk")
+        with pytest.raises(OSError, match="No space"):
+            save_corpus(other, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert load_corpus(path) == tiny_corpus
+
+    def test_reused_id_names_both_lines(self, tmp_path):
+        row = {"tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(json.dumps({"id": i, **row}) for i in ("a", "b", "", "a")))
+        with pytest.raises(DatasetFormatError,
+                           match="line 4: id 'a' was already used on line 1"):
+            load_corpus(path)
 
 
 class TestSyntheticGenerator:

@@ -25,6 +25,7 @@ from mmtopic.harness import (
     ModelEntry,
     RunManifest,
     aggregate_metrics,
+    corpus_fingerprint,
     emit_report,
     load_manifests,
     load_model,
@@ -555,6 +556,18 @@ class TestRunPlan:
         manifests = run_plan(plan)
         assert all(m.status == "ok" for m in manifests)
         assert snapshot_tree(tmp_path / "runs") == before
+
+    def test_fingerprint_hashes_dataset_bytes_and_vocabulary_source(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        with dataset.open("ab") as fh:  # blank lines: the hash spans several chunks
+            fh.write(b"\n" * (3 << 20))
+        raw, sidecar = dataset.read_bytes(), dataset.with_name("toy.vocab.txt")
+        assert corpus_fingerprint(dataset) \
+            == hashlib.sha256(raw + b"\0vocab\0" + sidecar.read_bytes()).hexdigest()
+        sidecar.unlink()
+        load_corpus(dataset)  # rewrites the columns file, which is not hashed
+        assert corpus_fingerprint(dataset, 7) \
+            == hashlib.sha256(raw + b"\0cap\0" + b"7").hexdigest()
 
     def test_changed_dataset_invalidates_cells(self, tmp_path):
         dataset = write_dataset(tmp_path, seed=3)

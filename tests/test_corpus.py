@@ -286,10 +286,10 @@ def parses(monkeypatch):
 
 
 def load_corpus_via(path, source, **kwargs):
-    """Load ``path`` once, or on the second load, twice (the first writes
-    the columns file when it is missing), and check that both agree."""
+    """Load ``path`` once, or for the ``second`` load twice (the first
+    writes the columns file when it is missing), and check that both agree."""
     first = load_corpus(path, **kwargs)
-    if source != "second load":
+    if source != "second":
         return first
     second = load_corpus(path, **kwargs)
     assert second == first
@@ -380,7 +380,7 @@ class TestDatasetIO:
         corpus = load_corpus(path)
         assert corpus.vocabulary.terms == ("y", "x", "unused")
 
-    @pytest.mark.parametrize("source", ["save", "first load", "second load"])
+    @pytest.mark.parametrize("source", ["save", "first", "second"])
     def test_round_trip_is_bit_identical(self, tmp_path, tiny_corpus, parses, source):
         path = save_corpus(tiny_corpus, tmp_path / "out.jsonl")
         if source != "save":  # the first load then parses and writes the columns file
@@ -416,8 +416,9 @@ class TestDatasetIO:
             flipped.view(np.uint64)[1, 0] ^= 1
             assert a != Corpus(**columns(a, **{name: flipped})), name
 
-    @pytest.mark.parametrize("source", ["first load", "second load"])
-    @pytest.mark.parametrize("field", ["tokens", "text"])
+    @pytest.mark.parametrize("field,source", [
+        ("tokens", "first"), ("text", "first"), ("tokens", "second"), ("text", "second")],
+        ids=["tokens", "text", "tokens-second", "text-second"])
     def test_each_distinct_token_is_one_object(self, tmp_path, parses, field, source):
         words = ["ocean", "waves", "ocean", "sand", "waves", "ocean"]
         path = write_lines(tmp_path, [

@@ -21,7 +21,8 @@ already been done elsewhere; a line must carry exactly one of the two. A
 sidecar vocabulary file (``<stem>.vocab.txt`` next to the dataset, or
 ``vocab.txt`` in the same directory, one term per line) pins the vocabulary;
 otherwise it is built from the data. A corpus holds only its columns, so the
-same dataset bytes load as equal corpora wherever the file lies.
+same dataset bytes load as equal corpora wherever the file lies, and
+:attr:`Corpus.fingerprint` names the content, not the bytes it came from.
 
 A columns file (``<stem>.columns.npz`` next to the dataset) holds a parsed
 dataset's columns in binary, under a record of the SHA-256 of the dataset
@@ -225,11 +226,11 @@ class Corpus:
     and (N, Di) ``image_embeddings`` float64 matrices (Dt, Di >= 1), frozen
     once validated. Construction also requires finite embedding values and at
     least one in-vocabulary token in the corpus. Two corpora are ``==`` when
-    their vocabulary terms, tuple columns and embedding bytes are equal.
+    their :attr:`fingerprint` digests are equal.
 
-    :attr:`documents` and :attr:`token_ids` are built on first use and kept
-    in the instance ``__dict__``, out of ``==`` and ``repr``. Threads that
-    race on a first use each build a whole value before the one assignment.
+    :attr:`documents`, :attr:`token_ids` and :attr:`fingerprint` are built on
+    first use and kept in the instance ``__dict__``, out of ``repr``; threads
+    racing on a first use each build a whole value before the one assignment.
     """
 
     vocabulary: Vocabulary
@@ -262,11 +263,7 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (self.vocabulary.terms == other.vocabulary.terms
-                and all(getattr(self, name) == getattr(other, name)
-                        for name in ("ids", "tokens", "image_refs"))
-                and all(getattr(self, name).tobytes() == getattr(other, name).tobytes()
-                        for name in ("text_embeddings", "image_embeddings")))
+        return self.fingerprint == other.fingerprint
 
     @property
     def num_documents(self) -> int:
@@ -312,6 +309,19 @@ class Corpus:
         """The documents' tokens as :class:`TokenIds`, with the vocabulary
         terms leading, so an in-vocabulary token's id is its column."""
         return TokenIds.from_token_lists(self.tokens, leading=self.vocabulary.terms)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of the content: the vocabulary terms, ids, image
+        refs, :attr:`token_ids` (token table, ids and offsets), and both
+        embedding matrices' shapes and little-endian bytes."""
+        tokens, matrices = self.token_ids, (self.text_embeddings, self.image_embeddings)
+        digest = hashlib.sha256(json.dumps(
+            [self.vocabulary.terms, self.ids, self.image_refs, list(tokens.index),
+             *(m.shape for m in matrices)]).encode())
+        for array in (tokens.ids, tokens.offsets, *matrices):
+            digest.update(np.ascontiguousarray(array, array.dtype.newbyteorder("<")))
+        return digest.hexdigest()
 
 
 def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:

@@ -18,7 +18,7 @@ A plan is a JSON file::
 checkpoint, descriptors, and metrics, and records a manifest. Cells are
 named by dataset file stem and model label, so both must be unique within a
 plan. A cell whose manifest records a completed run over the same corpus
-bytes, resolved config and evaluation settings is skipped on re-runs, and a
+content, resolved config and evaluation settings is skipped on re-runs, and a
 completed plan re-run leaves every output byte untouched. Aggregation averages
 metrics over seeds within each topic count, then over topic counts.
 """
@@ -41,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_json_fields,
-                     _check_json_keys, _find_sidecar_vocab, _json_type_error,
-                     _sha256_file, atomic_write_bytes, atomic_write_text, load_corpus)
+                     _check_json_keys, _json_type_error, _sha256_file, atomic_write_bytes,
+                     atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, param_shapes, train
@@ -154,17 +154,6 @@ def load_model(path: str | Path) -> TrainedTopicModel:
     doc_topics = arrays.pop("doc_topics")
     return TrainedTopicModel(config=config, vocabulary=vocabulary, params=arrays,
                              loss_trace=header["loss_trace"], doc_topics=doc_topics)
-
-
-def corpus_fingerprint(path: str | Path, vocab_cap: int = DEFAULT_VOCAB_CAP) -> str:
-    """Hash of a dataset file's bytes and of what shapes its vocabulary:
-    the sidecar file :func:`load_corpus` would read, else ``vocab_cap``.
-    The dataset's columns file, derived from those bytes, is not hashed."""
-    digest = _sha256_file(path)
-    sidecar = _find_sidecar_vocab(Path(path))
-    digest.update((b"\0vocab\0" + sidecar.read_bytes()) if sidecar is not None
-                  else f"\0cap\0{vocab_cap}".encode())
-    return digest.hexdigest()
 
 
 # Every ModelConfig field but those a plan's axes set.
@@ -467,9 +456,11 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     sweep process is gone, even killed by SIGKILL, exits after the cell it
     is running.
 
-    Emits aggregate tables in all formats and returns the manifests in plan
-    order. Raises ``ValueError`` before any cell trains if a dataset has
-    fewer terms or documents than ``plan.descriptor_size``."""
+    Each dataset is loaded once, up front, and stamps its cells with its
+    :attr:`Corpus.fingerprint`. Emits aggregate tables in all formats and
+    returns the manifests in plan order. Raises ``ValueError`` before any
+    cell trains if a dataset has fewer terms or documents than
+    ``plan.descriptor_size``."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
     word_vectors = (load_word_vectors(plan.word_vectors)
@@ -478,30 +469,26 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     evaluation = {"descriptor_size": plan.descriptor_size, "npmi_window": plan.npmi_window,
                   "rbo_p": plan.rbo_p, "word_vectors_sha256": vectors_sha256}
 
-    results: dict[str, RunManifest] = {}  # by cell id in plan order; pending until run
-    corpora: dict[str, Corpus] = {}  # the datasets with a cell to run
+    corpora: dict[str, Corpus] = {}
     for dataset in plan.datasets:
-        fingerprint = corpus_fingerprint(dataset, plan.vocab_cap)
-        for entry, k, seed in itertools.product(plan.models, plan.topic_counts, plan.seeds):
-            cell = RunManifest(
-                cell_id=f"{Path(dataset).stem}__{entry.name}__k{k}__s{seed}",
-                dataset=dataset, model_label=entry.name, kind=entry.kind, num_topics=k,
-                seed=seed, status="pending",
-                config=_build_config(plan, entry, k, seed).to_dict(),
-                corpus_fingerprint=fingerprint, evaluation=evaluation)
-            existing = _manifest_is_valid(manifest_dir / f"{cell.cell_id}.json", cell)
-            if existing is not None:
-                logger.info("cell %s already complete; skipping", cell.cell_id)
-                results[cell.cell_id] = existing
-                continue
-            if dataset not in corpora:
-                corpus = corpora[dataset] = load_corpus(dataset, cap=plan.vocab_cap)
-                v, n = len(corpus.vocabulary), corpus.num_documents
-                if plan.descriptor_size > min(v, n):
-                    raise ValueError(f"{dataset}: descriptor_size {plan.descriptor_size} "
-                                     f"exceeds its vocabulary size V={v} or document "
-                                     f"count N={n}")
-            results[cell.cell_id] = cell
+        corpus = corpora[dataset] = load_corpus(dataset, cap=plan.vocab_cap)
+        v, n = len(corpus.vocabulary), corpus.num_documents
+        if plan.descriptor_size > min(v, n):
+            raise ValueError(f"{dataset}: descriptor_size {plan.descriptor_size} exceeds "
+                             f"its vocabulary size V={v} or document count N={n}")
+
+    results: dict[str, RunManifest] = {}  # by cell id in plan order; pending until run
+    for dataset, entry, k, seed in itertools.product(plan.datasets, plan.models,
+                                                     plan.topic_counts, plan.seeds):
+        cell = RunManifest(
+            cell_id=f"{Path(dataset).stem}__{entry.name}__k{k}__s{seed}",
+            dataset=dataset, model_label=entry.name, kind=entry.kind, num_topics=k,
+            seed=seed, status="pending", config=_build_config(plan, entry, k, seed).to_dict(),
+            corpus_fingerprint=corpora[dataset].fingerprint, evaluation=evaluation)
+        existing = _manifest_is_valid(manifest_dir / f"{cell.cell_id}.json", cell)
+        if existing is not None:
+            logger.info("cell %s already complete; skipping", cell.cell_id)
+        results[cell.cell_id] = existing or cell
     cells = [m for m in results.values() if m.status == "pending"]
 
     def run(cell: RunManifest) -> RunManifest:

@@ -410,11 +410,43 @@ class TestDatasetIO:
     def test_two_loads_are_equal_and_one_flipped_bit_is_not(self, tmp_path, tiny_corpus):
         path = save_corpus(tiny_corpus, tmp_path / "data.jsonl")
         a, b = load_corpus(path), load_corpus(path)
-        assert a == b
+        assert a == b and a.fingerprint == b.fingerprint
+        changes = {}
         for name in ("text_embeddings", "image_embeddings"):
             flipped = getattr(a, name).copy()
             flipped.view(np.uint64)[1, 0] ^= 1
-            assert a != Corpus(**columns(a, **{name: flipped})), name
+            changes[name] = {name: flipped}
+        tokens = list(a.tokens)
+        tokens[2] = tokens[2][:-1] + ("oov",)
+        changes.update({
+            "vocabulary": {"vocabulary": Vocabulary.from_terms(a.vocabulary.terms[::-1])},
+            "ids": {"ids": ("d0", "d1", "d2", "d4")},
+            "tokens": {"tokens": tuple(tokens)},
+            "token order": {"tokens": (a.tokens[0][::-1],) + a.tokens[1:]},
+            "image_refs": {"image_refs": a.image_refs[:3] + (None,)},
+            "text width": {"text_embeddings": np.hstack([a.text_embeddings,
+                                                         a.text_embeddings[:, :1]])},
+        })
+        for what, change in changes.items():
+            other = Corpus(**columns(a, **change))
+            assert a != other and a.fingerprint != other.fingerprint, what
+
+    @pytest.mark.parametrize("source", ["save", "first", "second"])
+    def test_fingerprint_survives_a_round_trip(self, tmp_path, source):
+        built, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=3, vocab_size=40, docs=30, doc_length=9, embed_dim_text=5,
+            embed_dim_image=3, embedding_noise=0.1, seed=2))
+        path = save_corpus(built, tmp_path / "synthetic.jsonl")
+        if source != "save":
+            path.with_name("synthetic.columns.npz").unlink()
+        loaded = load_corpus_via(path, source)
+        fingerprint = built.fingerprint
+        assert len(fingerprint) == 64 and int(fingerprint, 16) >= 0
+        assert loaded.fingerprint == fingerprint and loaded == built
+        # the digest names values, not how the arrays are laid out in memory
+        fortran = Corpus(**columns(built, text_embeddings=np.asfortranarray(
+            built.text_embeddings)))
+        assert fortran.fingerprint == fingerprint
 
     @pytest.mark.parametrize("field,source", [
         ("tokens", "first"), ("text", "first"), ("tokens", "second"), ("text", "second")],

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmtopic.corpus import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
+from mmtopic.corpus import (DatasetFormatError, SyntheticSpec, generate_synthetic,
+                            load_corpus, save_corpus)
 from mmtopic.descriptors import topic_keywords
 from mmtopic.harness import (
     CheckpointError,
@@ -25,7 +26,6 @@ from mmtopic.harness import (
     ModelEntry,
     RunManifest,
     aggregate_metrics,
-    corpus_fingerprint,
     emit_report,
     load_manifests,
     load_model,
@@ -557,17 +557,41 @@ class TestRunPlan:
         assert all(m.status == "ok" for m in manifests)
         assert snapshot_tree(tmp_path / "runs") == before
 
-    def test_fingerprint_hashes_dataset_bytes_and_vocabulary_source(self, tmp_path):
+    def test_same_content_in_other_bytes_skips_every_cell(self, tmp_path):
         dataset = write_dataset(tmp_path)
-        with dataset.open("ab") as fh:  # blank lines: the hash spans several chunks
-            fh.write(b"\n" * (3 << 20))
-        raw, sidecar = dataset.read_bytes(), dataset.with_name("toy.vocab.txt")
-        assert corpus_fingerprint(dataset) \
-            == hashlib.sha256(raw + b"\0vocab\0" + sidecar.read_bytes()).hexdigest()
-        sidecar.unlink()
-        load_corpus(dataset)  # rewrites the columns file, which is not hashed
-        assert corpus_fingerprint(dataset, 7) \
-            == hashlib.sha256(raw + b"\0cap\0" + b"7").hexdigest()
+        plan = make_plan(tmp_path, dataset)
+        first = run_plan(plan)
+        assert {m.corpus_fingerprint for m in first} == {load_corpus(dataset).fingerprint}
+        before, raw = snapshot_tree(tmp_path / "runs"), dataset.read_bytes()
+        # keys reversed, no spaces, and blank lines
+        dataset.write_text("\n".join(json.dumps(dict(reversed(json.loads(line).items())),
+                                                separators=(",", ":"))
+                                     for line in raw.decode().splitlines()) + "\n\n\n")
+        assert dataset.read_bytes() != raw
+        assert [m.to_dict() for m in run_plan(plan)] == [m.to_dict() for m in first]
+        assert snapshot_tree(tmp_path / "runs") == before
+
+    def test_sidecar_edit_that_keeps_the_vocabulary_skips_every_cell(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        sidecar = dataset.with_name("toy.vocab.txt")
+        plan = make_plan(tmp_path, dataset)
+        run_plan(plan)
+        before = snapshot_tree(tmp_path / "runs")
+        sidecar.write_text("\n".join(f"  {t}\n" for t in sidecar.read_text().split()))
+        run_plan(plan)
+        assert snapshot_tree(tmp_path / "runs") == before
+
+    def test_dataset_that_no_longer_parses_raises_though_its_cells_are_complete(
+            self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        plan = make_plan(tmp_path, dataset)
+        run_plan(plan)
+        before = snapshot_tree(tmp_path / "runs")
+        with dataset.open("a") as fh:
+            fh.write("{broken\n")
+        with pytest.raises(DatasetFormatError, match="line 13: invalid JSON"):
+            run_plan(plan)
+        assert snapshot_tree(tmp_path / "runs") == before
 
     def test_changed_dataset_invalidates_cells(self, tmp_path):
         dataset = write_dataset(tmp_path, seed=3)

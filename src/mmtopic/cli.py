@@ -92,8 +92,9 @@ def _cmd_eval(args) -> int:
     model = harness.load_model(args.model)
     corpus = load_corpus(args.data)
     if corpus.num_documents != model.doc_topics.shape[0]:
-        raise SystemExit(f"dataset has {corpus.num_documents} documents but the "
-                         f"checkpoint was trained on {model.doc_topics.shape[0]}")
+        raise harness.CheckpointError(
+            f"{args.model}: the checkpoint was trained on {model.doc_topics.shape[0]} "
+            f"documents, but {args.data} has {corpus.num_documents}")
     vectors = load_word_vectors(args.word_vectors) if args.word_vectors else None
     report = compute_metric_report(
         model, corpus, word_vectors=vectors, n_descriptors=args.top_n,

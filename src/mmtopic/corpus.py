@@ -30,7 +30,8 @@ bytes they came from. :func:`load_corpus` reads it only when that record
 matches, and otherwise parses the JSON lines and rewrites it.
 
 Every output file the package writes goes through a temp file plus rename,
-so a failed write keeps the previous file whole.
+so a failed write keeps the previous file whole, and gets the mode a plain
+``open`` gives it: 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import json
 import logging
 import os
 import string
-import tempfile
 import zipfile
 from array import array
 from collections import Counter
@@ -389,6 +389,8 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc.msg})")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"line {lineno}: not UTF-8 ({exc.reason})")
             if not isinstance(obj, dict):
                 raise DatasetFormatError(f"line {lineno}: expected a JSON object")
             if "id" not in obj:
@@ -441,8 +443,9 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
 def _read_columns(path: Path, stopwords) -> tuple:
     """The :class:`Corpus` columns in ``path``'s columns file. Raises one of
     ``_UNUSABLE``, naming what differs, unless its record matches ``path``'s
-    bytes (and ``stopwords``, if a line carried ``text``) and its token
-    arrays have the dtypes, shapes and ranges the record implies."""
+    bytes (and ``stopwords``, if a line carried ``text``) and holds arrays of
+    strings (or nulls, among the image refs), and its token arrays have the
+    dtypes, shapes and ranges the record implies."""
     with np.load(_columns_path(path), allow_pickle=False) as stored:
         raw = stored["record"]
         if raw.dtype != np.uint8 or raw.ndim != 1:
@@ -454,6 +457,11 @@ def _read_columns(path: Path, stopwords) -> tuple:
             raise ValueError("the stopword set differs")
         if record.get("sha256") != _sha256_file(path).hexdigest():
             raise ValueError("the dataset bytes differ")
+        for name, annotation in (("ids", "tuple[str, ...]"), ("table", "tuple[str, ...]"),
+                                 ("image_refs", "tuple[str | None, ...]")):
+            wanted = _json_type_error(record.get(name), annotation)
+            if wanted:
+                raise ValueError(f"the record's {name} is not {wanted}")
         ids, table = record["ids"], record["table"]
         token_ids, offsets = stored["token_ids"], stored["offsets"]
         text, image = stored["text_embeddings"], stored["image_embeddings"]
@@ -527,9 +535,12 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
 def _atomic_file(path: Path):
     """A binary file open on a temp file in ``path``'s directory, renamed to
     ``path`` on a clean exit and deleted on any error, so readers never
-    observe a partial file and concurrent writers cannot interleave."""
+    observe a partial file and concurrent writers cannot interleave. The
+    temp file is created afresh under a random name with mode 0666, which
+    the umask narrows as it does for a plain ``open``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -5,7 +5,7 @@ import pytest
 
 from mmtopic import cli
 from mmtopic.corpus import load_corpus, read_vocab_file, save_corpus
-from mmtopic.harness import load_model, save_model
+from mmtopic.harness import CheckpointError, load_model, save_model
 from mmtopic.models import ModelConfig, train
 
 from conftest import make_corpus
@@ -63,6 +63,74 @@ def test_failed_eval_report_write_keeps_previous_report(dataset, tmp_path, reque
     with pytest.raises(OSError, match="No space"):
         cli.main(argv)
     assert report.read_bytes() == b"previous report\n"
+
+
+@pytest.fixture
+def checkpoints(dataset, tmp_path):
+    """A zeroshot and a multimodal_zeroshot checkpoint trained on ``dataset``."""
+    corpus = load_corpus(dataset)
+    return [save_model(train(corpus, ModelConfig(kind=kind, num_topics=2, epochs=1,
+                                                 hidden_dim=4)), tmp_path / f"{kind}.mmtm")
+            for kind in ("zeroshot", "multimodal_zeroshot")]
+
+
+def test_eval_writes_descriptors(dataset, checkpoints, tmp_path):
+    descriptors = tmp_path / "descriptors.jsonl"
+    assert cli.main(["eval", "--model", str(checkpoints[0]), "--data", str(dataset),
+                     "--out", str(tmp_path / "report.json"), "--top-n", "2",
+                     "--descriptors", str(descriptors)]) == 0
+    records = [json.loads(line) for line in descriptors.read_text().splitlines()]
+    assert [r["topic_id"] for r in records] == [0, 1]
+    corpus = load_corpus(dataset)
+    for r in records:
+        assert len(r["keywords"]) == 2 and set(r["keywords"]) <= set(corpus.vocabulary.terms)
+        assert len(r["images"]) == 2
+        assert {i["doc_id"] for i in r["images"]} <= set(corpus.ids)
+
+
+def test_eval_on_another_document_count_raises_checkpoint_error(checkpoints, tmp_path):
+    other = save_corpus(make_corpus([["sun", "moon"], ["tide", "sun"], ["moon"]]),
+                        tmp_path / "other.jsonl")
+    out = tmp_path / "report.json"
+    with pytest.raises(CheckpointError, match=f"{checkpoints[0]}: the checkpoint was trained "
+                                              f"on 4 documents, but {other} has 3"):
+        cli.main(["eval", "--model", str(checkpoints[0]), "--data", str(other),
+                  "--out", str(out)])
+    assert not out.exists()
+
+
+def test_overlap_matches_the_topics_of_two_checkpoints(checkpoints, tmp_path, capsys):
+    out = tmp_path / "overlap.json"
+    assert cli.main(["overlap", "--model-a", str(checkpoints[0]), "--model-b",
+                     str(checkpoints[1]), "--out", str(out), "--top-n", "3"]) == 0
+    report = json.loads(out.read_text())
+    assert [report["model_a"], report["model_b"]] == [load_model(c).label for c in checkpoints]
+    assert sorted(report["assignment"]) == [0, 1] and report["descriptor_size"] == 3
+    assert len(report["similarity"]) == 2 and 0.0 <= report["mean"] <= 1.0
+    assert f"mean {report['mean']:.4f}" in capsys.readouterr().out
+
+
+def test_run_then_report(dataset, tmp_path, monkeypatch, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "datasets": [str(dataset)], "models": [{"kind": "zeroshot"}], "topic_counts": [2],
+        "seeds": 2, "epochs": 1, "descriptor_size": 2, "output_dir": "unused"}))
+    runs = tmp_path / "runs"
+    assert cli.main(["run", "--plan", str(plan), "--output-dir", str(runs),
+                     "--workers", "1"]) == 0
+    assert "2 cells complete, 0 failed" in capsys.readouterr().out
+    assert sorted(p.name for p in (runs / "manifests").iterdir()) \
+        == ["toy__zeroshot__k2__s0.json", "toy__zeroshot__k2__s1.json"]
+    (runs / "aggregate.csv").unlink()
+    assert cli.main(["report", "--runs", str(runs), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == f"wrote {runs / 'aggregate.csv'}\n"
+    assert (runs / "aggregate.csv").read_text().splitlines()[1].endswith(",0")
+
+    def failing_train(corpus, config):
+        raise RuntimeError("simulated failure")
+    monkeypatch.setattr(cli.harness, "train", failing_train)
+    assert cli.main(["run", "--plan", str(plan), "--output-dir", str(tmp_path / "other")]) == 1
+    assert "0 cells complete, 2 failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import os
 import re
 import sys
 import tempfile
@@ -448,6 +449,47 @@ class TestDatasetIO:
             built.text_embeddings)))
         assert fortran.fingerprint == fingerprint
 
+    @pytest.mark.parametrize("line,message", [
+        (b'["a", "b"]', "line 2: expected a JSON object"),
+        (b'{"tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: missing required field 'id'"),
+        (b'{"id": "b", "tokens": "x y", "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: 'tokens' must be a list of strings"),
+        (b'{"id": "b", "tokens": ["x", 3], "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: 'tokens' must be a list of strings"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": ["one"], "image_embedding": [1.0]}',
+         "line 2: field 'text_embedding' is not a numeric array"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [[1.0]]}',
+         "line 2: field 'image_embedding' must be a non-empty flat array"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [], "image_embedding": [1.0]}',
+         "line 2: field 'text_embedding' must be a non-empty flat array"),
+        (b'{"id": "b", "text": "caf\xff", "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: not UTF-8"),
+    ], ids=["not-an-object", "no-id", "tokens-string", "tokens-int", "non-numeric-embedding",
+            "nested-embedding", "empty-embedding", "not-utf8"])
+    def test_malformed_line_names_it(self, tmp_path, line, message):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"id": "a", "tokens": ["x"], "text_embedding": [1.0], '
+                         b'"image_embedding": [1.0]}\n' + line + b"\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            load_corpus(path)
+
+    def test_dataset_of_blank_lines_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n  \n\n")
+        with pytest.raises(DatasetFormatError, match="dataset contains no documents"):
+            load_corpus(path)
+
+    def test_generic_vocab_txt_pins_vocabulary_unless_a_stem_sidecar_does(self, tmp_path):
+        path = write_lines(tmp_path, [
+            {"id": "a", "tokens": ["x", "y"], "text_embedding": [1.0],
+             "image_embedding": [1.0]},
+        ])
+        (tmp_path / "vocab.txt").write_text("x\nunused\n")
+        assert load_corpus(path).vocabulary.terms == ("x", "unused")
+        (tmp_path / "data.vocab.txt").write_text("y\n")
+        assert load_corpus(path).vocabulary.terms == ("y",)
+
     @pytest.mark.parametrize("field,source", [
         ("tokens", "first"), ("text", "first"), ("tokens", "second"), ("text", "second")],
         ids=["tokens", "text", "tokens-second", "text-second"])
@@ -528,7 +570,8 @@ class TestColumnsFile:
         "record not an object", "other version", "negative token id",
         "token id past the table", "offsets not monotone", "offsets not from 0",
         "offsets short of the end", "int64 token ids", "float32 embeddings",
-        "too few offsets", "NaN embedding"])
+        "too few offsets", "NaN embedding", "integer in the table", "integer ids",
+        "integer image refs", "image refs not a list"])
     def test_damaged_file_parses_again(self, saved, tiny_corpus, parses, damage, caplog):
         path, stored = saved
         with np.load(stored) as arrays:
@@ -560,6 +603,11 @@ class TestColumnsFile:
                 "float32 embeddings": {"text_embeddings": text.astype(np.float32)},
                 "too few offsets": {"offsets": offsets[:-1]},
                 "NaN embedding": {"text_embeddings": text},
+                "integer in the table": {"record_changes": {"table": [7, *record["table"][1:]]}},
+                "integer ids": {"record_changes": {"ids": list(range(len(record["ids"])))}},
+                "integer image refs": {"record_changes": {
+                    "image_refs": [None, *range(1, len(record["image_refs"]))]}},
+                "image refs not a list": {"record_changes": {"image_refs": "img0"}},
             }[damage])
         with caplog.at_level(logging.DEBUG, logger="mmtopic.corpus"):
             assert load_corpus(path) == tiny_corpus
@@ -591,10 +639,14 @@ class TestColumnsFile:
         stored.unlink()
         if failure == "full disk":
             request.getfixturevalue("full_disk")
-        else:  # what mkstemp raises in a directory the user may not write
-            def refuse(*args, **kwargs):
-                raise PermissionError(13, "Permission denied", str(path.parent))
-            monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        else:  # what creating a file raises in a directory the user may not write
+            real_open = os.open
+
+            def refuse(name, flags, *args, **kwargs):
+                if flags & os.O_CREAT:
+                    raise PermissionError(13, "Permission denied", str(name))
+                return real_open(name, flags, *args, **kwargs)
+            monkeypatch.setattr(os, "open", refuse)
         with caplog.at_level(logging.INFO, logger="mmtopic.corpus"):
             assert load_corpus(path) == tiny_corpus
         assert "columns file not written" in caplog.text

@@ -254,6 +254,20 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_follow_the_umask(small_model, tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        save_model(small_model, tmp_path / "model.mmtm")
+        save_corpus(make_corpus([["sun", "moon"], ["tide"]]), tmp_path / "data.jsonl")
+    finally:
+        os.umask(previous)
+    names = ["data.columns.npz", "data.jsonl", "data.vocab.txt", "model.mmtm"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} \
+        == dict.fromkeys(names, mode)
+
+
 def split_checkpoint(path):
     """A checkpoint's header (parsed) and payload bytes."""
     raw = path.read_bytes()

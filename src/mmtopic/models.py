@@ -39,7 +39,6 @@ from .corpus import Corpus, Vocabulary, _check_json_fields
 from .nncore import (
     AdamState,
     adam_step,
-    encoder_hidden,
     glorot_uniform,
     inference_backward,
     inference_forward,
@@ -503,8 +502,7 @@ def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, fl
 
 def _posterior_mean(params: dict, prefix: str, x: np.ndarray) -> np.ndarray:
     """Posterior-mean topic mixtures of encoder inputs, without noise or dropout."""
-    hidden = encoder_hidden(params, prefix, x)[0]
-    return softmax(hidden @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"], axis=-1)
+    return softmax(inference_forward(params, prefix, x)[0], axis=-1)
 
 
 @one_blas_thread

@@ -84,16 +84,6 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def encoder_hidden(params: dict, prefix: str, x: np.ndarray):
-    """The encoder's softplus hidden layer over a row-stacked batch.
-    Returns it, max(pre, 0) and e = exp(-|pre|); the backward pass reads
-    the last two."""
-    pre = x @ params[prefix + ".W_hidden"].T
-    pre += params[prefix + ".b_hidden"]
-    hidden, e = _softplus_parts(pre)  # leaves max(pre, 0) in pre
-    return hidden, pre, e
-
-
 def inference_forward(params: dict, prefix: str, x: np.ndarray,
                       dropout_mask: np.ndarray | None = None):
     """Encoder forward pass over a row-stacked batch.
@@ -102,7 +92,9 @@ def inference_forward(params: dict, prefix: str, x: np.ndarray,
     1/(1-rate)) applied to the hidden activation, or None to disable.
     Returns (mu, logvar, cache) where cache feeds the backward pass.
     """
-    dropped, relu, e = encoder_hidden(params, prefix, x)
+    relu = x @ params[prefix + ".W_hidden"].T
+    relu += params[prefix + ".b_hidden"]
+    dropped, e = _softplus_parts(relu)  # leaves max(pre, 0) in relu
     if dropout_mask is not None:
         dropped *= dropout_mask
     mu = dropped @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"]

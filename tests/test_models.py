@@ -506,8 +506,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_objective_and_adam_step_per_batch(self, tiny_corpus, kind, monkeypatch):
-        calls = {"batch_objective": 0, "adam_step": 0, "inference_forward": 0,
-                 "encoder_hidden": 0}
+        calls = {"batch_objective": 0, "adam_step": 0, "inference_forward": 0}
         for name in calls:
             real = getattr(models_module, name)
 
@@ -522,9 +521,9 @@ class TestTraining:
         blocks = math.ceil(tiny_corpus.num_documents / config.batch_size)
         batches = config.epochs * blocks
         encoders = 2 if kind == "multimodal_contrast" else 1
-        # the posterior-mean doc_topics pass runs the hidden layer once per block
+        # the posterior-mean doc_topics pass runs the first encoder once per block
         assert calls == {"batch_objective": batches, "adam_step": batches,
-                         "inference_forward": batches * encoders, "encoder_hidden": blocks}
+                         "inference_forward": batches * encoders + blocks}
 
     def test_batches_never_hold_a_corpus_wide_count_matrix(self):
         # Each batch, and each block of the doc_topics pass, counts its own
@@ -580,13 +579,13 @@ class TestTraining:
             num_topics_true=2, vocab_size=30, docs=docs, doc_length=4,
             embed_dim_text=4, embed_dim_image=4, seed=0))
         sizes = []
-        real = models_module.encoder_hidden
+        real = models_module.inference_forward
 
-        def counted(params, prefix, x):
+        def counted(params, prefix, x, dropout_mask=None):
             sizes.append(len(x))
-            return real(params, prefix, x)
+            return real(params, prefix, x, dropout_mask)
 
-        monkeypatch.setattr(models_module, "encoder_hidden", counted)
+        monkeypatch.setattr(models_module, "inference_forward", counted)
         train(corpus, ModelConfig(kind="combined", num_topics=2, epochs=0,
                                   hidden_dim=4, batch_size=64))
         assert sizes == [64] * (docs // 64) + ([docs % 64] if docs % 64 else [])

@@ -395,7 +395,10 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                 raise DatasetFormatError(f"line {lineno}: expected a JSON object")
             if "id" not in obj:
                 raise DatasetFormatError(f"line {lineno}: missing required field 'id'")
-            doc_id = str(obj["id"])
+            for name, annotation in (("id", "str"), ("text", "str"), ("image_ref", "str | None")):
+                if name in obj and (wanted := _json_type_error(obj[name], annotation)):
+                    raise DatasetFormatError(f"line {lineno}: field {name!r} must be {wanted}")
+            doc_id = obj["id"]
             if doc_id in seen:
                 raise DatasetFormatError(
                     f"line {lineno}: id {doc_id!r} was already used on line {seen[doc_id]}")
@@ -406,7 +409,7 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                 raise DatasetFormatError(
                     f"line {lineno}: exactly one of 'text' or 'tokens' is required")
             if has_text:
-                tokens = preprocess_tokens(str(obj["text"]), stopwords)
+                tokens = preprocess_tokens(obj["text"], stopwords)
                 any_text = True
             else:
                 raw = obj["tokens"]
@@ -426,9 +429,8 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                         f"line {lineno}: {name} has dimension {row.size}, "
                         f"expected {len(buffer) // len(rows)}")
                 buffer.frombytes(row.tobytes())
-            ref = obj.get("image_ref")
             rows.append((doc_id, tuple(map(shared.setdefault, tokens, tokens)),
-                         None if ref is None else str(ref)))
+                         obj.get("image_ref")))
 
     if not rows:
         raise DatasetFormatError(f"{path}: dataset contains no documents")
@@ -479,9 +481,10 @@ def _read_columns(path: Path, stopwords) -> tuple:
 
 def _write_columns(fh, corpus: Corpus, record: dict) -> None:
     """Write ``corpus``'s columns to ``fh`` as an uncompressed npz: ``record``
-    plus the ids, image refs and distinct-token table as UTF-8 JSON bytes,
-    the tokens as :class:`TokenIds` ids into that table, and the embeddings."""
-    tokens = TokenIds.from_token_lists(corpus.tokens)
+    plus the ids, image refs and the token table of :attr:`Corpus.token_ids`
+    as UTF-8 JSON bytes, the tokens as its ids into that table, and the
+    embeddings."""
+    tokens = corpus.token_ids
     record = {**record, "version": _COLUMNS_VERSION, "ids": corpus.ids,
               "image_refs": corpus.image_refs, "table": list(tokens.index)}
     np.savez(fh, record=np.frombuffer(json.dumps(record).encode(), dtype=np.uint8),

@@ -465,8 +465,26 @@ class TestDatasetIO:
          "line 2: field 'text_embedding' must be a non-empty flat array"),
         (b'{"id": "b", "text": "caf\xff", "text_embedding": [1.0], "image_embedding": [1.0]}',
          "line 2: not UTF-8"),
+        (b'{"id": 7, "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: field 'id' must be a JSON string"),
+        (b'{"id": null, "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: field 'id' must be a JSON string"),
+        (b'{"id": ["b"], "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: field 'id' must be a JSON string"),
+        (b'{"id": "b", "text": ["big", "dogs"], "text_embedding": [1.0], '
+         b'"image_embedding": [1.0]}',
+         "line 2: field 'text' must be a JSON string"),
+        (b'{"id": "b", "text": null, "text_embedding": [1.0], "image_embedding": [1.0]}',
+         "line 2: field 'text' must be a JSON string"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0], '
+         b'"image_ref": {"a": 1}}',
+         "line 2: field 'image_ref' must be a JSON string or null"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0], '
+         b'"image_ref": true}',
+         "line 2: field 'image_ref' must be a JSON string or null"),
     ], ids=["not-an-object", "no-id", "tokens-string", "tokens-int", "non-numeric-embedding",
-            "nested-embedding", "empty-embedding", "not-utf8"])
+            "nested-embedding", "empty-embedding", "not-utf8", "id-int", "id-null", "id-list",
+            "text-list", "text-null", "image-ref-object", "image-ref-bool"])
     def test_malformed_line_names_it(self, tmp_path, line, message):
         path = tmp_path / "data.jsonl"
         path.write_bytes(b'{"id": "a", "tokens": ["x"], "text_embedding": [1.0], '
@@ -537,6 +555,27 @@ class TestColumnsFile:
         assert stored.exists()
         assert load_corpus(path) == tiny_corpus
         assert parses == []
+
+    def test_the_file_stores_the_corpus_token_ids(self, tmp_path, parses):
+        # The corpus's own encoding, vocabulary terms first, goes to the file;
+        # a file of the earlier layout, its distinct tokens in order of first
+        # appearance, decodes to the same corpus.
+        corpus = make_corpus([["lime", "kiwi", "oov"], ["kiwi", "fig"]],
+                             vocabulary=Vocabulary.from_terms(["kiwi", "lime", "fig", "unused"]))
+        path = save_corpus(corpus, tmp_path / "data.jsonl")
+        stored = path.with_name("data.columns.npz")
+        with np.load(stored) as arrays:
+            assert json.loads(arrays["record"].tobytes())["table"] \
+                == ["kiwi", "lime", "fig", "unused", "oov"]
+            assert arrays["token_ids"].tolist() == corpus.token_ids.ids.tolist()
+        first_seen = TokenIds.from_token_lists(corpus.tokens)
+        assert list(first_seen.index) == ["lime", "kiwi", "oov", "fig"]
+        rewrite_columns(stored, record_changes={"table": list(first_seen.index)},
+                        token_ids=first_seen.ids, offsets=first_seen.offsets)
+        via_columns = load_corpus(path)
+        assert parses == []
+        stored.unlink()
+        assert via_columns == load_corpus(path) == corpus and len(parses) == 1
 
     def test_one_byte_edit_of_the_dataset_parses_again(self, saved, tiny_corpus, parses):
         path, _ = saved

@@ -134,16 +134,18 @@ _ADAM_CHUNK = 32768  # the 5 float64 slices a chunk touches (1.25 MiB) stay in a
 @dataclass
 class AdamState:
     """Adam over one parameter arena: ``adam_step`` owns the flat moments and
-    gradient, a one-chunk scratch, and the blocks whose tiling it last checked."""
+    gradient, a one-chunk scratch, and the blocks whose tiling it last checked.
+    Only the optimizer state is set at construction; ``adam_step`` alone sets
+    the rest."""
 
     learning_rate: float = 2e-3
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-    grad: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-    blocks: tuple = field(default=(), repr=False)
-    arena: np.ndarray | None = field(default=None, repr=False)
+    grad: np.ndarray | None = field(default=None, init=False)
+    scratch: np.ndarray | None = field(default=None, init=False)
+    blocks: tuple = field(default=(), init=False, repr=False)
+    arena: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def _address(a: np.ndarray) -> int:

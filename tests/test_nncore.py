@@ -289,6 +289,11 @@ class TestAdam:
         with pytest.raises(ValueError, match=r"moments for 4 parameters, arena of 6"):
             adam_step({"w": np.zeros(6)}, {"w": np.ones(6)}, state)
 
+    @pytest.mark.parametrize("name", ["grad", "scratch", "blocks", "arena"])
+    def test_buffers_adam_step_owns_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=name):
+            AdamState(**{name: np.zeros(2)})
+
 
 def encoder_params(input_dim, num_topics, rng, hidden_dim):
     """The ``enc`` blocks of a zeroshot model whose encoder reads ``input_dim``

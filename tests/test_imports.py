@@ -36,3 +36,20 @@ print(sorted(m for m in sys.modules
 
 def test_package_import_loads_no_process_pool_modules():
     assert run_fresh_python(POOL_MODULES).strip() == "[]"
+
+
+# mmtopic is numpy-only: importing the package and every submodule brings in
+# no top-level module beyond the standard library but numpy (whatever the
+# interpreter's own start-up loaded is left out).
+THIRD_PARTY_MODULES = """
+import importlib, sys
+before = set(sys.modules)
+for name in ["mmtopic", *("mmtopic." + m for m in sys.argv[1:])]:
+    importlib.import_module(name)
+print(sorted({m.split(".")[0] for m in set(sys.modules) - before}
+             - set(sys.stdlib_module_names) - {"mmtopic", "numpy"}))
+"""
+
+
+def test_package_imports_no_third_party_module_but_numpy():
+    assert run_fresh_python(THIRD_PARTY_MODULES, *MODULES).strip() == "[]"

@@ -86,20 +86,21 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
 
 def inference_forward(params: dict, prefix: str, x: np.ndarray,
                       dropout_mask: np.ndarray | None = None):
-    """Encoder forward pass over a row-stacked batch.
+    """Encoder forward pass over a row-stacked batch: the one pass that
+    training batches and the posterior mean (no mask) both run.
 
     ``dropout_mask`` is an inverted-dropout scale matrix (entries 0 or
     1/(1-rate)) applied to the hidden activation, or None to disable.
     Returns (mu, logvar, cache) where cache feeds the backward pass.
     """
-    relu = x @ params[prefix + ".W_hidden"].T
-    relu += params[prefix + ".b_hidden"]
-    dropped, e = _softplus_parts(relu)  # leaves max(pre, 0) in relu
+    pre = x @ params[prefix + ".W_hidden"].T
+    pre += params[prefix + ".b_hidden"]
+    dropped, e = _softplus_parts(pre)  # leaves max(pre, 0) in pre
     if dropout_mask is not None:
         dropped *= dropout_mask
     mu = dropped @ params[prefix + ".W_mu"].T + params[prefix + ".b_mu"]
     logvar = dropped @ params[prefix + ".W_logvar"].T + params[prefix + ".b_logvar"]
-    return mu, logvar, (x, relu, e, dropped, dropout_mask)
+    return mu, logvar, (x, pre, e, dropped, dropout_mask)
 
 
 def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict:
@@ -133,10 +134,9 @@ _ADAM_CHUNK = 32768  # the 5 float64 slices a chunk touches (1.25 MiB) stay in a
 
 @dataclass
 class AdamState:
-    """Adam over one parameter arena: ``adam_step`` owns the flat moments and
-    gradient, a one-chunk scratch, and the blocks whose tiling it last checked.
-    Only the optimizer state is set at construction; ``adam_step`` alone sets
-    the rest."""
+    """Adam over one parameter arena. Only the optimizer state is an argument:
+    ``adam_step`` allocates the flat moments and alone sets the gradient, a
+    one-chunk scratch, and the blocks whose tiling it last checked."""
 
     learning_rate: float = 2e-3
     step: int = 0

@@ -59,7 +59,6 @@ from .nncore import (
     adam_step,
     gradcheck,
     softmax,
-    softplus,
 )
 from .overlap import OverlapReport, hungarian, overlap_report, topic_similarity_matrix
 

@@ -54,15 +54,8 @@ def _cmd_synth(args) -> int:
     corpus, planted = generate_synthetic(SyntheticSpec(**d))
     save_corpus(corpus, args.out)
     if args.ground_truth:
-        payload = [{
-            "index": t.index,
-            "terms": list(t.terms),
-            "word_probs": t.word_probs.tolist(),
-            "text_centroid": t.text_centroid.tolist(),
-            "image_centroid": t.image_centroid.tolist(),
-            "doc_weights": t.doc_weights.tolist(),
-        } for t in planted]
-        atomic_write_text(Path(args.ground_truth), json.dumps(payload) + "\n")
+        atomic_write_text(Path(args.ground_truth), json.dumps(
+            [dataclasses.asdict(t) for t in planted], default=lambda a: a.tolist()) + "\n")
     print(f"wrote {corpus.num_documents} documents to {args.out}")
     return 0
 

@@ -44,14 +44,12 @@ from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_json_fields,
                      _check_json_keys, _json_type_error, _sha256_file, atomic_write_bytes,
                      atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
-from .metrics import compute_metric_report, load_word_vectors
+from .metrics import METRIC_COLUMNS, compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, param_shapes, train
 
 logger = logging.getLogger(__name__)
 
 _CHECKPOINT_MAGIC = "MMTM1"
-
-METRIC_COLUMNS = ("npmi", "we", "iec", "td", "irbo", "ieps")
 
 
 class CheckpointError(ValueError):

@@ -298,6 +298,10 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     return vectors
 
 
+# The paper's metrics, in the order of aggregate tables and summaries.
+METRIC_COLUMNS = ("npmi", "we", "iec", "td", "irbo", "ieps")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """All metric values for one trained model; metrics that do not apply
@@ -318,8 +322,7 @@ class MetricReport:
         return asdict(self)
 
     def values(self) -> dict[str, float | None]:
-        return {"npmi": self.npmi, "we": self.we, "td": self.td,
-                "irbo": self.irbo, "iec": self.iec, "ieps": self.ieps}
+        return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
 
 @one_blas_thread

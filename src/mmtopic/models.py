@@ -51,9 +51,6 @@ from .nncore import (
     softmax_backward,
 )
 
-KINDS = ("zeroshot", "combined", "multimodal_zeroshot", "multimodal_contrast")
-MULTIMODAL_KINDS = ("multimodal_zeroshot", "multimodal_contrast")
-
 # Per kind, one (parameter prefix, input key, features, KL component) per
 # encoder. Features are "text" and "image" (the embeddings) and "bow" (the
 # bag-of-words, L1-normalized in the input), concatenated in the listed
@@ -67,6 +64,9 @@ ENCODERS = {
     "multimodal_contrast": (("enc_text", "x_text", ("text",), "kl_text"),
                             ("enc_image", "x_image", ("image",), "kl_image")),
 }
+KINDS = tuple(ENCODERS)
+MULTIMODAL_KINDS = tuple(kind for kind, encoders in ENCODERS.items()
+                         if any("image" in features for _, _, features, _ in encoders))
 
 # The infer_topic_distribution argument that carries each feature.
 _FEATURE_ARGUMENTS = {"text": "text_embedding", "image": "image_embedding", "bow": "bow"}
@@ -127,10 +127,6 @@ class ModelConfig:
             raise ValueError("prior_alpha must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def prior(self) -> float:
-        """Variance of the zero-mean Gaussian prior in each topic dimension."""
-        return prior_variance(self.num_topics, self.prior_alpha)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -303,7 +299,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
         noise = (noise,)
     if dropout_masks is None or isinstance(dropout_masks, np.ndarray):
         dropout_masks = (dropout_masks,) * len(encoders)
-    prior = config.prior()
+    prior = prior_variance(config.num_topics, config.prior_alpha)
     passes = []  # (mu, logvar, sigma, theta, cache) per encoder
     for (prefix, key, _, _), eps, mask in zip(encoders, noise, dropout_masks,
                                                strict=True):

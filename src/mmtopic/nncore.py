@@ -42,11 +42,6 @@ def _softplus_parts(pre: np.ndarray):
     return out, e
 
 
-def softplus(x):
-    """log(1 + exp(x)), overflow-safe for large positive inputs."""
-    return _softplus_parts(np.array(x, dtype=np.float64))[0]
-
-
 def softmax(x, axis=-1):
     """Shift-invariant softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
@@ -225,6 +220,8 @@ def adam_step(params: dict, grads: dict, state: AdamState):
 # seen over the acceptance check's 20 random points was 8.9e-8; a gradient
 # off by a factor reads ~0.1 and above.
 _GRADCHECK_TOLERANCE = 1e-6
+# Finite-difference step: truncation (~step**2) and rounding errors stay near 1e-10.
+_GRADCHECK_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -245,10 +242,10 @@ class GradcheckReport:
         return bool(self.max_relative_error <= _GRADCHECK_TOLERANCE)
 
 
-def gradcheck(loss_fn, params: dict, step: float = 1e-5,
-              max_coords_per_block: int = 32,
+def gradcheck(loss_fn, params: dict, max_coords_per_block: int = 32,
               rng: np.random.Generator | None = None) -> GradcheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences with
+    step ``_GRADCHECK_STEP``.
 
     ``loss_fn(params) -> (loss, grads)`` must be deterministic (fix any
     noise draws and disable dropout before calling). For each parameter
@@ -279,12 +276,12 @@ def gradcheck(loss_fn, params: dict, step: float = 1e-5,
         fd = np.empty(count)
         for j, i in enumerate(coords):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _GRADCHECK_STEP
             up, _ = loss_fn(work)
-            flat[i] = orig - step
+            flat[i] = orig - _GRADCHECK_STEP
             down, _ = loss_fn(work)
             flat[i] = orig
-            fd[j] = (up - down) / (2.0 * step)
+            fd[j] = (up - down) / (2.0 * _GRADCHECK_STEP)
         ana = analytic[name].reshape(-1)[coords]
         denom = max(np.linalg.norm(ana), np.linalg.norm(fd), 1e-12)
         per_block[name] = float(np.linalg.norm(ana - fd) / denom)

@@ -9,7 +9,7 @@ possible topic correspondence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,16 +100,8 @@ class OverlapReport:
     descriptor_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "similarity": self.similarity.tolist(),
-            "assignment": list(self.assignment),
-            "mean": self.mean,
-            "sd": self.sd,
-            "rbo_p": self.rbo_p,
-            "descriptor_size": self.descriptor_size,
-        }
+        return {**asdict(self), "similarity": self.similarity.tolist(),
+                "assignment": list(self.assignment)}
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)

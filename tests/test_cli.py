@@ -4,7 +4,8 @@ import json
 import pytest
 
 from mmtopic import cli
-from mmtopic.corpus import load_corpus, read_vocab_file, save_corpus
+from mmtopic.corpus import (SyntheticSpec, generate_synthetic, load_corpus, read_vocab_file,
+                            save_corpus)
 from mmtopic.harness import CheckpointError, load_model, save_model
 from mmtopic.models import ModelConfig, train
 
@@ -165,6 +166,12 @@ class TestSynth:
         # the topics' word blocks partition the vocabulary
         assert sorted(t for topic in planted for t in topic["terms"]) \
             == sorted(corpus.vocabulary.terms)
+        _, topics = generate_synthetic(SyntheticSpec(**SPEC))
+        assert truth.read_text() == json.dumps([{
+            "index": t.index, "terms": list(t.terms), "word_probs": t.word_probs.tolist(),
+            "text_centroid": t.text_centroid.tolist(),
+            "image_centroid": t.image_centroid.tolist(), "doc_weights": t.doc_weights.tolist(),
+        } for t in topics]) + "\n"
 
     @pytest.mark.parametrize("spec, error, match", [
         ({**SPEC, "docs": "5"}, TypeError, "spec field 'docs' must be a JSON integer"),

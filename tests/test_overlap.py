@@ -154,6 +154,11 @@ class TestOverlapReport:
         path = report.write_json(tmp_path / "overlap.json")
         text = path.read_text()
         assert text.count("\n") == 1  # one compact line
+        assert text == json.dumps({
+            "model_a": a.label, "model_b": b.label,
+            "similarity": report.similarity.tolist(), "assignment": list(report.assignment),
+            "mean": report.mean, "sd": report.sd, "rbo_p": 0.9, "descriptor_size": 3,
+        }) + "\n"
         data = json.loads(text)
         assert data["model_a"] == a.label
         assert data["assignment"] == list(report.assignment)

@@ -254,6 +254,10 @@ class Corpus:
                 raise ValueError(f"{name}_embeddings has non-finite values")
         if any(len(column) != n for column in (self.tokens, self.image_refs, *matrices)):
             raise ValueError(f"every column must have one row per id ({n} ids)")
+        if not all(isinstance(i, str) for i in self.ids) or len(set(self.ids)) != n:
+            raise ValueError("ids must be distinct strings")
+        if not all(r is None or isinstance(r, str) for r in self.image_refs):
+            raise ValueError("each image ref must be a string or None")
         index = self.vocabulary.index
         if not any(t in index for tokens in self.tokens for t in tokens):
             raise ValueError("no document has any in-vocabulary token")
@@ -328,9 +332,12 @@ def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:
     if name not in obj:
         raise DatasetFormatError(f"line {lineno}: missing required field {name!r}")
     try:
-        arr = np.asarray(obj[name], dtype=np.float64)
-    except (TypeError, ValueError):
+        arr = np.asarray(obj[name])  # ValueError for ragged nesting
+        if arr.dtype.kind not in "iuf":  # strings and booleans, not JSON numbers
+            raise ValueError
+    except ValueError:
         raise DatasetFormatError(f"line {lineno}: field {name!r} is not a numeric array")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise DatasetFormatError(f"line {lineno}: field {name!r} must be a non-empty flat array")
     if not np.all(np.isfinite(arr)):

@@ -195,9 +195,15 @@ class TestCorpusValidation:
          "text_embeddings must be a 2-D float64 array with at least one column"),
         (lambda c: {"image_embeddings": np.zeros((4, 0))},
          "image_embeddings must be a 2-D float64 array with at least one column"),
+        (lambda c: {"ids": ("d", "d") + c.ids[2:]}, "ids must be distinct strings"),
+        (lambda c: {"ids": tuple(range(4))}, "ids must be distinct strings"),
+        (lambda c: {"image_refs": (3,) + c.image_refs[1:]}, "image ref must be a string or None"),
+        (lambda c: {"image_refs": (b"img",) + c.image_refs[1:]},
+         "image ref must be a string or None"),
     ], ids=["short-tokens", "long-image-refs", "short-text", "short-ids", "1-d-image",
             "float32-text", "list-text", "nan-text", "inf-image", "no-documents",
-            "zero-width-text", "zero-width-image"])
+            "zero-width-text", "zero-width-image", "repeated-id", "int-ids", "int-image-ref",
+            "bytes-image-ref"])
     def test_constructor_rejects_malformed_columns(self, tiny_corpus, changes, message):
         with pytest.raises(ValueError, match=message):
             Corpus(**columns(tiny_corpus, **changes(tiny_corpus)))
@@ -449,6 +455,29 @@ class TestDatasetIO:
             built.text_embeddings)))
         assert fortran.fingerprint == fingerprint
 
+    @given(rows=st.lists(st.tuples(
+        st.text("ab", max_size=2), st.lists(st.sampled_from(TERMS + ("oov",)), max_size=4),
+        st.none() | st.text("xy\u00e9", max_size=2),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)),
+        min_size=1, max_size=5))
+    # a repeated id, a null and an empty image ref, an empty document
+    @example(rows=[("d", ["a"], None, [0.5, -1.0, 2.0]), ("d", [], "", [0.0, 1e300, -0.0])])
+    @settings(deadline=None)  # each example writes and reads a dataset
+    def test_every_accepted_corpus_loads_back_through_both_paths(self, rows):
+        ids, tokens, refs, embeddings = zip(*rows)
+        try:
+            built = Corpus(vocabulary=Vocabulary.from_terms(TERMS), ids=ids,
+                           tokens=tuple(map(tuple, tokens)), image_refs=refs,
+                           text_embeddings=np.array(embeddings)[:, :2],
+                           image_embeddings=np.array(embeddings)[:, 2:])
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_corpus(built, Path(tmp) / "c.jsonl")
+            assert load_corpus(path) == built  # through the columns file
+            path.with_name("c.columns.npz").unlink()
+            assert load_corpus(path) == built  # parsed
+
     @pytest.mark.parametrize("line,message", [
         (b'["a", "b"]', "line 2: expected a JSON object"),
         (b'{"tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0]}',
@@ -482,9 +511,16 @@ class TestDatasetIO:
         (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], "image_embedding": [1.0], '
          b'"image_ref": true}',
          "line 2: field 'image_ref' must be a JSON string or null"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": ["0.5", "1.5"], '
+         b'"image_embedding": [1.0]}',
+         "line 2: field 'text_embedding' is not a numeric array"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], '
+         b'"image_embedding": [true, false]}',
+         "line 2: field 'image_embedding' is not a numeric array"),
     ], ids=["not-an-object", "no-id", "tokens-string", "tokens-int", "non-numeric-embedding",
             "nested-embedding", "empty-embedding", "not-utf8", "id-int", "id-null", "id-list",
-            "text-list", "text-null", "image-ref-object", "image-ref-bool"])
+            "text-list", "text-null", "image-ref-object", "image-ref-bool",
+            "numeric-string-embedding", "boolean-embedding"])
     def test_malformed_line_names_it(self, tmp_path, line, message):
         path = tmp_path / "data.jsonl"
         path.write_bytes(b'{"id": "a", "tokens": ["x"], "text_embedding": [1.0], '

@@ -224,9 +224,9 @@ class Corpus:
     """Immutable columns of N >= 1 documents over one vocabulary: ``ids``,
     ``tokens`` and ``image_refs`` tuples, and the (N, Dt) ``text_embeddings``
     and (N, Di) ``image_embeddings`` float64 matrices (Dt, Di >= 1), frozen
-    once validated. Construction also requires finite embedding values and at
-    least one in-vocabulary token in the corpus. Two corpora are ``==`` when
-    their :attr:`fingerprint` digests are equal.
+    once validated. Construction also requires distinct string ids, string or
+    None image refs, finite embedding values and some in-vocabulary token.
+    Two corpora are ``==`` when their :attr:`fingerprint` digests are equal.
 
     :attr:`documents`, :attr:`token_ids` and :attr:`fingerprint` are built on
     first use and kept in the instance ``__dict__``, out of ``repr``; threads

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from mmtopic.corpus import TokenIds, Vocabulary
 from mmtopic.descriptors import top_keywords
+from mmtopic import harness
 from mmtopic.metrics import (
+    METRIC_COLUMNS,
     MetricReport,
     _boolean_window_counts,
     _rbo_matrix,
@@ -471,6 +473,10 @@ class TestMetricReport:
         assert report.model_id == model.label
         for name in ("npmi", "td", "irbo", "iec", "ieps"):
             assert report.values()[name] is not None
+        # the aggregate table's columns, named once
+        assert harness.METRIC_COLUMNS is METRIC_COLUMNS
+        assert list(report.values()) == list(METRIC_COLUMNS) \
+            == ["npmi", "we", "iec", "td", "irbo", "ieps"]
         assert report.we is None
         assert len(report.per_topic["npmi"]) == 2
         assert len(report.per_topic["iec"]) == 2

@@ -73,6 +73,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="unknown model kind"):
             ModelConfig(kind="pagerank", num_topics=5)
 
+    def test_kinds_come_from_the_encoder_table(self):
+        assert models_module.KINDS == tuple(models_module.ENCODERS) == KINDS
+        assert models_module.MULTIMODAL_KINDS == ("multimodal_zeroshot", "multimodal_contrast")
+
     def test_batch_size_default_depends_on_kind(self):
         assert ModelConfig(kind="zeroshot", num_topics=5).batch_size == 64
         assert ModelConfig(kind="multimodal_contrast", num_topics=5).batch_size == 32

@@ -455,6 +455,7 @@ class TestDatasetIO:
             built.text_embeddings)))
         assert fortran.fingerprint == fingerprint
 
+    # ids and image refs as drawn; tokens only ones a dataset line can hold
     @given(rows=st.lists(st.tuples(
         st.text("ab", max_size=2), st.lists(st.sampled_from(TERMS + ("oov",)), max_size=4),
         st.none() | st.text("xy\u00e9", max_size=2),

@@ -4,11 +4,10 @@ dataset format, and planted-topic synthetic corpora.
 Each document pairs a token list with two precomputed embedding vectors,
 one for the text and one for the image. The toolkit never runs an encoder;
 embeddings arrive as numbers and stay opaque. A :class:`Corpus` stores
-columns: the ids, token lists and image refs as tuples, and the embeddings
-once each, as frozen (N, D) float64 matrices that models read directly.
-Per-document records (:attr:`Corpus.documents`) and bag-of-words counts
-over the shared capped vocabulary (:meth:`Corpus.bow_matrix`) are derived
-when asked for; neither is stored.
+columns: ids and image refs as tuples, tokens once, as :class:`TokenIds`,
+and each embedding as a frozen (N, D) float64 matrix that models read
+directly. Token strings, per-document records and bag-of-words counts are
+derived from these when asked for.
 
 Dataset format (UTF-8, one JSON object per line)::
 
@@ -43,7 +42,6 @@ import os
 import string
 import zipfile
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -114,6 +112,14 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the JSON-lines document format."""
 
 
+def _check_tokens(tokens, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming a token that is empty or holds whitespace, as no
+    sidecar vocabulary term can; only such tokens change when joined and split."""
+    if " ".join(tokens).split() != list(tokens):
+        bad = next(t for t in tokens if t.split() != [t])
+        raise error(f"{what} {bad!r} is empty or holds whitespace")
+
+
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list, one word per line. Defaults to the bundled
     English list."""
@@ -156,10 +162,7 @@ class Vocabulary:
             raise ValueError("vocabulary terms must be distinct")
         if not terms:
             raise ValueError("vocabulary must contain at least one term")
-        # A sidecar vocabulary file holds one stripped term per line.
-        bad = next((t for t in terms if t.split() != [t]), None)
-        if bad is not None:
-            raise ValueError(f"vocabulary term {bad!r} is empty or holds whitespace")
+        _check_tokens(terms, "vocabulary term")
         return cls(terms=terms, index=index)
 
     def __len__(self) -> int:
@@ -169,45 +172,61 @@ class Vocabulary:
         return term in self.index
 
 
-def build_vocabulary(token_lists, cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
-    """Build a vocabulary of the ``cap`` most frequent tokens.
+def build_vocabulary(token_ids: TokenIds, cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
+    """Build a vocabulary of the ``cap`` most frequent tokens in ``token_ids``.
 
     Terms are ordered by descending corpus frequency; frequency ties break
     lexicographically ascending, so the result is deterministic.
     """
     if cap < 1:
         raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
-    if not counts:
+    counts = np.bincount(token_ids.ids, minlength=len(token_ids.index)).tolist()
+    ranked = sorted((-c, t) for t, c in zip(token_ids.index, counts) if c)
+    if not ranked:
         raise ValueError("no distinct tokens: cannot build a vocabulary")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary.from_terms(t for t, _ in ranked[:cap])
+    return Vocabulary.from_terms(t for _, t in ranked[:cap])
 
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
     """Token lists as integers: one flat int32 id array plus int64 document
     offsets, so document ``d`` is ``ids[offsets[d]:offsets[d + 1]]``.
-    ``index`` maps every distinct token string, in-vocabulary or not, to
-    its id: the ``leading`` strings take ids 0, 1, ... in order, and the
-    other tokens follow in order of first appearance."""
+    ``index`` maps every distinct token string to its id, its place in the
+    table ``list(index)``; :meth:`from_token_lists` gives the ``leading``
+    strings ids 0, 1, ... and the other tokens the next ids in order of
+    first appearance. Construction checks that the offsets rise from 0 to
+    the token count, that each id names an entry and that each entry's id is
+    its place (no token is listed twice), and then freezes both arrays."""
 
     ids: np.ndarray
     offsets: np.ndarray
     index: dict[str, int] = field(repr=False)
 
+    def __post_init__(self):
+        ids, offsets = self.ids, self.offsets
+        if not (isinstance(ids, np.ndarray) and ids.dtype == np.int32 and ids.ndim == 1
+                and isinstance(offsets, np.ndarray) and offsets.dtype == np.int64
+                and offsets.ndim == 1 and offsets.size and offsets[0] == 0
+                and offsets[-1] == ids.size and (np.diff(offsets) >= 0).all()):
+            raise ValueError("token ids must be a 1-D int32 array, and offsets a 1-D "
+                             "int64 array rising from 0 to the token count")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.index)):
+            raise ValueError("a token id lies outside the token table")
+        if any(i != place for place, i in enumerate(self.index.values())):
+            raise ValueError("a token's id is not its place in the table")
+        ids.flags.writeable = offsets.flags.writeable = False
+
     @classmethod
     def from_token_lists(cls, token_lists, leading=()) -> "TokenIds":
-        token_lists = list(token_lists)
-        offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
-        np.cumsum([len(tokens) for tokens in token_lists], out=offsets[1:])
-        index = {t: i for i, t in enumerate(leading)}
-        ids = np.fromiter((index.setdefault(t, len(index))
-                           for tokens in token_lists for t in tokens),
-                          dtype=np.int32, count=int(offsets[-1]))
-        return cls(ids=ids, offsets=offsets, index=index)
+        token_lists, index = list(token_lists), {t: i for i, t in enumerate(leading)}
+        ids = [index.setdefault(t, len(index)) for tokens in token_lists for t in tokens]
+        return cls(np.array(ids, dtype=np.int32),
+                   np.cumsum([0, *map(len, token_lists)], dtype=np.int64), index)
+
+    def decode(self) -> tuple[tuple[str, ...], ...]:
+        """One tuple of table strings per document."""
+        words, bounds = np.array(list(self.index), dtype=object)[self.ids], self.offsets.tolist()
+        return tuple(tuple(words[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -221,21 +240,22 @@ class MultimodalDocument:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable columns of N >= 1 documents over one vocabulary: ``ids``,
-    ``tokens`` and ``image_refs`` tuples, and the (N, Dt) ``text_embeddings``
+    """Immutable columns of N >= 1 documents over one vocabulary: ``ids`` and
+    ``image_refs`` tuples, ``token_ids``, and the (N, Dt) ``text_embeddings``
     and (N, Di) ``image_embeddings`` float64 matrices (Dt, Di >= 1), frozen
     once validated. Construction also requires distinct string ids, string or
-    None image refs, finite embedding values and some in-vocabulary token.
+    None image refs, finite embedding values, tokens neither empty nor holding
+    whitespace, and some in-vocabulary token.
     Two corpora are ``==`` when their :attr:`fingerprint` digests are equal.
 
-    :attr:`documents`, :attr:`token_ids` and :attr:`fingerprint` are built on
+    :attr:`tokens`, :attr:`documents` and :attr:`fingerprint` are built on
     first use and kept in the instance ``__dict__``, out of ``repr``; threads
     racing on a first use each build a whole value before the one assignment.
     """
 
     vocabulary: Vocabulary
     ids: tuple[str, ...]
-    tokens: tuple[tuple[str, ...], ...]
+    token_ids: TokenIds
     image_refs: tuple[str | None, ...]
     text_embeddings: np.ndarray
     image_embeddings: np.ndarray
@@ -252,14 +272,22 @@ class Corpus:
                                  "with at least one column")
             if not np.isfinite(matrix).all():
                 raise ValueError(f"{name}_embeddings has non-finite values")
-        if any(len(column) != n for column in (self.tokens, self.image_refs, *matrices)):
+        tokens, terms = self.token_ids, self.vocabulary.terms
+        if any(len(column) != n for column in (tokens.offsets[1:], self.image_refs, *matrices)):
             raise ValueError(f"every column must have one row per id ({n} ids)")
         if not all(isinstance(i, str) for i in self.ids) or len(set(self.ids)) != n:
             raise ValueError("ids must be distinct strings")
         if not all(r is None or isinstance(r, str) for r in self.image_refs):
             raise ValueError("each image ref must be a string or None")
-        index = self.vocabulary.index
-        if not any(t in index for tokens in self.tokens for t in tokens):
+        _check_tokens(tokens.index, "token")
+        # Encode anew unless the terms lead the table, so a term's id is its
+        # column, and the other ids (np.unique sorts them) first appear in order.
+        _, first = np.unique(tokens.ids[tokens.ids >= len(terms)], return_index=True)
+        if (list(tokens.index)[:len(terms)] != list(terms)
+                or first.size != len(tokens.index) - len(terms) or (np.diff(first) < 0).any()):
+            tokens = TokenIds.from_token_lists(tokens.decode(), leading=terms)
+            object.__setattr__(self, "token_ids", tokens)
+        if not (tokens.ids < len(terms)).any():
             raise ValueError("no document has any in-vocabulary token")
         for matrix in matrices:
             matrix.flags.writeable = False
@@ -298,6 +326,11 @@ class Corpus:
         # With no codes to count, bincount returns int64 whatever the weights.
         return counts.astype(np.float64, copy=False).reshape(lengths.size, v)
 
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each document's tokens, decoded from :attr:`token_ids`."""
+        return self.token_ids.decode()
+
     def token_lists(self) -> list[tuple[str, ...]]:
         return list(self.tokens)
 
@@ -307,12 +340,6 @@ class Corpus:
         return tuple(MultimodalDocument(*row) for row in zip(
             self.ids, self.tokens, self.text_embeddings, self.image_embeddings,
             self.image_refs))
-
-    @cached_property
-    def token_ids(self) -> TokenIds:
-        """The documents' tokens as :class:`TokenIds`, with the vocabulary
-        terms leading, so an in-vocabulary token's id is its column."""
-        return TokenIds.from_token_lists(self.tokens, leading=self.vocabulary.terms)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -333,7 +360,8 @@ def _parse_embedding(obj, name: str, lineno: int) -> np.ndarray:
         raise DatasetFormatError(f"line {lineno}: missing required field {name!r}")
     try:
         arr = np.asarray(obj[name])  # ValueError for ragged nesting
-        if arr.dtype.kind not in "iuf":  # strings and booleans, not JSON numbers
+        # Strings and booleans are not JSON numbers, alone or mixed in.
+        if arr.dtype.kind not in "iuf" or (arr.ndim == 1 and bool in map(type, obj[name])):
             raise ValueError
     except ValueError:
         raise DatasetFormatError(f"line {lineno}: field {name!r} is not a numeric array")
@@ -383,7 +411,6 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
     carried ``text``, the digest of ``stopwords``."""
     rows = []
     seen: dict[str, int] = {}  # the line of each id
-    shared: dict[str, str] = {}  # one string object per distinct token
     # Rows go into growable buffers, so no per-line array outlives its line.
     embeddings = {"text_embedding": array("d"), "image_embedding": array("d")}
     digest, any_text = hashlib.sha256(), False
@@ -419,16 +446,10 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                 tokens = preprocess_tokens(obj["text"], stopwords)
                 any_text = True
             else:
-                raw = obj["tokens"]
-                if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+                tokens = obj["tokens"]
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise DatasetFormatError(f"line {lineno}: 'tokens' must be a list of strings")
-                # Joined and split again, tokens come back unchanged only if
-                # none is empty or holds whitespace: the vocabulary sidecar's rule.
-                if " ".join(raw).split() != raw:
-                    bad = next(t for t in raw if t.split() != [t])
-                    raise DatasetFormatError(
-                        f"line {lineno}: token {bad!r} is empty or holds whitespace")
-                tokens = raw
+                _check_tokens(tokens, f"line {lineno}: token", DatasetFormatError)
             for name, buffer in embeddings.items():
                 row = _parse_embedding(obj, name, lineno)
                 if rows and row.size * len(rows) != len(buffer):
@@ -436,8 +457,7 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
                         f"line {lineno}: {name} has dimension {row.size}, "
                         f"expected {len(buffer) // len(rows)}")
                 buffer.frombytes(row.tobytes())
-            rows.append((doc_id, tuple(map(shared.setdefault, tokens, tokens)),
-                         obj.get("image_ref")))
+            rows.append((doc_id, tokens, obj.get("image_ref")))
 
     if not rows:
         raise DatasetFormatError(f"{path}: dataset contains no documents")
@@ -446,15 +466,15 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
         record["stopwords"] = _stopwords_digest(stopwords)
     ids, token_lists, image_refs = zip(*rows)
     text, image = (np.frombuffer(b).reshape(len(rows), -1) for b in embeddings.values())
-    return (ids, token_lists, image_refs, text, image), record
+    return (ids, TokenIds.from_token_lists(token_lists), image_refs, text, image), record
 
 
 def _read_columns(path: Path, stopwords) -> tuple:
     """The :class:`Corpus` columns in ``path``'s columns file. Raises one of
     ``_UNUSABLE``, naming what differs, unless its record matches ``path``'s
     bytes (and ``stopwords``, if a line carried ``text``) and holds arrays of
-    strings (or nulls, among the image refs), and its token arrays have the
-    dtypes, shapes and ranges the record implies."""
+    strings (or nulls, among the image refs), and its token arrays make
+    :class:`TokenIds` over the record's token table."""
     with np.load(_columns_path(path), allow_pickle=False) as stored:
         raw = stored["record"]
         if raw.dtype != np.uint8 or raw.ndim != 1:
@@ -471,19 +491,9 @@ def _read_columns(path: Path, stopwords) -> tuple:
             wanted = _json_type_error(record.get(name), annotation)
             if wanted:
                 raise ValueError(f"the record's {name} is not {wanted}")
-        ids, table = record["ids"], record["table"]
-        token_ids, offsets = stored["token_ids"], stored["offsets"]
-        text, image = stored["text_embeddings"], stored["image_embeddings"]
-    if (token_ids.dtype != np.int32 or token_ids.ndim != 1
-            or offsets.dtype != np.int64 or offsets.shape != (len(ids) + 1,)):
-        raise ValueError("the token ids or offsets have the wrong dtype or shape")
-    if offsets[0] != 0 or offsets[-1] != token_ids.size or (np.diff(offsets) < 0).any():
-        raise ValueError("the offsets do not rise from 0 to the token count")
-    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= len(table)):
-        raise ValueError("a token id lies outside the token table")
-    words, bounds = np.array(table, dtype=object)[token_ids], offsets.tolist()
-    tokens = tuple(tuple(words[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return tuple(ids), tokens, tuple(record["image_refs"]), text, image
+        index = {t: i for i, t in enumerate(record["table"])}
+        return (tuple(record["ids"]), TokenIds(stored["token_ids"], stored["offsets"], index),
+                tuple(record["image_refs"]), stored["text_embeddings"], stored["image_embeddings"])
 
 
 def _write_columns(fh, corpus: Corpus, record: dict) -> None:
@@ -504,9 +514,9 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
     """Load a JSON-lines dataset into a :class:`Corpus`.
 
     Lines carrying ``text`` are preprocessed with :func:`preprocess_tokens`;
-    lines carrying ``tokens`` are taken verbatim. Equal tokens share one
-    string object. The vocabulary comes from a sidecar vocab file next to
-    the dataset, or else from a frequency build capped at ``cap``.
+    lines carrying ``tokens`` are taken verbatim. The vocabulary comes from a
+    sidecar vocab file next to the dataset, or else from a frequency build
+    capped at ``cap``.
 
     The columns come from the dataset's columns file when its record
     matches the dataset bytes (and ``stopwords``, if a line carried
@@ -522,10 +532,9 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
     sidecar = _find_sidecar_vocab(path)
     pinned = read_vocab_file(sidecar) if sidecar is not None else None
 
-    def corpus(ids, tokens, image_refs, text, image) -> Corpus:
-        vocabulary = pinned if pinned is not None else build_vocabulary(tokens, cap=cap)
-        return Corpus(vocabulary=vocabulary, ids=ids, tokens=tokens, image_refs=image_refs,
-                      text_embeddings=text, image_embeddings=image)
+    def corpus(ids, token_ids, image_refs, text, image) -> Corpus:
+        vocabulary = pinned if pinned is not None else build_vocabulary(token_ids, cap=cap)
+        return Corpus(vocabulary, ids, token_ids, image_refs, text, image)
 
     try:
         return corpus(*_read_columns(path, stopwords))
@@ -692,7 +701,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
     mixtures = rng.dirichlet(np.full(k, _MIXTURE_CONCENTRATION), size=spec.docs)
 
     id_width = max(5, len(str(spec.docs - 1)))
-    token_lists = []
+    chunks = []  # each document's token ids
     text_embeddings = np.empty((spec.docs, spec.embed_dim_text))
     image_embeddings = np.empty((spec.docs, spec.embed_dim_image))
     for d in range(spec.docs):
@@ -700,8 +709,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
         length = max(1, int(rng.poisson(spec.doc_length)))
         p = mix @ word_probs
         p = p / p.sum()
-        token_ids = rng.choice(v, size=length, p=p)
-        token_lists.append(tuple(terms[i] for i in token_ids))
+        chunks.append(rng.choice(v, size=length, p=p))
 
         text_embeddings[d] = mix @ text_centroids
         text_embeddings[d] /= np.linalg.norm(text_embeddings[d])
@@ -723,7 +731,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, list[PlantedTopic]]
             doc_weights=mixtures[:, t].copy(),
         ))
 
-    return Corpus(vocabulary=vocabulary, tokens=tuple(token_lists),
+    token_ids = TokenIds(np.concatenate(chunks).astype(np.int32),
+                         np.cumsum([0, *map(len, chunks)], dtype=np.int64), vocabulary.index)
+    return Corpus(vocabulary=vocabulary, token_ids=token_ids,
                   ids=tuple(f"doc{d:0{id_width}d}" for d in range(spec.docs)),
                   image_refs=tuple(f"img{d:0{id_width}d}" for d in range(spec.docs)),
                   text_embeddings=text_embeddings, image_embeddings=image_embeddings), planted

@@ -13,6 +13,7 @@ import mmtopic
 from mmtopic.corpus import (
     Corpus,
     SyntheticSpec,
+    TokenIds,
     Vocabulary,
     generate_synthetic,
 )
@@ -47,7 +48,7 @@ def make_corpus(token_lists, *, text_dim=4, image_dim=3, seed=0,
     n = len(token_lists)
     embeddings = rng.standard_normal((n, text_dim + image_dim))
     return Corpus(vocabulary=vocabulary, ids=tuple(f"d{i}" for i in range(n)),
-                  tokens=tuple(tuple(tokens) for tokens in token_lists),
+                  token_ids=TokenIds.from_token_lists(token_lists, leading=vocabulary.terms),
                   image_refs=tuple(f"img{i}" for i in range(n)),
                   text_embeddings=embeddings[:, :text_dim].copy(),
                   image_embeddings=embeddings[:, text_dim:].copy())

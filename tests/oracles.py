@@ -8,6 +8,7 @@ test. Slow on purpose; correctness is the only goal.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -23,6 +24,12 @@ def bow_reference(tokens, vocabulary):
         if i is not None:
             counts[i] += 1
     return counts
+
+
+def vocabulary_reference(token_lists, cap):
+    """The ``cap`` most frequent tokens, by count descending then token ascending."""
+    counts = Counter(t for tokens in token_lists for t in tokens)
+    return tuple(sorted(counts, key=lambda t: (-counts[t], t))[:cap])
 
 
 # ---------------------------------------------------------------- rankings

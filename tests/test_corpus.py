@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmtopic.corpus
+from mmtopic import ModelConfig, compute_metric_report, describe_topics, train
 from mmtopic.corpus import (
     Corpus,
     DatasetFormatError,
@@ -30,7 +31,9 @@ from mmtopic.corpus import (
 )
 
 from conftest import make_corpus
-from oracles import bow_reference
+from oracles import bow_reference, vocabulary_reference
+
+encode = TokenIds.from_token_lists
 
 
 class TestPreprocess:
@@ -55,16 +58,30 @@ class TestPreprocess:
 
 class TestVocabulary:
     def test_cap_keeps_most_frequent(self):
-        vocab = build_vocabulary([["a", "b", "b", "c", "c", "c"]], cap=2)
+        vocab = build_vocabulary(encode([["a", "b", "b", "c", "c", "c"]]), cap=2)
         assert vocab.terms == ("c", "b")
 
     def test_frequency_tie_breaks_lexicographically(self):
-        vocab = build_vocabulary([["b", "a"]], cap=1)
+        vocab = build_vocabulary(encode([["b", "a"]]), cap=1)
         assert vocab.terms == ("a",)
 
     def test_zero_distinct_tokens_rejected(self):
         with pytest.raises(ValueError, match="no distinct tokens"):
-            build_vocabulary([[], []])
+            build_vocabulary(encode([[], []]))
+
+    # few distinct tokens over many draws, so counts tie often; a leading
+    # table entry no document uses is not counted
+    @given(docs=st.lists(st.lists(st.sampled_from(["b", "a", "ab", "c", "\u00e9", "B"]),
+                                  max_size=8), min_size=1, max_size=6),
+           cap=st.integers(1, 7), leading=st.sampled_from([(), ("unused",), ("c", "a")]))
+    @example(docs=[["b", "a", "c", "c"], ["a", "b"]], cap=2, leading=("c",))
+    def test_matches_a_counter_over_the_tokens(self, docs, cap, leading):
+        expected = vocabulary_reference(docs, cap)
+        if not expected:
+            with pytest.raises(ValueError, match="no distinct tokens"):
+                build_vocabulary(encode(docs, leading=leading), cap=cap)
+        else:
+            assert build_vocabulary(encode(docs, leading=leading), cap=cap).terms == expected
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -146,7 +163,7 @@ class TestBowMatrix:
 
 def columns(corpus, **changes):
     """The keyword arguments that rebuild ``corpus``, with ``changes``."""
-    return {"vocabulary": corpus.vocabulary, "ids": corpus.ids, "tokens": corpus.tokens,
+    return {"vocabulary": corpus.vocabulary, "ids": corpus.ids, "token_ids": corpus.token_ids,
             "image_refs": corpus.image_refs, "text_embeddings": corpus.text_embeddings,
             "image_embeddings": corpus.image_embeddings, **changes}
 
@@ -173,10 +190,10 @@ class TestCorpusValidation:
                     row[0] = 99
 
     @pytest.mark.parametrize("changes,message", [
-        (lambda c: {"tokens": c.tokens[:3]}, "one row per id"),
+        (lambda c: {"token_ids": encode(c.tokens[:3])}, "one row per id"),
         (lambda c: {"image_refs": c.image_refs + ("img9",)}, "one row per id"),
         (lambda c: {"text_embeddings": c.text_embeddings[:3]}, "one row per id"),
-        (lambda c: {"ids": c.ids[:3], "tokens": c.tokens[:3],
+        (lambda c: {"ids": c.ids[:3], "token_ids": encode(c.tokens[:3]),
                     "image_refs": c.image_refs[:3]}, "one row per id"),
         (lambda c: {"image_embeddings": c.image_embeddings.ravel()},
          "image_embeddings must be a 2-D float64 array"),
@@ -188,7 +205,7 @@ class TestCorpusValidation:
          "text_embeddings has non-finite values"),
         (lambda c: {"image_embeddings": np.full((4, 3), -np.inf)},
          "image_embeddings has non-finite values"),
-        (lambda c: {"ids": (), "tokens": (), "image_refs": (),
+        (lambda c: {"ids": (), "token_ids": encode([]), "image_refs": (),
                     "text_embeddings": np.zeros((0, 4)), "image_embeddings": np.zeros((0, 3))},
          "at least one document"),
         (lambda c: {"text_embeddings": np.zeros((4, 0))},
@@ -200,10 +217,17 @@ class TestCorpusValidation:
         (lambda c: {"image_refs": (3,) + c.image_refs[1:]}, "image ref must be a string or None"),
         (lambda c: {"image_refs": (b"img",) + c.image_refs[1:]},
          "image ref must be a string or None"),
+        (lambda c: {"token_ids": encode([("a b", "apple"), *c.tokens[1:]])},
+         "token 'a b' is empty or holds whitespace"),
+        (lambda c: {"token_ids": encode(c.tokens[:3] + (("apple", ""),))},
+         "token '' is empty or holds whitespace"),
+        # the rule covers the whole table, a token no document uses included
+        (lambda c: {"token_ids": encode(c.tokens, leading=c.vocabulary.terms + ("\t",))},
+         r"token '\\t' is empty or holds whitespace"),
     ], ids=["short-tokens", "long-image-refs", "short-text", "short-ids", "1-d-image",
             "float32-text", "list-text", "nan-text", "inf-image", "no-documents",
             "zero-width-text", "zero-width-image", "repeated-id", "int-ids", "int-image-ref",
-            "bytes-image-ref"])
+            "bytes-image-ref", "spaced-token", "empty-token", "unused-tab-token"])
     def test_constructor_rejects_malformed_columns(self, tiny_corpus, changes, message):
         with pytest.raises(ValueError, match=message):
             Corpus(**columns(tiny_corpus, **changes(tiny_corpus)))
@@ -233,21 +257,64 @@ class TestTokenIds:
         terms = tiny_corpus.vocabulary.terms
         assert list(tiny_corpus.token_ids.index)[:len(terms)] == list(terms)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"ids": np.array([0, 1], dtype=np.int64)}, "1-D int32 array"),
+        ({"ids": np.zeros((1, 2), dtype=np.int32)}, "1-D int32 array"),
+        ({"ids": [0, 1]}, "1-D int32 array"),
+        ({"offsets": np.array([0, 2], dtype=np.int32)}, "1-D int64 array"),
+        ({"offsets": np.zeros(0, dtype=np.int64)}, "rising from 0 to the token count"),
+        ({"offsets": np.array([1, 2], dtype=np.int64)}, "rising from 0 to the token count"),
+        ({"offsets": np.array([0, 1], dtype=np.int64)}, "rising from 0 to the token count"),
+        ({"offsets": np.array([0, 3, 2], dtype=np.int64)}, "rising from 0 to the token count"),
+        ({"ids": np.array([0, -1], dtype=np.int32)}, "outside the token table"),
+        ({"ids": np.array([0, 2], dtype=np.int32)}, "outside the token table"),
+        ({"index": {"a": 1, "b": 1}}, "not its place in the table"),
+        ({"index": {"b": 1, "a": 0}}, "not its place in the table"),
+    ], ids=["int64-ids", "2-d-ids", "list-ids", "int32-offsets", "no-offsets",
+            "offsets-not-from-0", "offsets-short-of-the-end", "offsets-not-monotone",
+            "negative-id", "id-past-the-table", "repeated-id-in-index", "index-out-of-order"])
+    def test_constructor_rejects_malformed_arrays(self, change, message):
+        columns = {"ids": np.array([0, 1], dtype=np.int32),
+                   "offsets": np.array([0, 2], dtype=np.int64), "index": {"a": 0, "b": 1}}
+        with pytest.raises(ValueError, match=message):
+            TokenIds(**{**columns, **change})
+        built = TokenIds(**columns)
+        assert not built.ids.flags.writeable and not built.offsets.flags.writeable
+
+    # the canonical table (terms, then the rest by first appearance) is kept
+    # as given; any other encoding of the same tokens is re-encoded to it
+    @pytest.mark.parametrize("leading,kept", [
+        (("apple", "banana", "cherry"), True), ((), False), (("apple",), False),
+        (("apple", "banana", "cherry", "zzz"), False),
+        (("apple", "banana", "cherry", "oov2", "oov1"), False),
+        (("banana", "apple", "cherry"), False)],
+        ids=["canonical", "first-appearance", "terms-cut-short", "unused-entry",
+             "rest-out-of-order", "terms-out-of-order"])
+    def test_any_encoding_of_the_tokens_gives_one_corpus(self, leading, kept):
+        docs = [("cherry", "oov1", "apple"), ("oov2", "banana", "oov1")]
+        expected = make_corpus(docs, vocabulary=Vocabulary.from_terms(("apple", "banana",
+                                                                          "cherry")))
+        given = encode(docs, leading=leading)
+        built = Corpus(**columns(expected, token_ids=given))
+        assert (built.token_ids is given) == kept
+        assert list(built.token_ids.index) == ["apple", "banana", "cherry", "oov1", "oov2"]
+        assert built.token_ids.ids.tolist() == [2, 3, 0, 4, 1, 3]
+        assert built == expected and built.tokens == tuple(docs)
+
     def test_corpus_builds_once_on_first_use(self, tmp_path, tiny_corpus):
         loaded = load_corpus(save_corpus(tiny_corpus, tmp_path / "c.jsonl"))
-        assert "token_ids" not in vars(loaded)
-        first = loaded.token_ids
-        assert loaded.token_ids is first
+        assert "tokens" not in vars(loaded)
+        first = loaded.tokens
+        assert loaded.tokens is first and first == tiny_corpus.tokens
         assert loaded == Corpus(**columns(loaded))
-        assert "token_ids" not in repr(loaded)
+        assert "tokens" not in repr(loaded)
 
     def test_threads_racing_on_first_use_see_whole_arrays(self, tiny_planted):
         corpus, _ = tiny_planted
-        expected = TokenIds.from_token_lists(corpus.token_lists(),
-                                             leading=corpus.vocabulary.terms)
+        expected = corpus.token_ids.decode()
         fresh = Corpus(**columns(corpus))
         seen = []
-        threads = [threading.Thread(target=lambda: seen.append(fresh.token_ids))
+        threads = [threading.Thread(target=lambda: seen.append(fresh.tokens))
                    for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -259,11 +326,8 @@ class TestTokenIds:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and len(seen) == 6
-        for ids in seen:
-            np.testing.assert_array_equal(ids.ids, expected.ids)
-            np.testing.assert_array_equal(ids.offsets, expected.offsets)
-            assert ids.index == expected.index
-        assert fresh.token_ids in seen
+        assert all(tokens == expected for tokens in seen)
+        assert any(tokens is fresh.tokens for tokens in seen)
 
 
 class TestAtomicWrite:
@@ -409,6 +473,9 @@ class TestDatasetIO:
         a, b = load_corpus(first), load_corpus(tmp_path / "copy" / "data.jsonl")
         for f in dataclasses.fields(Corpus):
             x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, TokenIds):
+                x, y = ((list(t.index.items()), t.ids.tobytes(), t.offsets.tobytes())
+                        for t in (x, y))
             if isinstance(x, np.ndarray):
                 assert x.tobytes() == y.tobytes(), f.name
             else:
@@ -428,8 +495,8 @@ class TestDatasetIO:
         changes.update({
             "vocabulary": {"vocabulary": Vocabulary.from_terms(a.vocabulary.terms[::-1])},
             "ids": {"ids": ("d0", "d1", "d2", "d4")},
-            "tokens": {"tokens": tuple(tokens)},
-            "token order": {"tokens": (a.tokens[0][::-1],) + a.tokens[1:]},
+            "tokens": {"token_ids": encode(tokens)},
+            "token order": {"token_ids": encode((a.tokens[0][::-1],) + a.tokens[1:])},
             "image_refs": {"image_refs": a.image_refs[:3] + (None,)},
             "text width": {"text_embeddings": np.hstack([a.text_embeddings,
                                                          a.text_embeddings[:, :1]])},
@@ -468,7 +535,7 @@ class TestDatasetIO:
         ids, tokens, refs, embeddings = zip(*rows)
         try:
             built = Corpus(vocabulary=Vocabulary.from_terms(TERMS), ids=ids,
-                           tokens=tuple(map(tuple, tokens)), image_refs=refs,
+                           token_ids=encode(tokens), image_refs=refs,
                            text_embeddings=np.array(embeddings)[:, :2],
                            image_embeddings=np.array(embeddings)[:, 2:])
         except ValueError:
@@ -518,10 +585,17 @@ class TestDatasetIO:
         (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], '
          b'"image_embedding": [true, false]}',
          "line 2: field 'image_embedding' is not a numeric array"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.5, true], '
+         b'"image_embedding": [1.0]}',
+         "line 2: field 'text_embedding' is not a numeric array"),
+        (b'{"id": "b", "tokens": ["x"], "text_embedding": [1.0], '
+         b'"image_embedding": [true, 1]}',
+         "line 2: field 'image_embedding' is not a numeric array"),
     ], ids=["not-an-object", "no-id", "tokens-string", "tokens-int", "non-numeric-embedding",
             "nested-embedding", "empty-embedding", "not-utf8", "id-int", "id-null", "id-list",
             "text-list", "text-null", "image-ref-object", "image-ref-bool",
-            "numeric-string-embedding", "boolean-embedding"])
+            "numeric-string-embedding", "boolean-embedding", "boolean-in-float-embedding",
+            "boolean-in-int-embedding"])
     def test_malformed_line_names_it(self, tmp_path, line, message):
         path = tmp_path / "data.jsonl"
         path.write_bytes(b'{"id": "a", "tokens": ["x"], "text_embedding": [1.0], '
@@ -614,6 +688,16 @@ class TestColumnsFile:
         stored.unlink()
         assert via_columns == load_corpus(path) == corpus and len(parses) == 1
 
+    def test_training_and_scoring_decode_no_token_strings(self, tmp_path, tiny_planted, parses):
+        path = save_corpus(tiny_planted[0], tmp_path / "planted.jsonl")
+        corpus = load_corpus(path)
+        model = train(corpus, ModelConfig(kind="multimodal_contrast", num_topics=3, epochs=1,
+                                          hidden_dim=8))
+        compute_metric_report(model, corpus, n_descriptors=5)
+        describe_topics(model, corpus, 5)
+        assert parses == [] and corpus == tiny_planted[0]
+        assert "tokens" not in vars(corpus) and "documents" not in vars(corpus)
+
     def test_one_byte_edit_of_the_dataset_parses_again(self, saved, tiny_corpus, parses):
         path, _ = saved
         raw = path.read_bytes()
@@ -647,7 +731,8 @@ class TestColumnsFile:
         "token id past the table", "offsets not monotone", "offsets not from 0",
         "offsets short of the end", "int64 token ids", "float32 embeddings",
         "too few offsets", "NaN embedding", "integer in the table", "integer ids",
-        "integer image refs", "image refs not a list"])
+        "integer image refs", "image refs not a list", "repeated token in the table",
+        "spaced token in the table"])
     def test_damaged_file_parses_again(self, saved, tiny_corpus, parses, damage, caplog):
         path, stored = saved
         with np.load(stored) as arrays:
@@ -684,6 +769,10 @@ class TestColumnsFile:
                 "integer image refs": {"record_changes": {
                     "image_refs": [None, *range(1, len(record["image_refs"]))]}},
                 "image refs not a list": {"record_changes": {"image_refs": "img0"}},
+                "repeated token in the table": {"record_changes": {
+                    "table": [record["table"][1], *record["table"][1:]]}},
+                "spaced token in the table": {"record_changes": {
+                    "table": ["app le", *record["table"][1:]]}},
             }[damage])
         with caplog.at_level(logging.DEBUG, logger="mmtopic.corpus"):
             assert load_corpus(path) == tiny_corpus
@@ -828,3 +917,54 @@ class TestSyntheticGenerator:
         assert len(again.vocabulary) == self.SPEC.vocab_size
         assert again.documents[7].text_embedding.tobytes() \
             == corpus.documents[7].text_embedding.tobytes()
+
+
+# Fingerprints as the columns-file layout of version 1 and the token-string
+# corpus before it computed them. A changed value re-runs every cell of
+# every existing run directory, so a change here must be deliberate.
+PINNED_FINGERPRINTS = {
+    "synthetic": "3b1affde6f7c5d4aacd666e47b8f4c4e49035655e3aa58994859b87db7d40f09",
+    "text cap 3": "f77bf874d28aeafacdd1c15c96af68db3693880a64f203c7e8eb76b4121c1357",
+    "text cap 6": "30b5e88009422915698eb95ddf4c5876361291c98a9fd76be696512265bceb73",
+}
+
+
+class TestFingerprintPins:
+    def test_synthetic_corpus(self):
+        corpus, _ = generate_synthetic(SyntheticSpec(
+            num_topics_true=3, vocab_size=40, docs=30, doc_length=9, embed_dim_text=5,
+            embed_dim_image=3, embedding_noise=0.1, seed=2))
+        assert corpus.fingerprint == PINNED_FINGERPRINTS["synthetic"]
+
+    def test_text_dataset_at_two_caps_through_both_paths(self, tmp_path, parses):
+        texts = ["The quick brown fox jumps over the lazy dog", "A lazy cat and a quick dog",
+                 "Brown bears eat fish by the river", "The fox and the cat sleep",
+                 "Quick quick fish swim; bears wait", "Lazy rivers, brown fish"]
+        path = write_lines(tmp_path, [
+            {"id": f"t{i}", "text": text, "text_embedding": [i / 4, 1.5 - i],
+             "image_embedding": [0.25 * i * i, -1.0, 3.0], "image_ref": f"img{i}"}
+            for i, text in enumerate(texts)])
+        stored = path.with_name("data.columns.npz")
+        seen = []
+        # each cap is loaded through a columns file written at the other cap,
+        # whose table leads with more, or fewer, terms than its vocabulary
+        for cap, other in ((3, 6), (6, 3), (3, 6)):
+            parsed = load_corpus(path, cap=cap)  # rewrites the file for this cap
+            seen.append((cap, parsed.fingerprint, load_corpus(path, cap=other).fingerprint))
+            stored.unlink()
+        assert len(parses) == 3
+        assert [(c, a) for c, a, _ in seen] == [(3, PINNED_FINGERPRINTS["text cap 3"]),
+                                                (6, PINNED_FINGERPRINTS["text cap 6"]),
+                                                (3, PINNED_FINGERPRINTS["text cap 3"])]
+        assert [b for _, _, b in seen] == [PINNED_FINGERPRINTS["text cap 6"],
+                                           PINNED_FINGERPRINTS["text cap 3"],
+                                           PINNED_FINGERPRINTS["text cap 6"]]
+
+        # a file of the earlier layout: distinct tokens in order of first appearance
+        corpus = load_corpus(path, cap=3)
+        first_seen = TokenIds.from_token_lists(corpus.tokens)
+        rewrite_columns(stored, record_changes={"table": list(first_seen.index)},
+                        token_ids=first_seen.ids, offsets=first_seen.offsets)
+        assert load_corpus(path, cap=3).fingerprint == PINNED_FINGERPRINTS["text cap 3"]
+        assert load_corpus(path, cap=6).fingerprint == PINNED_FINGERPRINTS["text cap 6"]
+        assert len(parses) == 4

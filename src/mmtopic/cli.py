@@ -3,7 +3,7 @@
 Subcommands: synth (generate a planted-topic dataset), prep (preprocess a
 raw dataset and pin a vocabulary), train, eval (metrics and descriptors for
 a checkpoint), overlap (cross-model topic matching), run (execute a sweep
-plan), and report (re-emit aggregate tables from manifests).
+plan), and report (re-emit the three aggregate tables from manifests).
 """
 
 from __future__ import annotations
@@ -124,9 +124,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    manifests = harness.load_manifests(args.runs)
-    path = harness.emit_report(manifests, args.format, args.runs)
-    print(f"wrote {path}")
+    for path in harness.emit_report(harness.load_manifests(args.runs), args.runs):
+        print(f"wrote {path}")
     return 0
 
 
@@ -185,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-emit aggregate tables from manifests")
     p.add_argument("--runs", required=True, help="run directory with manifests/")
-    p.add_argument("--format", default="markdown", choices=("markdown", "json", "csv"))
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -25,8 +25,8 @@ same dataset bytes load as equal corpora wherever the file lies, and
 
 A columns file (``<stem>.columns.npz`` next to the dataset) holds a parsed
 dataset's columns in binary, under a record of the SHA-256 of the dataset
-bytes they came from. :func:`load_corpus` reads it only when that record
-matches, and otherwise parses the JSON lines and rewrites it.
+bytes. :func:`load_corpus` reads it only when that record matches, and
+rewrites it after parsing the JSON lines or re-encoding a stale token table.
 
 Every output file the package writes goes through a temp file plus rename,
 so a failed write keeps the previous file whole, and gets the mode a plain
@@ -469,12 +469,12 @@ def _parse_dataset(path: Path, stopwords) -> tuple[tuple, dict]:
     return (ids, TokenIds.from_token_lists(token_lists), image_refs, text, image), record
 
 
-def _read_columns(path: Path, stopwords) -> tuple:
-    """The :class:`Corpus` columns in ``path``'s columns file. Raises one of
-    ``_UNUSABLE``, naming what differs, unless its record matches ``path``'s
-    bytes (and ``stopwords``, if a line carried ``text``) and holds arrays of
-    strings (or nulls, among the image refs), and its token arrays make
-    :class:`TokenIds` over the record's token table."""
+def _read_columns(path: Path, stopwords) -> tuple[tuple, dict]:
+    """The :class:`Corpus` columns in ``path``'s columns file, and the record
+    checked against them. Raises one of ``_UNUSABLE``, naming what differs,
+    unless the record matches ``path``'s bytes (and ``stopwords``, if a line
+    carried ``text``) and holds arrays of strings (or nulls, among the image
+    refs), and its token arrays make :class:`TokenIds` over its token table."""
     with np.load(_columns_path(path), allow_pickle=False) as stored:
         raw = stored["record"]
         if raw.dtype != np.uint8 or raw.ndim != 1:
@@ -493,7 +493,8 @@ def _read_columns(path: Path, stopwords) -> tuple:
                 raise ValueError(f"the record's {name} is not {wanted}")
         index = {t: i for i, t in enumerate(record["table"])}
         return (tuple(record["ids"]), TokenIds(stored["token_ids"], stored["offsets"], index),
-                tuple(record["image_refs"]), stored["text_embeddings"], stored["image_embeddings"])
+                tuple(record["image_refs"]), stored["text_embeddings"],
+                stored["image_embeddings"]), record
 
 
 def _write_columns(fh, corpus: Corpus, record: dict) -> None:
@@ -520,8 +521,8 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
 
     The columns come from the dataset's columns file when its record
     matches the dataset bytes (and ``stopwords``, if a line carried
-    ``text``). Otherwise the JSON lines are parsed, and the columns file is
-    rewritten; a failed write is logged and ignored.
+    ``text``), else from the JSON lines. A parse or a re-encoded token table
+    rewrites the columns file; a failed write is logged and ignored.
 
     Raises :class:`DatasetFormatError` naming the offending line for any
     malformed document, or a reused ``id``.
@@ -537,11 +538,15 @@ def load_corpus(path: str | Path, *, cap: int = DEFAULT_VOCAB_CAP,
         return Corpus(vocabulary, ids, token_ids, image_refs, text, image)
 
     try:
-        return corpus(*_read_columns(path, stopwords))
+        columns, record = _read_columns(path, stopwords)
+        if (loaded := corpus(*columns)).token_ids is columns[1]:  # not encoded anew
+            return loaded
     except _UNUSABLE as exc:
         logger.debug("%s: columns file not used (%s); parsing the JSON lines", path, exc)
-    columns, record = _parse_dataset(path, stopwords)
-    loaded = corpus(*columns)
+        columns = None
+    if columns is None:
+        columns, record = _parse_dataset(path, stopwords)
+        loaded = corpus(*columns)
     try:
         with _atomic_file(_columns_path(path)) as fh:
             _write_columns(fh, loaded, record)
@@ -592,15 +597,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     with (_atomic_file(path) as data, _atomic_file(vocab) as terms,
           _atomic_file(_columns_path(path)) as columns):
         digest = hashlib.sha256()
-        for d in corpus.documents:
-            obj = {
-                "id": d.id,
-                "tokens": list(d.tokens),
-                "text_embedding": d.text_embedding.tolist(),
-                "image_embedding": d.image_embedding.tolist(),
-            }
-            if d.image_ref is not None:
-                obj["image_ref"] = d.image_ref
+        for doc_id, tokens, text, image, ref in zip(
+                corpus.ids, corpus.token_ids.decode(), corpus.text_embeddings,
+                corpus.image_embeddings, corpus.image_refs):
+            obj = {"id": doc_id, "tokens": tokens, "text_embedding": text.tolist(),
+                   "image_embedding": image.tolist()}
+            if ref is not None:
+                obj["image_ref"] = ref
             line = (json.dumps(obj) + "\n").encode("utf-8")
             digest.update(line)
             data.write(line)

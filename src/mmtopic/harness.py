@@ -20,7 +20,9 @@ named by dataset file stem and model label, so both must be unique within a
 plan. A cell whose manifest records a completed run over the same corpus
 content, resolved config and evaluation settings is skipped on re-runs, and a
 completed plan re-run leaves every output byte untouched. Aggregation averages
-metrics over seeds within each topic count, then over topic counts.
+metrics over seeds within each topic count, then over topic counts, and one
+pass writes the result as ``aggregate.json``, ``aggregate.md`` and
+``aggregate.csv``.
 """
 
 from __future__ import annotations
@@ -308,15 +310,24 @@ def _build_config(plan: ExperimentPlan, entry: ModelEntry, k: int, seed: int) ->
     return ModelConfig(kind=entry.kind, num_topics=k, seed=seed, **kwargs)
 
 
+def _read_manifest(path: Path) -> RunManifest:
+    """The :class:`RunManifest` in ``path``. Raises ``ValueError`` naming the
+    file when it is not JSON or not a complete manifest."""
+    try:
+        return RunManifest.from_dict(json.loads(path.read_text("utf-8")))
+    except (TypeError, ValueError) as exc:  # bad UTF-8 or JSON, wrong fields
+        raise ValueError(f"{path}: not a run manifest ({exc})") from exc
+
+
 def _manifest_is_valid(manifest_path: Path, cell: RunManifest) -> RunManifest | None:
     """The completed manifest at ``manifest_path`` if it records the pending
     ``cell``'s corpus fingerprint, resolved config and evaluation settings
     and its artifacts still exist, else None. A manifest that is missing or
     unreadable as a :class:`RunManifest` counts as absent."""
     try:
-        manifest = RunManifest.from_dict(json.loads(manifest_path.read_text("utf-8")))
+        manifest = _read_manifest(manifest_path)
         artifacts = [Path(a) for a in manifest.artifacts.values()]
-    except (OSError, TypeError, ValueError):  # bad UTF-8 or JSON, wrong fields
+    except (OSError, TypeError, ValueError):  # missing, not a manifest, artifacts not paths
         return None
     current = (manifest.status == "ok" and all(a.exists() for a in artifacts)
                and all(getattr(manifest, f) == getattr(cell, f)
@@ -455,10 +466,10 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
     is running.
 
     Each dataset is loaded once, up front, and stamps its cells with its
-    :attr:`Corpus.fingerprint`. Emits aggregate tables in all formats and
-    returns the manifests in plan order. Raises ``ValueError`` before any
-    cell trains if a dataset has fewer terms or documents than
-    ``plan.descriptor_size``."""
+    :attr:`Corpus.fingerprint`. Emits the aggregate tables with one
+    :func:`emit_report` call and returns the manifests in plan order. Raises
+    ``ValueError`` before any cell trains if a dataset has fewer terms or
+    documents than ``plan.descriptor_size``."""
     out_dir = Path(plan.output_dir)
     manifest_dir = out_dir / "manifests"
     word_vectors = (load_word_vectors(plan.word_vectors)
@@ -504,8 +515,7 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
         _run_forked(cells, plan.workers, run, finish)
 
     manifests = list(results.values())
-    for fmt in ("json", "markdown", "csv"):
-        emit_report(manifests, fmt, out_dir)
+    emit_report(manifests, out_dir)
     return manifests
 
 
@@ -551,55 +561,41 @@ def _mean_or_none(values) -> float | None:
     return float(np.mean(present)) if present else None
 
 
-def _format_cell(value, *, precision: int | None) -> str:
-    if value is None:
-        return ""
-    if precision is None:
-        return repr(float(value))
-    return f"{value:.{precision}f}"
+# The aggregate.md heading of each metric column.
+_HEADINGS = {"npmi": "NPMI", "we": "WE", "iec": "IEC", "td": "TD", "irbo": "I-RBO",
+             "ieps": "IEPS"}
 
 
-def emit_report(manifests, fmt: str, out_dir: str | Path) -> Path:
-    """Write the aggregate table as ``aggregate.json``, ``aggregate.md``
-    (values rounded to 2 decimals, blanks for missing metrics), or
-    ``aggregate.csv`` (full precision). Identical content is not rewritten,
-    so re-emission after a completed run is a no-op on the files."""
-    out_dir = Path(out_dir)
+def emit_report(manifests, out_dir: str | Path) -> list[Path]:
+    """Write one :func:`aggregate_metrics` table as ``aggregate.json``,
+    ``aggregate.md`` (values rounded to 2 decimals, blanks for missing
+    metrics, failed cells listed below) and ``aggregate.csv`` (full
+    precision, a count of failed cells per row), and return the three paths.
+    A file whose content is unchanged is not rewritten, so re-emission after
+    a completed run leaves every file as it was."""
     agg = aggregate_metrics(manifests)
-    if fmt == "json":
-        path = out_dir / "aggregate.json"
-        text = json.dumps(agg, indent=2) + "\n"
-    elif fmt == "markdown":
-        path = out_dir / "aggregate.md"
-        header = "| Dataset | Model | NPMI | WE | IEC | TD | I-RBO | IEPS |"
-        rule = "|---|---|---|---|---|---|---|---|"
-        lines = [header, rule]
-        for row in agg["rows"]:
-            cells = [_format_cell(row[c], precision=2) for c in METRIC_COLUMNS]
-            lines.append("| " + " | ".join([row["dataset"], row["model"], *cells]) + " |")
-        failures = [(row["model"], cell) for row in agg["rows"] for cell in row["failed"]]
-        if failures:
-            lines.append("")
-            lines.append("Failed cells:")
-            lines.extend(f"- {model}: {cell}" for model, cell in failures)
-        text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
-        path = out_dir / "aggregate.csv"
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["dataset", "model", *METRIC_COLUMNS, "failed_cells"])
-        for row in agg["rows"]:
-            cells = [_format_cell(row[c], precision=None) for c in METRIC_COLUMNS]
-            writer.writerow([row["dataset"], row["model"], *cells, len(row["failed"])])
-        text = buffer.getvalue()
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; "
-                         "expected json, markdown, or csv")
-
-    if path.exists() and path.read_text("utf-8") == text:
-        return path
-    atomic_write_text(path, text)
-    return path
+    markdown = ["| Dataset | Model | " + " | ".join(_HEADINGS[c] for c in METRIC_COLUMNS) + " |",
+                "|---|---|" + "---|" * len(METRIC_COLUMNS)]
+    failures, table = [], io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["dataset", "model", *METRIC_COLUMNS, "failed_cells"])
+    for row in agg["rows"]:
+        values = [row[c] for c in METRIC_COLUMNS]
+        rounded = ["" if v is None else f"{v:.2f}" for v in values]
+        exact = ["" if v is None else repr(float(v)) for v in values]
+        markdown.append("| " + " | ".join([row["dataset"], row["model"], *rounded]) + " |")
+        writer.writerow([row["dataset"], row["model"], *exact, len(row["failed"])])
+        failures += [f"- {row['model']}: {cell}" for cell in row["failed"]]
+    if failures:
+        markdown += ["", "Failed cells:", *failures]
+    out_dir = Path(out_dir)
+    texts = {"aggregate.json": json.dumps(agg, indent=2) + "\n",
+             "aggregate.md": "\n".join(markdown) + "\n", "aggregate.csv": table.getvalue()}
+    for name, text in texts.items():
+        path = out_dir / name
+        if not (path.exists() and path.read_text("utf-8") == text):
+            atomic_write_text(path, text)
+    return [out_dir / name for name in texts]
 
 
 def load_manifests(runs_dir: str | Path) -> list[RunManifest]:
@@ -609,10 +605,4 @@ def load_manifests(runs_dir: str | Path) -> list[RunManifest]:
     paths = sorted(manifest_dir.glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no manifests under {manifest_dir}")
-    manifests = []
-    for path in paths:
-        try:
-            manifests.append(RunManifest.from_dict(json.loads(path.read_text("utf-8"))))
-        except (TypeError, ValueError) as exc:  # bad UTF-8 or JSON, wrong fields
-            raise ValueError(f"{path}: not a run manifest ({exc})") from exc
-    return manifests
+    return [_read_manifest(path) for path in paths]

@@ -122,10 +122,16 @@ def test_run_then_report(dataset, tmp_path, monkeypatch, capsys):
     assert "2 cells complete, 0 failed" in capsys.readouterr().out
     assert sorted(p.name for p in (runs / "manifests").iterdir()) \
         == ["toy__zeroshot__k2__s0.json", "toy__zeroshot__k2__s1.json"]
-    (runs / "aggregate.csv").unlink()
-    assert cli.main(["report", "--runs", str(runs), "--format", "csv"]) == 0
-    assert capsys.readouterr().out == f"wrote {runs / 'aggregate.csv'}\n"
+    tables = [runs / name for name in ("aggregate.json", "aggregate.md", "aggregate.csv")]
+    written = [path.read_bytes() for path in tables]
+    for path in tables:
+        path.unlink()
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in tables)
+    assert [path.read_bytes() for path in tables] == written
     assert (runs / "aggregate.csv").read_text().splitlines()[1].endswith(",0")
+    with pytest.raises(SystemExit):
+        cli.main(["report", "--runs", str(runs), "--format", "csv"])
 
     def failing_train(corpus, config):
         raise RuntimeError("simulated failure")
@@ -177,6 +183,13 @@ class TestSynth:
         ({**SPEC, "docs": "5"}, TypeError, "spec field 'docs' must be a JSON integer"),
         ({**SPEC, "bogus": 1}, ValueError, r"unknown spec keys: \['bogus'\]"),
         ([SPEC], ValueError, "spec must be a JSON object"),
+        ({**SPEC, "num_topics_true": 0}, ValueError, "num_topics_true must be >= 1"),
+        ({**SPEC, "docs": 0}, ValueError, "docs must be >= 1"),
+        ({**SPEC, "doc_length": 0}, ValueError, "doc_length must be positive"),
+        ({**SPEC, "embed_dim_image": 0}, ValueError, "embedding dimensions must be >= 1"),
+        ({**SPEC, "topic_word_concentration": 0}, ValueError,
+         "topic_word_concentration must be positive"),
+        ({**SPEC, "embedding_noise": -0.1}, ValueError, "embedding_noise must be >= 0"),
     ])
     def test_malformed_spec_named(self, tmp_path, spec, error, match):
         with pytest.raises(error, match=match):

@@ -69,6 +69,10 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="no distinct tokens"):
             build_vocabulary(encode([[], []]))
 
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+            build_vocabulary(encode([["a"]]), cap=0)
+
     # few distinct tokens over many draws, so counts tie often; a leading
     # table entry no document uses is not counted
     @given(docs=st.lists(st.lists(st.sampled_from(["b", "a", "ab", "c", "\u00e9", "B"]),
@@ -688,6 +692,30 @@ class TestColumnsFile:
         stored.unlink()
         assert via_columns == load_corpus(path) == corpus and len(parses) == 1
 
+    def test_a_table_the_corpus_encodes_anew_is_written_back(self, tmp_path, parses,
+                                                              monkeypatch):
+        corpus = make_corpus([["lime", "kiwi", "oov"], ["kiwi", "fig"]],
+                             vocabulary=Vocabulary.from_terms(["kiwi", "lime", "fig", "unused"]))
+        path = save_corpus(corpus, tmp_path / "data.jsonl")
+        stored = path.with_name("data.columns.npz")
+
+        def contents():
+            with np.load(stored) as arrays:
+                return {name: arrays[name].tobytes() for name in arrays.files}
+        saved = contents()
+        first_seen = TokenIds.from_token_lists(corpus.token_ids.decode())
+        rewrite_columns(stored, record_changes={"table": list(first_seen.index)},
+                        token_ids=first_seen.ids, offsets=first_seen.offsets)
+        assert contents() != saved
+        assert load_corpus(path) == corpus and contents() == saved
+        encodes, real_encode = [], TokenIds.from_token_lists.__func__
+
+        def counted_encode(cls, *args, **kwargs):
+            encodes.append(args)
+            return real_encode(cls, *args, **kwargs)
+        monkeypatch.setattr(TokenIds, "from_token_lists", classmethod(counted_encode))
+        assert load_corpus(path) == corpus and encodes == [] and parses == []
+
     def test_training_and_scoring_decode_no_token_strings(self, tmp_path, tiny_planted, parses):
         path = save_corpus(tiny_planted[0], tmp_path / "planted.jsonl")
         corpus = load_corpus(path)
@@ -697,6 +725,12 @@ class TestColumnsFile:
         describe_topics(model, corpus, 5)
         assert parses == [] and corpus == tiny_planted[0]
         assert "tokens" not in vars(corpus) and "documents" not in vars(corpus)
+
+    def test_save_decodes_no_token_strings_onto_the_corpus(self, tmp_path, tiny_planted):
+        corpus = Corpus(**columns(tiny_planted[0]))
+        path = save_corpus(corpus, tmp_path / "planted.jsonl")
+        assert "tokens" not in vars(corpus) and "documents" not in vars(corpus)
+        assert load_corpus(path).tokens == corpus.tokens
 
     def test_one_byte_edit_of_the_dataset_parses_again(self, saved, tiny_corpus, parses):
         path, _ = saved

@@ -32,6 +32,7 @@ from mmtopic.harness import (
     run_plan,
     save_model,
 )
+from mmtopic.metrics import METRIC_COLUMNS
 from mmtopic.models import (KINDS, ModelConfig, TrainedTopicModel, init_params,
                             param_shapes, train)
 
@@ -952,6 +953,22 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="broken.json: not a run manifest"):
             load_manifests(tmp_path / "runs")
 
+    def test_resume_and_load_manifests_share_one_reader(self, tmp_path, monkeypatch):
+        import mmtopic.harness as harness_module
+        plan = make_plan(tmp_path, write_dataset(tmp_path))
+        names = sorted(f"{m.cell_id}.json" for m in run_plan(plan))
+        read, emitted = [], []
+        real_read, real_emit = harness_module._read_manifest, harness_module.emit_report
+        monkeypatch.setattr(harness_module, "_read_manifest",
+                            lambda path: read.append(path.name) or real_read(path))
+        monkeypatch.setattr(harness_module, "emit_report",
+                            lambda m, out: emitted.append(out) or real_emit(m, out))
+        run_plan(plan)
+        assert sorted(read) == names and emitted == [Path(plan.output_dir)]
+        read.clear()
+        load_manifests(plan.output_dir)
+        assert read == names
+
 
 def manifest_stub(model, k, seed, metrics, status="ok", dataset="d.jsonl"):
     return RunManifest(
@@ -1001,38 +1018,59 @@ class TestReportFormats:
                               {"npmi": 0.4714, "we": None, "iec": 0.125,
                                "td": 1.0, "irbo": 0.987654321, "ieps": None})]
 
+    def emit(self, manifests, tmp_path, name):
+        paths = emit_report(manifests, tmp_path)
+        assert paths == [tmp_path / n for n in ("aggregate.json", "aggregate.md",
+                                                "aggregate.csv")]
+        return tmp_path / name
+
     def test_markdown_rounds_to_two_decimals_with_blanks(self, tmp_path):
-        path = emit_report(self.make_manifests(), "markdown", tmp_path)
-        text = path.read_text()
-        assert path.name == "aggregate.md"
+        text = self.emit(self.make_manifests(), tmp_path, "aggregate.md").read_text()
         assert "| d.jsonl | m | 0.47 |  | 0.12 | 1.00 | 0.99 |  |" in text
 
+    def test_markdown_heads_each_metric_column(self, tmp_path):
+        heading, rule = self.emit(self.make_manifests(), tmp_path,
+                                  "aggregate.md").read_text().splitlines()[:2]
+        assert heading == "| Dataset | Model | NPMI | WE | IEC | TD | I-RBO | IEPS |"
+        names = [h.strip().lower().replace("-", "") for h in heading.split("|")[3:-1]]
+        assert names == list(METRIC_COLUMNS)
+        assert rule == "|---" * (len(METRIC_COLUMNS) + 2) + "|"
+
     def test_csv_keeps_full_precision(self, tmp_path):
-        path = emit_report(self.make_manifests(), "csv", tmp_path)
+        path = self.emit(self.make_manifests(), tmp_path, "aggregate.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "dataset,model,npmi,we,iec,td,irbo,ieps,failed_cells"
         assert lines[1] == "d.jsonl,m,0.4714,,0.125,1.0,0.987654321,,0"
 
     def test_csv_quotes_a_dataset_path_with_a_comma(self, tmp_path):
         manifests = [manifest_stub("m", 2, 0, {"npmi": 0.5}, dataset="a,b.jsonl")]
-        path = emit_report(manifests, "csv", tmp_path)
-        with path.open(newline="") as fh:
+        with self.emit(manifests, tmp_path, "aggregate.csv").open(newline="") as fh:
             header, row = csv.reader(fh)
         assert len(row) == len(header) == 9
         assert row[:3] == ["a,b.jsonl", "m", "0.5"]
 
     def test_json_round_trips(self, tmp_path):
-        path = emit_report(self.make_manifests(), "json", tmp_path)
-        data = json.loads(path.read_text())
+        data = json.loads(self.emit(self.make_manifests(), tmp_path, "aggregate.json").read_text())
         assert data["rows"][0]["npmi"] == pytest.approx(0.4714)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(self.make_manifests(), "xml", tmp_path)
+    def test_failed_cells_are_listed_and_counted(self, tmp_path):
+        manifests = [*self.make_manifests(), manifest_stub("m", 2, 1, None, status="failed")]
+        assert self.emit(manifests, tmp_path, "aggregate.md").read_text().endswith(
+            " |\n\nFailed cells:\n- m: d__m__k2__s1\n")
+        assert (tmp_path / "aggregate.csv").read_text().splitlines()[1].endswith(",1")
+
+    def test_one_aggregate_serves_all_three_tables(self, tmp_path, monkeypatch):
+        import mmtopic.harness as harness_module
+        calls = []
+        monkeypatch.setattr(harness_module, "aggregate_metrics",
+                            lambda m: calls.append(m) or aggregate_metrics(m))
+        manifests = self.make_manifests()
+        emit_report(manifests, tmp_path)
+        assert calls == [manifests]
 
     def test_identical_content_is_not_rewritten(self, tmp_path):
         manifests = self.make_manifests()
-        path = emit_report(manifests, "csv", tmp_path)
-        stamp = path.stat().st_mtime_ns
-        assert emit_report(manifests, "csv", tmp_path) == path
-        assert path.stat().st_mtime_ns == stamp
+        paths = emit_report(manifests, tmp_path)
+        stamps = [p.stat().st_mtime_ns for p in paths]
+        assert emit_report(manifests, tmp_path) == paths
+        assert [p.stat().st_mtime_ns for p in paths] == stamps

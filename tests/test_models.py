@@ -292,6 +292,8 @@ class TestInfonce:
             infonce(t, t, 0.0, 1.0)
         with pytest.raises(ValueError, match="identical"):
             infonce(np.ones(3) / 3, np.ones(3) / 3, 0.07, 1.0)
+        with pytest.raises(ValueError, match="at least one document"):
+            infonce(np.empty((0, 3)), np.empty((0, 3)), 0.07, 1.0)
 
 
 class TestContrastLoss:

@@ -124,8 +124,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    for path in harness.emit_report(harness.load_manifests(args.runs), args.runs):
-        print(f"wrote {path}")
+    written = harness.emit_report(harness.load_manifests(args.runs), args.runs)
+    print("\n".join(f"wrote {path}" for path in written)
+          or f"aggregate tables under {args.runs} unchanged")
     return 0
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import os
 import string
 import zipfile
@@ -68,6 +69,9 @@ _MIXTURE_CONCENTRATION = 0.03
 _JSON_TYPES = {"str": (str, "string"), "int": (int, "integer"),
                "float": ((int, float), "number"), "ModelEntry": (dict, "object"),
                "dict": (dict, "object")}
+
+# The bounds a field's metadata may state, each with its comparison.
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt), "below": ("<", operator.lt)}
 
 
 def _json_type_error(value, annotation: str) -> str | None:
@@ -100,12 +104,28 @@ def _check_json_keys(d, cls, what: str) -> None:
 
 
 def _check_json_fields(obj, what: str) -> None:
-    """Raise ``TypeError`` naming the first field of ``obj`` its annotation refuses."""
+    """Raise ``TypeError`` naming the first field of ``obj`` its annotation
+    refuses, else apply :func:`_check_bounds`."""
     for f in fields(obj):
         wanted = _json_type_error(getattr(obj, f.name), str(f.type))
         if wanted:
             raise TypeError(f"{what} field {f.name!r} must be {wanted}, "
                             f"got {getattr(obj, f.name)!r}")
+    _check_bounds(obj)
+
+
+def _check_bounds(obj) -> None:
+    """Raise ``ValueError`` naming the first field of ``obj`` that holds a
+    float that is not finite, or a value other than None outside a bound its
+    metadata states (``min``: >=, ``above``: >, ``below``: <)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for key, bound in f.metadata.items():
+            symbol, holds = _BOUNDS[key]
+            if value is not None and not holds(value, bound):
+                raise ValueError(f"{f.name} must be {symbol} {bound}")
 
 
 class DatasetFormatError(ValueError):
@@ -615,35 +635,24 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for the planted-topic synthetic corpus generator. Each
-    field must hold its annotated JSON type, never a boolean."""
+    field must hold its annotated JSON type (never a boolean), be finite and
+    lie within its metadata's bounds."""
 
-    num_topics_true: int
+    num_topics_true: int = field(metadata={"min": 1})
     vocab_size: int
-    docs: int
-    doc_length: float
-    embed_dim_text: int
-    embed_dim_image: int
-    topic_word_concentration: float = 0.5
-    embedding_noise: float = 0.0
-    seed: int = 0
+    docs: int = field(metadata={"min": 1})
+    doc_length: float = field(metadata={"above": 0})
+    embed_dim_text: int = field(metadata={"min": 1})
+    embed_dim_image: int = field(metadata={"min": 1})
+    topic_word_concentration: float = field(default=0.5, metadata={"above": 0})
+    embedding_noise: float = field(default=0.0, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         _check_json_fields(self, "spec")
-        if self.num_topics_true < 1:
-            raise ValueError("num_topics_true must be >= 1")
         if self.vocab_size < self.num_topics_true:
             raise ValueError("vocab_size must be >= num_topics_true "
                              "(each topic owns a disjoint word block)")
-        if self.docs < 1:
-            raise ValueError("docs must be >= 1")
-        if self.doc_length <= 0:
-            raise ValueError("doc_length must be positive")
-        if self.embed_dim_text < 1 or self.embed_dim_image < 1:
-            raise ValueError("embedding dimensions must be >= 1")
-        if self.topic_word_concentration <= 0:
-            raise ValueError("topic_word_concentration must be positive")
-        if self.embedding_noise < 0:
-            raise ValueError("embedding_noise must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

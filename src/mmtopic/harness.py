@@ -42,9 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_json_fields,
-                     _check_json_keys, _json_type_error, _sha256_file, atomic_write_bytes,
-                     atomic_write_text, load_corpus)
+from .corpus import (DEFAULT_VOCAB_CAP, Corpus, Vocabulary, _check_bounds,
+                     _check_json_fields, _check_json_keys, _json_type_error, _sha256_file,
+                     atomic_write_bytes, atomic_write_text, load_corpus)
 from .descriptors import describe_topics, write_descriptors
 from .metrics import METRIC_COLUMNS, compute_metric_report, load_word_vectors
 from .models import ModelConfig, TrainedTopicModel, param_shapes, train
@@ -196,34 +196,27 @@ class ModelEntry:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A sweep plan. Each field is finite and lies within its metadata's bounds."""
+
     datasets: tuple[str, ...]
     models: tuple[ModelEntry, ...]
     topic_counts: tuple[int, ...] = (25, 50, 75, 100)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "runs"
     epochs: int | None = None
-    vocab_cap: int = DEFAULT_VOCAB_CAP
+    vocab_cap: int = field(default=DEFAULT_VOCAB_CAP, metadata={"min": 1})
     word_vectors: str | None = None
-    descriptor_size: int = 10
-    npmi_window: int = 10
-    rbo_p: float = 0.9
-    workers: int = 1
+    descriptor_size: int = field(default=10, metadata={"min": 2})
+    npmi_window: int = field(default=10, metadata={"min": 1})
+    rbo_p: float = field(default=0.9, metadata={"above": 0, "below": 1})
+    workers: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self):
         if not self.datasets or not self.models:
             raise ValueError("plan needs at least one dataset and one model")
         if not self.topic_counts or not self.seeds:
             raise ValueError("plan needs at least one topic count and one seed")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.vocab_cap < 1:
-            raise ValueError("vocab_cap must be >= 1")
-        if self.descriptor_size < 2:
-            raise ValueError("descriptor_size must be >= 2")
-        if self.npmi_window < 1:
-            raise ValueError("npmi_window must be >= 1")
-        if not 0.0 < self.rbo_p < 1.0:
-            raise ValueError("rbo_p must lie strictly between 0 and 1")
+        _check_bounds(self)
         # Cell ids and output files are named by all four axes.
         for what, names in (("model entry name", [m.name for m in self.models]),
                             ("dataset file stem", [Path(d).stem for d in self.datasets]),
@@ -522,9 +515,11 @@ def run_plan(plan: ExperimentPlan) -> list[RunManifest]:
 def aggregate_metrics(manifests) -> dict:
     """Mean metric values over seeds within each topic count, then over
     topic counts, grouped by (dataset, model label). Failed cells are
-    excluded from the averages and counted per group."""
+    excluded from the averages and listed per group. Rows come sorted by
+    dataset, then label, and seeds enter each mean in ascending order,
+    whatever the order of ``manifests``."""
     groups: dict[tuple[str, str], dict] = {}
-    for m in manifests:
+    for m in sorted(manifests, key=lambda m: (m.dataset, m.model_label, m.num_topics, m.seed)):
         key = (m.dataset, m.model_label)
         g = groups.setdefault(key, {"cells": 0, "failed": [], "by_k": {}})
         g["cells"] += 1
@@ -570,9 +565,10 @@ def emit_report(manifests, out_dir: str | Path) -> list[Path]:
     """Write one :func:`aggregate_metrics` table as ``aggregate.json``,
     ``aggregate.md`` (values rounded to 2 decimals, blanks for missing
     metrics, failed cells listed below) and ``aggregate.csv`` (full
-    precision, a count of failed cells per row), and return the three paths.
-    A file whose content is unchanged is not rewritten, so re-emission after
-    a completed run leaves every file as it was."""
+    precision, a count of failed cells per row), and return the paths it
+    wrote. A file whose content is unchanged is not rewritten, so
+    re-emission after a completed run leaves every file as it was and
+    returns no path."""
     agg = aggregate_metrics(manifests)
     markdown = ["| Dataset | Model | " + " | ".join(_HEADINGS[c] for c in METRIC_COLUMNS) + " |",
                 "|---|---|" + "---|" * len(METRIC_COLUMNS)]
@@ -588,14 +584,14 @@ def emit_report(manifests, out_dir: str | Path) -> list[Path]:
         failures += [f"- {row['model']}: {cell}" for cell in row["failed"]]
     if failures:
         markdown += ["", "Failed cells:", *failures]
-    out_dir = Path(out_dir)
-    texts = {"aggregate.json": json.dumps(agg, indent=2) + "\n",
-             "aggregate.md": "\n".join(markdown) + "\n", "aggregate.csv": table.getvalue()}
-    for name, text in texts.items():
-        path = out_dir / name
-        if not (path.exists() and path.read_text("utf-8") == text):
-            atomic_write_text(path, text)
-    return [out_dir / name for name in texts]
+    texts = {Path(out_dir) / "aggregate.json": json.dumps(agg, indent=2) + "\n",
+             Path(out_dir) / "aggregate.md": "\n".join(markdown) + "\n",
+             Path(out_dir) / "aggregate.csv": table.getvalue()}
+    written = [path for path, text in texts.items()
+               if not (path.exists() and path.read_text("utf-8") == text)]
+    for path in written:
+        atomic_write_text(path, texts[path])
+    return written
 
 
 def load_manifests(runs_dir: str | Path) -> list[RunManifest]:

@@ -31,7 +31,7 @@ lists a kind's parameter blocks, for initialization and checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,52 +81,30 @@ class ModelConfig:
     kind-dependent values (64 documents, 32 for the contrastive kind;
     Dirichlet concentration 1/num_topics) and are resolved at construction
     so serialized configs are complete. Each field must hold its annotated
-    JSON type (never a boolean), and ``seed`` may not be negative."""
+    JSON type (never a boolean), be finite and lie within its metadata's bounds."""
 
     kind: str
-    num_topics: int
-    epochs: int = 100
-    batch_size: int | None = None
-    learning_rate: float = 2e-3
-    dropout_rate: float = 0.2
-    hidden_dim: int = 100
-    image_loss_weight: float = 1.0
-    contrastive_weight: float = 100.0
-    temperature: float = 0.07
-    prior_alpha: float | None = None
-    seed: int = 0
+    num_topics: int = field(metadata={"min": 2})
+    epochs: int = field(default=100, metadata={"min": 0})
+    batch_size: int | None = field(default=None, metadata={"min": 1})
+    learning_rate: float = field(default=2e-3, metadata={"above": 0})
+    dropout_rate: float = field(default=0.2, metadata={"min": 0, "below": 1})
+    hidden_dim: int = field(default=100, metadata={"min": 1})
+    image_loss_weight: float = field(default=1.0, metadata={"min": 0})
+    contrastive_weight: float = field(default=100.0, metadata={"min": 0})
+    temperature: float = field(default=0.07, metadata={"above": 0})
+    prior_alpha: float | None = field(default=None, metadata={"above": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         _check_json_fields(self, "config")
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
-        if self.num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         if self.batch_size is None:
             object.__setattr__(self, "batch_size",
                                32 if self.kind == "multimodal_contrast" else 64)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.image_loss_weight < 0:
-            raise ValueError("image_loss_weight must be >= 0")
-        if self.contrastive_weight < 0:
-            raise ValueError("contrastive_weight must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.prior_alpha is None:
             object.__setattr__(self, "prior_alpha", 1.0 / self.num_topics)
-        if self.prior_alpha <= 0:
-            raise ValueError("prior_alpha must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

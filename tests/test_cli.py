@@ -7,7 +7,7 @@ from mmtopic import cli
 from mmtopic.corpus import (SyntheticSpec, generate_synthetic, load_corpus, read_vocab_file,
                             save_corpus)
 from mmtopic.harness import CheckpointError, load_model, save_model
-from mmtopic.models import ModelConfig, train
+from mmtopic.models import KINDS, ModelConfig, train
 
 from conftest import make_corpus
 
@@ -48,6 +48,14 @@ class TestTrainFlags:
         assert cli.main(argv) == 0
         assert load_model(out).config == ModelConfig(
             kind="multimodal_zeroshot", num_topics=2, **values)
+
+    def test_non_finite_value_refused_before_training(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda corpus, config: pytest.fail("trained"))
+        out = tmp_path / "m.mmtm"
+        with pytest.raises(ValueError, match="^learning_rate must be finite, got nan"):
+            cli.main(["train", "--data", str(dataset), "--kind", "zeroshot",
+                      "--num-topics", "2", "--out", str(out), "--learning-rate", "nan"])
+        assert not out.exists()
 
 
 def test_failed_eval_report_write_keeps_previous_report(dataset, tmp_path, request):
@@ -129,6 +137,8 @@ def test_run_then_report(dataset, tmp_path, monkeypatch, capsys):
     assert cli.main(["report", "--runs", str(runs)]) == 0
     assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in tables)
     assert [path.read_bytes() for path in tables] == written
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    assert capsys.readouterr().out == f"aggregate tables under {runs} unchanged\n"
     assert (runs / "aggregate.csv").read_text().splitlines()[1].endswith(",0")
     with pytest.raises(SystemExit):
         cli.main(["report", "--runs", str(runs), "--format", "csv"])
@@ -138,6 +148,21 @@ def test_run_then_report(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "train", failing_train)
     assert cli.main(["run", "--plan", str(plan), "--output-dir", str(tmp_path / "other")]) == 1
     assert "0 cells complete, 2 failed" in capsys.readouterr().out
+
+
+def test_report_after_a_run_of_every_kind_rewrites_nothing(dataset, tmp_path, capsys):
+    plan, runs = tmp_path / "plan.json", tmp_path / "runs"
+    plan.write_text(json.dumps({
+        "datasets": [str(dataset)], "models": [{"kind": kind} for kind in KINDS],
+        "topic_counts": [2], "seeds": 2, "epochs": 1, "descriptor_size": 2,
+        "output_dir": str(runs)}))
+    assert cli.main(["run", "--plan", str(plan)]) == 0
+    tables = [runs / name for name in ("aggregate.json", "aggregate.md", "aggregate.csv")]
+    before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in tables]
+    capsys.readouterr()
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in tables] == before
+    assert capsys.readouterr().out == f"aggregate tables under {runs} unchanged\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -185,11 +210,17 @@ class TestSynth:
         ([SPEC], ValueError, "spec must be a JSON object"),
         ({**SPEC, "num_topics_true": 0}, ValueError, "num_topics_true must be >= 1"),
         ({**SPEC, "docs": 0}, ValueError, "docs must be >= 1"),
-        ({**SPEC, "doc_length": 0}, ValueError, "doc_length must be positive"),
-        ({**SPEC, "embed_dim_image": 0}, ValueError, "embedding dimensions must be >= 1"),
-        ({**SPEC, "topic_word_concentration": 0}, ValueError,
-         "topic_word_concentration must be positive"),
+        pytest.param({**SPEC, "doc_length": 0}, ValueError, "doc_length must be > 0",
+                     id="spec5-ValueError-doc_length must be positive"),
+        pytest.param({**SPEC, "embed_dim_image": 0}, ValueError, "embed_dim_image must be >= 1",
+                     id="spec6-ValueError-embedding dimensions must be >= 1"),
+        pytest.param({**SPEC, "topic_word_concentration": 0}, ValueError,
+                     "topic_word_concentration must be > 0",
+                     id="spec7-ValueError-topic_word_concentration must be positive"),
         ({**SPEC, "embedding_noise": -0.1}, ValueError, "embedding_noise must be >= 0"),
+        ({**SPEC, "seed": -1}, ValueError, "seed must be >= 0"),
+        ({**SPEC, "doc_length": json.loads("1e400")}, ValueError,
+         "doc_length must be finite, got inf"),
     ])
     def test_malformed_spec_named(self, tmp_path, spec, error, match):
         with pytest.raises(error, match=match):

@@ -165,7 +165,7 @@ class TestCheckpoint:
                 load_model(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("num_topics", 2.0), ("epochs", True), ("seed", -1)])
+        ("num_topics", 2.0), ("epochs", True), ("seed", -1), ("learning_rate", math.nan)])
     def test_config_with_mistyped_or_negative_field_rejected(self, small_model, tmp_path,
                                                              field, value):
         header, payload = split_checkpoint(save_model(small_model, tmp_path / "m.mmtm"))
@@ -414,7 +414,7 @@ class TestPlanParsing:
             "epochs": None, "word_vectors": None})
         assert plan.epochs is None and plan.word_vectors is None
         # The integer 1 passes the float key's type check and fails its range.
-        with pytest.raises(ValueError, match="rbo_p must lie strictly between 0 and 1"):
+        with pytest.raises(ValueError, match="rbo_p must be < 1"):
             ExperimentPlan.from_dict({"datasets": ["d.jsonl"],
                                       "models": [{"kind": "zeroshot"}], "rbo_p": 1})
 
@@ -438,9 +438,13 @@ class TestPlanParsing:
               ("learning_rate", True, "number"), ("epochs", True, "integer"),
               ("prior_alpha", True, "number or null"), ("epochs", 2.5, "integer"),
               ("hidden_dim", 2.5, "integer"), ("batch_size", 1.5, "integer or null"))),
+        ({"kind": "zeroshot", "learning_rate": math.nan},
+         "'zeroshot' at 25 topics: learning_rate must be finite, got nan"),
+        ({"kind": "zeroshot", "temperature": json.loads("1e400")},
+         "'zeroshot' at 25 topics: temperature must be finite, got inf"),
     ], ids=["string-epochs", "unknown-kind", "zero-batch-size", "bool-learning_rate",
             "bool-epochs", "bool-prior_alpha", "float-epochs", "float-hidden_dim",
-            "float-batch_size"])
+            "float-batch_size", "nan-learning_rate", "1e400-temperature"])
     def test_entries_that_cannot_configure_a_model_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
@@ -1011,6 +1015,21 @@ class TestAggregation:
         rows = aggregate_metrics(manifests)["rows"]
         assert len(rows) == 3
 
+    def test_independent_of_manifest_order(self):
+        manifests = [
+            manifest_stub("b", 4, 1, {"npmi": 0.1}),
+            manifest_stub("b", 4, 0, {"npmi": 0.2}),
+            manifest_stub("a", 2, 1, None, status="failed"),
+            manifest_stub("b", 2, 0, {"npmi": 0.3}),
+            manifest_stub("a", 2, 0, None, status="failed"),
+            manifest_stub("a", 2, 0, {"npmi": 0.4}, dataset="c.jsonl"),
+        ]
+        agg = aggregate_metrics(manifests)
+        assert aggregate_metrics(manifests[::-1]) == agg
+        assert [(row["dataset"], row["model"]) for row in agg["rows"]] \
+            == [("c.jsonl", "a"), ("d.jsonl", "a"), ("d.jsonl", "b")]
+        assert agg["rows"][1]["failed"] == ["d__a__k2__s0", "d__a__k2__s1"]
+
 
 class TestReportFormats:
     def make_manifests(self):
@@ -1072,5 +1091,5 @@ class TestReportFormats:
         manifests = self.make_manifests()
         paths = emit_report(manifests, tmp_path)
         stamps = [p.stat().st_mtime_ns for p in paths]
-        assert emit_report(manifests, tmp_path) == paths
+        assert emit_report(manifests, tmp_path) == []
         assert [p.stat().st_mtime_ns for p in paths] == stamps

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -97,11 +98,20 @@ class TestModelConfig:
         ("dropout_rate", 1.0), ("hidden_dim", 0), ("image_loss_weight", -0.1),
         ("contrastive_weight", -1.0), ("temperature", 0.0), ("prior_alpha", -2.0),
         ("seed", -1),
+        *((f.name, value) for f in dataclasses.fields(ModelConfig)
+          if str(f.type).startswith("float") for value in (math.nan, math.inf)),
     ])
     def test_out_of_range_fields_rejected(self, field, value):
         kwargs = {"kind": "zeroshot", "num_topics": 5, field: value}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             ModelConfig(**kwargs)
+
+    def test_a_huge_integer_is_compared_without_overflow(self):
+        # Finiteness is tested on floats only: math.isfinite(10 ** 400) raises OverflowError.
+        assert ModelConfig(kind="zeroshot", num_topics=10 ** 400, prior_alpha=0.5).num_topics \
+            == 10 ** 400
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            ModelConfig(kind="zeroshot", num_topics=5, seed=-10 ** 400)
 
     @pytest.mark.parametrize("field,value,wanted", [
         ("learning_rate", True, "a JSON number"), ("epochs", True, "a JSON integer"),

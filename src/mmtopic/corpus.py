@@ -41,6 +41,7 @@ import logging
 import operator
 import os
 import string
+import sys
 import zipfile
 from array import array
 from contextlib import contextmanager
@@ -115,12 +116,13 @@ def _check_json_fields(obj, what: str) -> None:
 
 
 def _check_bounds(obj) -> None:
-    """Raise ``ValueError`` naming the first field of ``obj`` that holds a
-    float that is not finite, or a value other than None outside a bound its
-    metadata states (``min``: >=, ``above``: >, ``below``: <)."""
+    """Raise ``ValueError`` naming the first field of ``obj`` that is a float
+    field holding NaN, infinity or an integer beyond float range, or holds a
+    value other than None outside a bound its metadata states (``min``: >=,
+    ``above``: >, ``below``: <). Integers are compared, never converted."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not np.isfinite(value):
+        if f.type.startswith("float") and not (value is None or abs(value) <= sys.float_info.max):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
         for key, bound in f.metadata.items():
             symbol, holds = _BOUNDS[key]
@@ -221,6 +223,7 @@ class TokenIds:
     ids: np.ndarray
     offsets: np.ndarray
     index: dict[str, int] = field(repr=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False)  # metrics' memo
 
     def __post_init__(self):
         ids, offsets = self.ids, self.offsets

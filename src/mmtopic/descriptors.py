@@ -38,6 +38,21 @@ def _rank_rows(scores: np.ndarray, n: int) -> np.ndarray:
     return cols[order][np.searchsorted(rows, np.arange(k))[:, None] + np.arange(n)]
 
 
+def _ranked(model: TrainedTopicModel, n: int, corpus: Corpus | None = None) -> list[list]:
+    """A model's :func:`topic_keywords` or, given its ``corpus``, its
+    :func:`topic_documents` rows, as fresh lists. A ranking is kept with the
+    array it ranks, which is frozen, and redone for a replaced array."""
+    matrix = model.topic_word_matrix if corpus is None else model.doc_topics
+    key = n, None if corpus is None else corpus.num_documents
+    held, rows = model._rankings.get(key, (None, None))
+    if held is not matrix:
+        matrix.flags.writeable = False
+        rows = (topic_keywords(matrix, model.vocabulary, n) if corpus is None
+                else topic_documents(matrix, corpus, n).tolist())
+        model._rankings[key] = matrix, rows
+    return [list(row) for row in rows]
+
+
 def topic_keywords(topic_word_matrix: np.ndarray, vocabulary: Vocabulary,
                    n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[list[str]]:
     """The ``n`` highest-weight terms of every topic row, weight ties
@@ -69,12 +84,10 @@ def topic_documents(doc_topics: np.ndarray, corpus: Corpus,
 def describe_topics(model: TrainedTopicModel, corpus: Corpus,
                     n: int = DEFAULT_DESCRIPTOR_SIZE) -> list[dict]:
     """The descriptor record of every topic of a model."""
-    keywords = topic_keywords(model.topic_word_matrix, model.vocabulary, n)
-    documents = topic_documents(model.doc_topics, corpus, n).tolist()
     return [{"topic_id": t, "keywords": words,
              "images": [{"doc_id": corpus.ids[i], "image_ref": corpus.image_refs[i]}
                         for i in docs]}
-            for t, (words, docs) in enumerate(zip(keywords, documents))]
+            for t, (words, docs) in enumerate(zip(_ranked(model, n), _ranked(model, n, corpus)))]
 
 
 def write_descriptors(descriptors: list[dict], path: str | Path) -> Path:

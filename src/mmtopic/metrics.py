@@ -17,13 +17,40 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import TokenIds
-from .descriptors import topic_documents, topic_keywords
+from .descriptors import _ranked
 from .models import MULTIMODAL_KINDS
 from .nncore import one_blas_thread
 
 logger = logging.getLogger(__name__)
 
 _NPMI_EPS = 1e-12
+
+
+def _window_spans(token_ids: TokenIds, window: int):
+    """(lo, hi, total) for ``window``, built once and kept on ``token_ids``:
+    the token at corpus position ``i`` is the last of its term in the windows
+    numbered ``lo[i] .. hi[i]`` (none if ``hi[i] < lo[i]``) of all ``total``."""
+    if window not in token_ids._spans:
+        ids, offsets = token_ids.ids, token_ids.offsets
+        lengths = np.diff(offsets)
+        last = np.maximum(lengths - window, 0)
+        first_window = np.cumsum(last + 1) - (last + 1)
+        # Positions and window numbers, in int32 while they fit.
+        size = np.int32 if offsets[-1] + offsets.size < 2 ** 31 else np.int64
+        doc = np.repeat(np.arange(lengths.size, dtype=size), lengths)
+        pos = np.arange(ids.size, dtype=size)
+        order = np.argsort(ids.astype(np.int64) * ids.size + pos)
+        prev, succ = order[:-1], order[1:]
+        same = (ids[prev] == ids[succ]) & (doc[prev] == doc[succ])
+        prev, succ = prev[same], succ[same]  # token prev's term next occurs at succ
+        pos -= offsets[:-1].astype(size)[doc]
+        hi = np.minimum(pos, last.astype(size)[doc])
+        hi[prev] = np.minimum(hi[prev], pos[succ] - window)
+        # Window numbers across the corpus: spans in two documents never overlap.
+        base = first_window.astype(size)[doc]
+        token_ids._spans[window] = (np.maximum(pos - (window - 1), 0) + base, hi + base,
+                                    int(first_window[-1] + last[-1] + 1))
+    return token_ids._spans[window]
 
 
 def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
@@ -40,7 +67,8 @@ def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
     one at document position ``p`` whose term next occurs at ``q`` (or
     never) is last in the window starts ``max(0, p - window + 1) ..
     min(p, q - window, max(length - window, 0))``. A word count sums these
-    spans, a pair count the overlaps of its two terms' spans."""
+    spans (:func:`_window_spans`), a pair count the overlaps of its two
+    terms' spans."""
     r = len(terms)
     index = token_ids.index
     lookup = np.full(len(index), r, dtype=np.int32 if r * r < 2 ** 31 else np.int64)
@@ -48,30 +76,12 @@ def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
         i = index.get(term)
         if i is not None:
             lookup[i] = j
-    offsets = token_ids.offsets
-    lengths = np.diff(offsets)
     # Longer windows count the same; the clamp keeps int32 sums in range.
-    window = min(window, max(int(lengths.max()), 1))
-    last = np.maximum(lengths - window, 0)
-    first_window = np.cumsum(last + 1) - (last + 1)
-    total = int(first_window[-1] + last[-1] + 1)
-    # Positions and window numbers, in int32 while they fit.
-    size = np.int32 if offsets[-1] + offsets.size < 2 ** 31 else np.int64
-    pos = np.flatnonzero(lookup[token_ids.ids] < r).astype(size)
-    term = lookup[token_ids.ids[pos]]
-    doc = np.repeat(np.arange(lengths.size, dtype=size), lengths)[pos]
-    order = np.argsort(term.astype(np.int64) * int(offsets[-1]) + pos)
-    prev, succ = order[:-1], order[1:]
-    same = (term[prev] == term[succ]) & (doc[prev] == doc[succ])
-    prev, succ = prev[same], succ[same]  # occurrence prev's term next occurs at succ
-    pos -= offsets[:-1].astype(size)[doc]
-    hi = np.minimum(pos, last.astype(size)[doc])
-    hi[prev] = np.minimum(hi[prev], pos[succ] - window)
-    # Window numbers across the corpus: spans in two documents never overlap.
-    base = first_window.astype(size)[doc]
-    lo = np.maximum(pos - (window - 1), 0) + base
-    hi += base
-    del pos, doc, base, order, prev, succ, same  # freed before the r x r tables
+    window = min(window, max(int(np.diff(token_ids.offsets).max()), 1))
+    lo, hi, total = _window_spans(token_ids, window)
+    term = lookup[token_ids.ids]
+    pos = np.flatnonzero(term < r)
+    term, lo, hi = term[pos], lo[pos], hi[pos]
     word_counts = np.bincount(term, weights=np.maximum(hi - lo + 1, 0), minlength=r)
     # Term tokens closer than ``window`` are fewer than ``window`` term tokens
     # apart. Spans of one term never overlap, so such pairs weigh 0.
@@ -83,6 +93,12 @@ def _boolean_window_counts(token_ids: TokenIds, terms, window: int):
         pair_counts += np.bincount(np.minimum(a, b) * r + np.maximum(a, b),
                                    weights=overlap, minlength=r * r)
     return word_counts, pair_counts.reshape(r, r), total
+
+
+def _by_length(items) -> dict:
+    """The positions of ``items`` grouped by item length."""
+    lengths = np.array([len(item) for item in items])
+    return {n: np.flatnonzero(lengths == n) for n in np.unique(lengths)}
 
 
 def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float]:
@@ -98,17 +114,12 @@ def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float
             local.setdefault(w, len(local))
     word_counts, pair_counts, total = _boolean_window_counts(token_ids, list(local), window)
 
-    scores = []
-    for t_idx, topic in enumerate(topics):
-        ids = np.array([local[w] for w in topic])
-        a, b = (ids[side] for side in np.triu_indices(len(ids), k=1))
+    scores = np.zeros(len(topics))
+    for n, rows in _by_length(topics).items():
+        ids = np.array([[local[w] for w in topics[t]] for t in rows])
+        a, b = (ids[:, side] for side in np.triu_indices(n, k=1))  # (T, P) pairs
         keep = (word_counts[a] > 0) & (word_counts[b] > 0)  # skip absent words
         a, b = a[keep], b[keep]
-        if a.size == 0:
-            logger.warning("topic %d: no top-word pair occurs in the reference "
-                           "corpus; contributing 0", t_idx)
-            scores.append(0.0)
-            continue
         # A repeated word shares every window it occurs in with itself.
         p_ij = np.where(a == b, word_counts[a],
                         pair_counts[np.minimum(a, b), np.maximum(a, b)]) / total
@@ -116,10 +127,18 @@ def _npmi_per_topic(topics, token_ids: TokenIds, window: int = 10) -> list[float
         pmi = np.log(p_ij / (word_counts[a] / total * (word_counts[b] / total)))
         # Both words in every window: perfect association by convention,
         # since the normalizer log(p_ij) vanishes.
-        pair_scores = np.divide(pmi, -np.log(p_ij), out=np.ones_like(pmi),
-                                where=p_ij < 1.0)
-        scores.append(float(np.mean(pair_scores)))
-    return scores
+        values = np.zeros(keep.shape)
+        values[keep] = np.divide(pmi, -np.log(p_ij), out=np.ones_like(pmi), where=p_ij < 1.0)
+        # A row mean sums as one topic's np.mean does; a topic with skipped
+        # pairs averages its kept ones alone.
+        full = keep.all(axis=1)
+        scores[rows[full]] = values[full].mean(axis=1)
+        for t, row, kept in zip(rows[~full], values[~full], keep[~full]):
+            if not kept.any():
+                logger.warning("topic %d: no top-word pair occurs in the reference "
+                               "corpus; contributing 0", t)
+            scores[t] = np.mean(row[kept]) if kept.any() else 0.0
+    return scores.tolist()
 
 
 def npmi(topics, reference_docs, window: int = 10) -> float:
@@ -135,16 +154,12 @@ def npmi(topics, reference_docs, window: int = 10) -> float:
 
 
 def _we_per_topic(topics, word_vectors) -> list[float | None]:
-    values: list[float | None] = []
-    for t_idx, topic in enumerate(topics):
-        vecs = [word_vectors[w] for w in topic if w in word_vectors]
-        if len(vecs) < 2:
-            logger.warning("topic %d: fewer than two embedded terms; skipped "
-                           "from word-embedding coherence", t_idx)
-            values.append(None)
-            continue
-        values.append(_mean_pair_cosine(vecs))
-    return values
+    sets = [[word_vectors[w] for w in topic if w in word_vectors] for topic in topics]
+    for t_idx in (t for t, vecs in enumerate(sets) if len(vecs) < 2):
+        logger.warning("topic %d: fewer than two embedded terms; skipped "
+                       "from word-embedding coherence", t_idx)
+    values = iter(_mean_pair_cosines([vecs for vecs in sets if len(vecs) >= 2]))
+    return [next(values) if len(vecs) >= 2 else None for vecs in sets]
 
 
 def we_coherence(topics, word_vectors) -> float:
@@ -213,12 +228,14 @@ def irbo(topics, p: float = 0.9) -> float:
     topic pairs. 1 means fully distinct topics, 0 means identical ones."""
     if len(topics) < 2:
         raise ValueError("at least two topics are required")
-    return 1.0 - _upper_mean(_rbo_matrix(topics, topics, p))
+    return 1.0 - float(_upper_means(_rbo_matrix(topics, topics, p)))
 
 
-def _upper_mean(matrix: np.ndarray) -> float:
-    """Mean of a square matrix above its diagonal: over all unordered pairs."""
-    return float(np.mean(matrix[np.triu_indices(len(matrix), k=1)]))
+def _upper_means(matrices: np.ndarray) -> np.ndarray:
+    """Mean above the diagonal, over all unordered pairs, of a square matrix
+    or of each of a stack; gathered in C order, each sums as one matrix does."""
+    i, j = np.triu_indices(matrices.shape[-1], k=1)
+    return np.ascontiguousarray(matrices[..., i, j]).mean(axis=-1)
 
 
 def _unit(vectors) -> np.ndarray:
@@ -229,20 +246,22 @@ def _unit(vectors) -> np.ndarray:
     return arr / norms[..., None]
 
 
-def _mean_pair_cosine(vectors) -> float:
-    """Mean cosine over all pairs of rows, from one Gram of unit vectors."""
-    unit = _unit(vectors)
-    return _upper_mean(unit @ unit.T)
+def _mean_pair_cosines(vector_sets) -> list[float]:
+    """Mean cosine over all pairs of rows of each set, from a Gram of unit
+    vectors. Each Gram is its own product, as BLAS rounds a lone one."""
+    means = np.empty(len(vector_sets))
+    for rows in _by_length(vector_sets).values():
+        units = [_unit(vector_sets[t]) for t in rows]
+        means[rows] = _upper_means(np.stack([unit @ unit.T for unit in units]))
+    return means.tolist()
 
 
 def _iec_per_topic(topic_image_sets) -> list[float]:
-    values = []
-    for t_idx, images in enumerate(topic_image_sets):
-        arr = np.asarray(images, dtype=np.float64)
+    sets = [np.asarray(images, dtype=np.float64) for images in topic_image_sets]
+    for t_idx, arr in enumerate(sets):
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError(f"topic {t_idx}: at least two image embeddings required")
-        values.append(_mean_pair_cosine(arr))
-    return values
+    return _mean_pair_cosines(sets)
 
 
 def iec(topic_image_sets) -> float:
@@ -265,7 +284,7 @@ def ieps(topic_image_sets) -> float:
         raise ValueError(f"image sets must share one size, got {sorted(sizes)}")
     # Two unit sets' mean cross-pair cosine is the dot product of their means.
     means = np.stack([_unit(s).mean(axis=0) for s in topic_image_sets])
-    return _upper_mean(means @ means.T)
+    return float(_upper_means(means @ means.T))
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
@@ -336,7 +355,7 @@ def compute_metric_report(model, corpus, *, word_vectors=None,
     vectors are supplied. Image metrics run for multimodal kinds, over the
     top image descriptors each topic selects from the corpus.
     """
-    topics = topic_keywords(model.topic_word_matrix, model.vocabulary, n_descriptors)
+    topics = _ranked(model, n_descriptors)
     npmi_topics = _npmi_per_topic(topics, corpus.token_ids, window)
     per_topic: dict = {"npmi": npmi_topics}
     report = {
@@ -352,8 +371,7 @@ def compute_metric_report(model, corpus, *, word_vectors=None,
         report["we"] = float(np.mean(present)) if present else None
 
     if model.kind in MULTIMODAL_KINDS:
-        image_sets = corpus.image_embeddings[
-            topic_documents(model.doc_topics, corpus, n_descriptors)]
+        image_sets = corpus.image_embeddings[_ranked(model, n_descriptors, corpus)]
         iec_topics = _iec_per_topic(image_sets)
         per_topic["iec"] = iec_topics
         report["iec"] = float(np.mean(iec_topics))

@@ -31,6 +31,7 @@ lists a kind's parameter blocks, for initialization and checkpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -104,6 +105,8 @@ class ModelConfig:
             object.__setattr__(self, "batch_size",
                                32 if self.kind == "multimodal_contrast" else 64)
         if self.prior_alpha is None:
+            if self.num_topics > sys.float_info.max:
+                raise ValueError("num_topics is too large for the default prior_alpha")
             object.__setattr__(self, "prior_alpha", 1.0 / self.num_topics)
 
     def to_dict(self) -> dict:
@@ -352,13 +355,18 @@ def _finite_array(name: str, value) -> np.ndarray:
 class TrainedTopicModel:
     """A trained model: configuration, vocabulary, all parameter blocks,
     the per-epoch loss trace, and the posterior-mean document-topic matrix
-    computed without sampling noise or dropout."""
+    computed without sampling noise or dropout; every array is read-only."""
 
     config: ModelConfig
     vocabulary: Vocabulary
     params: dict[str, np.ndarray]
     loss_trace: list[dict[str, float]]
     doc_topics: np.ndarray
+    _rankings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for array in (*self.params.values(), self.doc_topics):
+            array.flags.writeable = False
 
     @property
     def kind(self) -> str:

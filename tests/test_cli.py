@@ -221,6 +221,8 @@ class TestSynth:
         ({**SPEC, "seed": -1}, ValueError, "seed must be >= 0"),
         ({**SPEC, "doc_length": json.loads("1e400")}, ValueError,
          "doc_length must be finite, got inf"),
+        pytest.param({**SPEC, "doc_length": 10 ** 400}, ValueError,
+                     "doc_length must be finite, got 1000", id="huge-integer-doc_length"),
     ])
     def test_malformed_spec_named(self, tmp_path, spec, error, match):
         with pytest.raises(error, match=match):

@@ -1,12 +1,12 @@
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmtopic.descriptors as descriptors_module
 from mmtopic.corpus import Vocabulary
 from mmtopic.descriptors import (
     _rank_rows,
@@ -16,7 +16,10 @@ from mmtopic.descriptors import (
     topic_keywords,
     write_descriptors,
 )
-from mmtopic.models import ModelConfig, train
+from mmtopic.harness import load_model, save_model
+from mmtopic.metrics import compute_metric_report
+from mmtopic.models import ModelConfig, TrainedTopicModel, train
+from mmtopic.overlap import overlap_report, topic_similarity_matrix
 
 from conftest import make_corpus
 
@@ -106,10 +109,12 @@ class TestTopicRanking:
 
 
 def fake_model(doc_topics, corpus):
-    """The three fields :func:`describe_topics` reads, with all-tied keywords."""
-    return SimpleNamespace(doc_topics=doc_topics, vocabulary=corpus.vocabulary,
-                           topic_word_matrix=np.zeros((doc_topics.shape[1],
-                                                       len(corpus.vocabulary))))
+    """An untrained model with these ``doc_topics`` and all-tied keywords."""
+    k = doc_topics.shape[1]
+    return TrainedTopicModel(config=ModelConfig(kind="zeroshot", num_topics=k),
+                             vocabulary=corpus.vocabulary,
+                             params={"beta": np.zeros((k, len(corpus.vocabulary)))},
+                             loss_trace=[], doc_topics=doc_topics)
 
 
 class TestTopImages:
@@ -210,3 +215,75 @@ class TestDescribeAndWrite:
             write_descriptors(broken, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["topics.jsonl"]
+
+
+class TestRankingMemo:
+    """``describe_topics``, ``compute_metric_report`` and ``overlap_report``
+    share one ranking of each model's arrays, kept on the model."""
+
+    @pytest.fixture
+    def models(self):
+        rng = np.random.default_rng(23)
+        vocab = [f"w{i}" for i in range(12)]
+        corpus = make_corpus([list(rng.choice(vocab, size=8)) for _ in range(10)])
+        return corpus, [train(corpus, ModelConfig(kind="multimodal_zeroshot", num_topics=3,
+                                                  epochs=2, hidden_dim=8, seed=seed))
+                        for seed in (0, 1)]
+
+    @staticmethod
+    def outputs(model_a, model_b, corpus, n=4):
+        """Bytes of every output the three callers write."""
+        return (json.dumps(describe_topics(model_a, corpus, n)),
+                json.dumps(compute_metric_report(model_a, corpus, n_descriptors=n).to_dict()),
+                json.dumps(overlap_report(model_a, model_b, n=n).to_dict()))
+
+    def test_each_array_is_ranked_once(self, models, monkeypatch):
+        corpus, (a, b) = models
+        calls = []
+        real = descriptors_module._rank_rows
+        monkeypatch.setattr(descriptors_module, "_rank_rows",
+                            lambda scores, n: calls.append(scores.shape) or real(scores, n))
+        for _ in range(2):
+            self.outputs(a, b, corpus)
+            self.outputs(b, a, corpus)
+        # beta and doc_topics of each model, at n = 4
+        assert sorted(calls) == sorted([(3, 12), (3, 10)] * 2)
+
+    def test_a_replaced_array_is_ranked_anew(self, models):
+        corpus, (a, b) = models
+        self.outputs(a, b, corpus)
+        beta = np.ascontiguousarray(a.topic_word_matrix[::-1, ::-1])
+        doc_topics = np.ascontiguousarray(a.doc_topics[::-1])
+        a.params["beta"], a.doc_topics = beta, doc_topics
+        keywords = topic_keywords(beta, a.vocabulary, 4)
+        descriptors = describe_topics(a, corpus, 4)
+        assert [d["keywords"] for d in descriptors] == keywords
+        assert [[p["doc_id"] for p in d["images"]] for d in descriptors] == \
+            [[corpus.ids[i] for i in row] for row in topic_documents(doc_topics, corpus, 4)]
+        fresh = TrainedTopicModel(config=a.config, vocabulary=a.vocabulary, params=a.params,
+                                  loss_trace=a.loss_trace, doc_topics=doc_topics)
+        assert compute_metric_report(a, corpus, n_descriptors=4) == \
+            compute_metric_report(fresh, corpus, n_descriptors=4)
+        assert overlap_report(a, b, n=4).similarity.tolist() == topic_similarity_matrix(
+            keywords, topic_keywords(b.topic_word_matrix, b.vocabulary, 4)).tolist()
+
+    def test_ranked_arrays_cannot_be_written(self, models, tmp_path):
+        corpus, (a, b) = models
+        loaded = load_model(save_model(a, tmp_path / "a.mmtm"))
+        for model in (a, loaded):
+            for array in (model.params["beta"], model.doc_topics):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+        # A replacement array is frozen when it is ranked.
+        a.params["beta"] = a.topic_word_matrix.copy()
+        describe_topics(a, corpus, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            a.params["beta"][0, 0] = 1.0
+
+    def test_a_ranked_model_writes_the_bytes_of_a_fresh_load(self, models, tmp_path):
+        corpus, (a, b) = models
+        paths = save_model(a, tmp_path / "a.mmtm"), save_model(b, tmp_path / "b.mmtm")
+        ranked = [load_model(p) for p in paths]
+        first = self.outputs(*ranked, corpus)
+        assert self.outputs(*ranked, corpus) == first
+        assert self.outputs(*(load_model(p) for p in paths), corpus) == first

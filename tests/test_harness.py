@@ -442,12 +442,22 @@ class TestPlanParsing:
          "'zeroshot' at 25 topics: learning_rate must be finite, got nan"),
         ({"kind": "zeroshot", "temperature": json.loads("1e400")},
          "'zeroshot' at 25 topics: temperature must be finite, got inf"),
+        ({"kind": "zeroshot", "learning_rate": json.loads("1" + "0" * 400)},
+         "'zeroshot' at 25 topics: learning_rate must be finite, got 1000"),
     ], ids=["string-epochs", "unknown-kind", "zero-batch-size", "bool-learning_rate",
             "bool-epochs", "bool-prior_alpha", "float-epochs", "float-hidden_dim",
-            "float-batch_size", "nan-learning_rate", "1e400-temperature"])
+            "float-batch_size", "nan-learning_rate", "1e400-temperature",
+            "huge-integer-learning_rate"])
     def test_entries_that_cannot_configure_a_model_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
+
+    def test_a_topic_count_too_large_for_a_float_is_named(self):
+        plan = json.loads('{"datasets": ["d.jsonl"], "models": [{"kind": "zeroshot"}], '
+                          '"topic_counts": [1' + "0" * 400 + "]}")
+        with pytest.raises(ValueError,
+                           match="topics: num_topics is too large for the default prior_alpha"):
+            ExperimentPlan.from_dict(plan)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="'zeroshot' at 25 topics: seed must be >= 0"):

@@ -14,7 +14,10 @@ from mmtopic.metrics import (
     METRIC_COLUMNS,
     MetricReport,
     _boolean_window_counts,
+    _iec_per_topic,
+    _npmi_per_topic,
     _rbo_matrix,
+    _we_per_topic,
     compute_metric_report,
     iec,
     ieps,
@@ -129,6 +132,99 @@ class TestWindowCounts:
         got_pairs = {tuple(sorted((terms[i], terms[j]))): int(pairs[i, j])
                      for i, j in zip(*np.nonzero(pairs))}
         assert got_pairs == ref_pairs
+
+    def test_spans_kept_per_window_serve_every_later_call(self):
+        docs = [["a", "b", "a", "c"], [], ["c", "a", "d", "e", "b", "a", "b"], ["e"],
+                ["b", "b", "c", "a", "d", "e", "a", "b", "c", "a", "e", "d"]]
+        longest = max(map(len, docs))
+        windows = [1, 3, 10, longest + 5]  # the last is longer than every document
+        term_sets = [["a", "b"], ["c", "absent", "a", "e"], ["d"], ["e", "d", "c", "b", "a"]]
+        token_ids = TokenIds.from_token_lists(docs)
+        held = None
+        for _ in range(2):
+            for window in windows:
+                for terms in term_sets:
+                    words, pairs, total = _boolean_window_counts(token_ids, terms, window)
+                    fresh = _boolean_window_counts(TokenIds.from_token_lists(docs), terms, window)
+                    assert words.tobytes() == fresh[0].tobytes()
+                    assert pairs.tobytes() == fresh[1].tobytes() and total == fresh[2]
+                    ref_words, ref_pairs, ref_total = window_counts_reference(docs, window, terms)
+                    assert total == ref_total
+                    assert {t: int(c) for t, c in zip(terms, words) if c} == ref_words
+                    assert {tuple(sorted((terms[i], terms[j]))): int(pairs[i, j])
+                            for i, j in zip(*np.nonzero(pairs))} == ref_pairs
+            # The second pass finds every span the first one built.
+            assert held is None or all(token_ids._spans[w] is held[w] for w in held)
+            held = dict(token_ids._spans)
+        # One entry per clamped window, each two int arrays of one entry per token.
+        assert sorted(held) == [1, 3, 10, longest]
+        for lo, hi, total in held.values():
+            for spans in (lo, hi):
+                assert spans.dtype.kind == "i" and spans.shape == token_ids.ids.shape
+
+
+def pair_means_loop(topics, docs, window, vectors, image_sets):
+    """Per-topic NPMI, WE coherence (None where skipped) and IEC, each one
+    ``np.mean`` per topic, the way the metrics scored before topics were
+    grouped by length."""
+    terms = list(dict.fromkeys(w for t in topics for w in t))
+    words, pairs, total = _boolean_window_counts(TokenIds.from_token_lists(docs), terms,
+                                                 window)
+    npmi_topics = []
+    for topic in topics:
+        ids = np.array([terms.index(w) for w in topic])
+        a, b = (ids[side] for side in np.triu_indices(len(ids), k=1))
+        keep = (words[a] > 0) & (words[b] > 0)
+        a, b = a[keep], b[keep]
+        if a.size == 0:
+            npmi_topics.append(0.0)
+            continue
+        p_ij = np.where(a == b, words[a], pairs[np.minimum(a, b), np.maximum(a, b)]) / total
+        p_ij[p_ij == 0.0] = 1e-12
+        pmi = np.log(p_ij / (words[a] / total * (words[b] / total)))
+        npmi_topics.append(float(np.mean(np.divide(pmi, -np.log(p_ij), out=np.ones_like(pmi),
+                                                   where=p_ij < 1.0))))
+
+    def mean_pair_cosine(vecs):
+        arr = np.asarray(vecs, dtype=np.float64)
+        unit = arr / np.linalg.norm(arr, axis=-1)[:, None]
+        return float(np.mean((unit @ unit.T)[np.triu_indices(len(arr), k=1)]))
+
+    embedded = [[vectors[w] for w in t if w in vectors] for t in topics]
+    return (npmi_topics, [mean_pair_cosine(v) if len(v) >= 2 else None for v in embedded],
+            [mean_pair_cosine(s) for s in image_sets])
+
+
+class TestGroupedScoring:
+    """Topics of one length are scored as one array, with row means that
+    sum each topic's pairs as a per-topic ``np.mean`` does, so the metrics
+    keep their bits on topics of mixed lengths."""
+
+    def test_equals_a_per_topic_mean_loop(self, caplog):
+        rng = np.random.default_rng(72)
+        vocab = [f"w{i}" for i in range(40)]
+        docs = random_docs(rng, 60, vocab, max_len=30)
+        vectors = {w: rng.normal(size=6) for w in vocab[::2]}
+        lengths = (2, 3, 5, 5, 8, 8, 8, 12, 12, 12, 12, 12, 12)
+        topics = [list(rng.choice(vocab, size=n, replace=False)) for n in lengths]
+        # words no document holds, among 15 or 45 pairs
+        topics += [list(rng.choice(vocab, size=n - 1, replace=False)) + ["absent"]
+                   for n in (6, 6, 10, 10, 10, 10, 10, 10)]
+        topics += [["w1", "w1", "w3", "w5", "w7"],  # repeated words
+                   ["gone", "absent", "w5"]]  # no scorable pair, and one embedded term
+        image_sets = [rng.normal(size=(n, 5)) for n in (2, 3, 3, 6, 4, *[10] * 12)]
+        ref_npmi, ref_we, ref_iec = pair_means_loop(topics, docs, 4, vectors, image_sets)
+        with caplog.at_level(logging.WARNING, logger="mmtopic.metrics"):
+            assert _npmi_per_topic(topics, TokenIds.from_token_lists(docs), 4) == ref_npmi
+            assert _we_per_topic(topics, vectors) == ref_we
+            assert _iec_per_topic(image_sets) == ref_iec
+            assert npmi(topics, docs, window=4) == float(np.mean(ref_npmi))
+            assert we_coherence(topics, vectors) == \
+                float(np.mean([v for v in ref_we if v is not None]))
+            assert iec(image_sets) == float(np.mean(ref_iec))
+        assert ref_npmi[-1] == 0.0 and ref_we[-1] is None
+        assert f"topic {len(topics) - 1}: no top-word pair" in caplog.text
+        assert f"topic {len(topics) - 1}: fewer than two embedded terms" in caplog.text
 
 
 class TestWeCoherence:

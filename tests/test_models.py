@@ -113,6 +113,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             ModelConfig(kind="zeroshot", num_topics=5, seed=-10 ** 400)
 
+    def test_a_topic_count_too_large_for_the_default_prior_is_named(self):
+        # 1.0 / num_topics would raise OverflowError, naming no field.
+        with pytest.raises(ValueError, match="^num_topics is too large for the default prior"):
+            ModelConfig(kind="zeroshot", num_topics=10 ** 400)
+
+    @pytest.mark.parametrize("field,value", [
+        (f.name, sign * 10 ** 400) for f in dataclasses.fields(ModelConfig)
+        if str(f.type).startswith("float") for sign in (1, -1)],
+        ids=lambda v: v if isinstance(v, str) else "-10**400" if v < 0 else "10**400")
+    def test_a_float_field_refuses_an_integer_too_large_for_a_float(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got -?1000"):
+            ModelConfig(kind="zeroshot", num_topics=5, **{field: value})
+
     @pytest.mark.parametrize("field,value,wanted", [
         ("learning_rate", True, "a JSON number"), ("epochs", True, "a JSON integer"),
         ("prior_alpha", True, "a JSON number or null"), ("epochs", 2.5, "a JSON integer"),

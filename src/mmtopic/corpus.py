@@ -332,22 +332,33 @@ class Corpus:
     def image_dim(self) -> int:
         return self.image_embeddings.shape[1]
 
-    def bow_matrix(self, rows=slice(None)) -> np.ndarray:
-        """In-vocabulary token counts of the documents at ``rows`` (a slice
-        or an array of positions), shape (rows, V), float64, counted from
-        :attr:`token_ids` on each call. A term's id is its vocabulary
-        column, so one float64 ``bincount`` counts the row x column codes."""
+    def _bow_codes(self, rows, block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The in-vocabulary tokens of the documents at ``rows`` (a slice or positions) as
+        codes place * V + id (a term's id is its column), place being a document's position
+        in ``rows`` modulo ``block``; and the bounds of each document's codes."""
         tokens, v = self.token_ids, len(self.vocabulary)
         starts = tokens.offsets[:-1][rows]
         lengths = tokens.offsets[1:][rows] - starts
-        row = np.repeat(np.arange(lengths.size), lengths)
+        ends = np.concatenate(([0], np.cumsum(lengths)))
+        place = np.arange(lengths.size) if block is None else np.arange(lengths.size) % block
         # A token's place in ``ids``: its document's start plus its rank there.
-        column = tokens.ids[np.arange(row.size)
-                            + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)]
-        codes = (row * v + column)[column < v]
-        counts = np.bincount(codes, weights=np.ones(codes.size), minlength=lengths.size * v)
+        column = tokens.ids[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], lengths)]
+        oov = np.flatnonzero(column >= v)
+        codes = np.repeat(place * v, lengths) + column
+        return np.delete(codes, oov) if oov.size else codes, ends - np.searchsorted(oov, ends)
+
+    def _bow_counts(self, codes: np.ndarray, rows: int) -> np.ndarray:
+        """The (rows, V) float64 counts of codes place * V + id, by one ``bincount``."""
+        v = len(self.vocabulary)
+        counts = np.bincount(codes, weights=np.ones(codes.size), minlength=rows * v)
         # With no codes to count, bincount returns int64 whatever the weights.
-        return counts.astype(np.float64, copy=False).reshape(lengths.size, v)
+        return counts.astype(np.float64, copy=False).reshape(rows, v)
+
+    def bow_matrix(self, rows=slice(None)) -> np.ndarray:
+        """In-vocabulary token counts of the documents at ``rows`` (a slice or
+        an array of positions), shape (rows, V), float64, counted on each call."""
+        codes, bounds = self._bow_codes(rows)
+        return self._bow_counts(codes, bounds.size - 1)
 
     @cached_property
     def tokens(self) -> tuple[tuple[str, ...], ...]:

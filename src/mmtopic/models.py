@@ -85,7 +85,7 @@ class ModelConfig:
     JSON type (never a boolean), be finite and lie within its metadata's bounds."""
 
     kind: str
-    num_topics: int = field(metadata={"min": 2})
+    num_topics: int = field(metadata={"min": 2, "below": sys.float_info.max})
     epochs: int = field(default=100, metadata={"min": 0})
     batch_size: int | None = field(default=None, metadata={"min": 1})
     learning_rate: float = field(default=2e-3, metadata={"above": 0})
@@ -105,8 +105,6 @@ class ModelConfig:
             object.__setattr__(self, "batch_size",
                                32 if self.kind == "multimodal_contrast" else 64)
         if self.prior_alpha is None:
-            if self.num_topics > sys.float_info.max:
-                raise ValueError("num_topics is too large for the default prior_alpha")
             object.__setattr__(self, "prior_alpha", 1.0 / self.num_topics)
 
     def to_dict(self) -> dict:
@@ -184,13 +182,13 @@ def _recon_forward(theta: np.ndarray, beta: np.ndarray, bows: np.ndarray):
     """Negative log likelihood of raw counts under softmax(theta @ beta), and
     those word probabilities: one shift and one ``exp``, in place in 2 (B, V) arrays."""
     logits = theta @ beta
-    logits -= np.max(logits, axis=-1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits)
-    row_sums = np.sum(probs, axis=-1, keepdims=True)
+    row_sums = probs.sum(axis=-1, keepdims=True)
     logits -= np.log(row_sums)
     logits *= bows
     probs /= row_sums
-    return -np.sum(logits, axis=-1), probs
+    return -logits.sum(axis=-1), probs
 
 
 def _recon_backward(theta, beta, bows, probs):
@@ -202,7 +200,7 @@ def _recon_backward(theta, beta, bows, probs):
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray):
     """Row-wise cosine with an epsilon-guarded norm product."""
-    dots = np.sum(a * b, axis=-1)
+    dots = (a * b).sum(axis=-1)
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     q = na * nb + _COSINE_TINY
@@ -227,7 +225,7 @@ def _nce_terms(theta_text: np.ndarray, theta_image: np.ndarray, temperature: flo
     gram = x @ x.T / temperature
     rows = gram.reshape(2, len(theta_text), -1)  # rows[c, i]: anchor i, modality c
     shift = rows.max(axis=(0, 2))
-    log_denom = shift + np.log(np.sum(np.exp(rows - shift[:, None]), axis=(0, 2)))
+    log_denom = shift + np.log(np.exp(rows - shift[:, None]).sum(axis=(0, 2)))
     weights = np.exp(rows - log_denom[:, None]).reshape(gram.shape)
     nce = -2.0 * np.diagonal(gram, len(theta_text)) + 2.0 * log_denom
     return nce, weights
@@ -235,10 +233,11 @@ def _nce_terms(theta_text: np.ndarray, theta_image: np.ndarray, temperature: flo
 
 def _nce_theta_grads(theta_text, theta_image, temperature, weights):
     """Gradients of sum_i nce_i with respect to both mixture matrices:
-    2/tau ((W + W^T) X - X with its halves swapped), split at row B."""
-    x = np.concatenate([theta_text, theta_image])
-    swapped = np.roll(x, len(theta_text), axis=0)
-    return np.split(2.0 / temperature * ((weights + weights.T) @ x - swapped), 2)
+    2/tau ((W + W^T) X - X with its halves swapped), split at row B; [T; M; T] holds both."""
+    b = len(theta_text)
+    x = np.concatenate([theta_text, theta_image, theta_text])
+    grads = 2.0 / temperature * ((weights + weights.T) @ x[:2 * b] - x[b:])
+    return grads[:b], grads[b:]
 
 
 @one_blas_thread
@@ -309,7 +308,7 @@ def batch_objective(kind: str, inputs: dict, params: dict, config: ModelConfig,
         components["nce"] = nce
         total_rows = total_rows + components["contrastive"]
     components["total"] = total_rows
-    total = float(np.sum(total_rows))
+    total = float(total_rows.sum())
     if not want_grads:
         return total, None, components
 
@@ -389,26 +388,26 @@ class TrainedTopicModel:
         return f"{self.config.kind}-k{self.config.num_topics}-seed{self.config.seed}"
 
 
-def _columns(corpus: Corpus, rows, features) -> dict[str, np.ndarray]:
+def _columns(corpus: Corpus, rows, features, bow=None) -> dict[str, np.ndarray]:
     """The named features of the documents at ``rows``: ``text`` and
-    ``image`` embedding rows and the raw in-vocabulary counts under
-    ``bow``."""
+    ``image`` embedding rows and the raw in-vocabulary counts under ``bow``,
+    counted unless given."""
     columns = {name: matrix[rows] for name, matrix in (
         ("text", corpus.text_embeddings), ("image", corpus.image_embeddings)) if name in features}
     if "bow" in features:
-        columns["bow"] = corpus.bow_matrix(rows)
+        columns["bow"] = corpus.bow_matrix(rows) if bow is None else bow
     return columns
 
 
-def _batch_inputs(corpus: Corpus, kind: str, rows) -> dict[str, np.ndarray]:
-    """The :func:`batch_objective` inputs of the documents at ``rows``, each
-    feature built once: every encoder's input under its key, the raw counts
-    under ``bow``, and the image rows under ``image_target`` for
-    ``multimodal_zeroshot``."""
+def _batch_inputs(corpus: Corpus, kind: str, rows, bow: np.ndarray) -> dict[str, np.ndarray]:
+    """The :func:`batch_objective` inputs of the documents at ``rows``, whose
+    raw counts are ``bow``, each feature built once: every encoder's input
+    under its key, the counts under ``bow``, and the image rows under
+    ``image_target`` for ``multimodal_zeroshot``."""
     encoders = ENCODERS[kind]
-    columns = _columns(corpus, rows, {"bow"}.union(*(f for _, _, f, _ in encoders)))
+    columns = _columns(corpus, rows, {"bow"}.union(*(f for _, _, f, _ in encoders)), bow)
     inputs = {key: _encoder_input(features, columns) for _, key, features, _ in encoders}
-    inputs["bow"] = columns["bow"]
+    inputs["bow"] = bow
     if kind == "multimodal_zeroshot":
         inputs["image_target"] = columns["image"]
     return inputs
@@ -442,42 +441,48 @@ def train(corpus: Corpus, config: ModelConfig) -> TrainedTopicModel:
                              params=params, loss_trace=trace, doc_topics=doc_topics)
 
 
+# Batches per block, whose tokens are coded and whose noise and dropout uniforms are drawn
+# in one call each (split draws equal one draw of the total size; an epoch's would be N x H).
+_BLOCK_BATCHES = 8
+
+
 def _fit(corpus: Corpus, config: ModelConfig, params: dict) -> list[dict[str, float]]:
     """The epochs of :func:`train`: Adam on ``params`` in place, returning
     the loss trace. Its state and the last batch are freed on return, so
     the ``doc_topics`` pass does not hold them."""
-    kind = config.kind
-    encoders = ENCODERS[kind]
-    n = corpus.num_documents
-    k = config.num_topics
-    shuffle_rng = named_rng(config.seed, "shuffle")
-    dropout_rng = named_rng(config.seed, "dropout")
-    noise_rng = named_rng(config.seed, "noise")
+    kind, e = config.kind, len(ENCODERS[config.kind])
+    n, b, k, h = corpus.num_documents, config.batch_size, config.num_topics, config.hidden_dim
+    shuffle_rng, dropout_rng, noise_rng = (named_rng(config.seed, name)
+                                           for name in ("shuffle", "dropout", "noise"))
     adam = AdamState(learning_rate=config.learning_rate)
     trace: list[dict[str, float]] = []
     rate = config.dropout_rate
     scale = 1.0 / (1.0 - rate)  # inverted dropout keeps expected activations
 
-    batches = math.ceil(n / config.batch_size)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sums: dict[str, float] = {}
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            batch = _batch_inputs(corpus, kind, idx)
-            noise = tuple(noise_rng.standard_normal((idx.size, k)) for _ in encoders)
-            masks = None if rate == 0.0 else tuple(
-                (dropout_rng.random((idx.size, config.hidden_dim)) >= rate) * scale
-                for _ in encoders)
-            total, grads, comps = batch_objective(kind, batch, params, config, noise,
-                                                  dropout_masks=masks)
-            if not math.isfinite(total):
-                raise ValueError(
-                    f"training diverged: loss {total} at epoch {epoch + 1}/{config.epochs}, "
-                    f"batch {batch_no + 1}/{batches}")
-            adam_step(params, grads, adam)
-            for name, rows in comps.items():
-                sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
+        for first in range(0, n, _BLOCK_BATCHES * b):
+            block = order[first:first + _BLOCK_BATCHES * b]
+            codes, bounds = corpus._bow_codes(block, b)
+            noise = noise_rng.standard_normal(block.size * e * k)
+            keep = None if rate == 0.0 else dropout_rng.random(block.size * e * h) >= rate
+            for start in range(0, block.size, b):
+                idx = block[start:start + b]
+                end = start + idx.size
+                batch = _batch_inputs(corpus, kind, idx, corpus._bow_counts(
+                    codes[bounds[start]:bounds[end]], idx.size))
+                masks = None if keep is None else tuple(
+                    keep[start * e * h:end * e * h].reshape(e, -1, h) * scale)
+                total, grads, comps = batch_objective(kind, batch, params, config, tuple(
+                    noise[start * e * k:end * e * k].reshape(e, -1, k)), dropout_masks=masks)
+                if not math.isfinite(total):
+                    raise ValueError(
+                        f"training diverged: loss {total} at epoch {epoch + 1}/"
+                        f"{config.epochs}, batch {(first + start) // b + 1}/{math.ceil(n / b)}")
+                adam_step(params, grads, adam)
+                for name, rows in comps.items():
+                    sums[name] = sums.get(name, 0.0) + float(rows.sum())
         trace.append({name: value / n for name, value in sums.items()})
     return trace
 

@@ -45,9 +45,8 @@ def _softplus_parts(pre: np.ndarray):
 def softmax(x, axis=-1):
     """Shift-invariant softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def prior_variance(num_topics: int, alpha: float) -> float:
@@ -64,8 +63,8 @@ def prior_variance(num_topics: int, alpha: float) -> float:
 
 def kl_rows(mu, logvar, variance: float) -> np.ndarray:
     """KL(N(mu, exp(logvar)) || N(0, variance)) in closed form, one per row."""
-    return np.sum(0.5 * ((np.exp(logvar) + mu ** 2) / variance
-                         - 1.0 + np.log(variance) - logvar), axis=-1)
+    return (0.5 * ((np.exp(logvar) + mu ** 2) / variance
+                   - 1.0 + np.log(variance) - logvar)).sum(axis=-1)
 
 
 def kl_grads(mu, logvar, variance: float):
@@ -116,7 +115,7 @@ def inference_backward(params: dict, prefix: str, cache, d_mu, d_logvar) -> dict
 def softmax_backward(theta: np.ndarray, d_theta: np.ndarray) -> np.ndarray:
     """Gradient through row-wise softmax: given d(loss)/d(theta), return
     d(loss)/d(logits)."""
-    inner = np.sum(d_theta * theta, axis=-1, keepdims=True)
+    inner = (d_theta * theta).sum(axis=-1, keepdims=True)
     return theta * (d_theta - inner)
 
 

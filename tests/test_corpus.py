@@ -164,6 +164,28 @@ class TestBowMatrix:
                                 for i in np.arange(n)[rows]]
         np.testing.assert_array_equal(bow, corpus.bow_matrix()[rows])
 
+    @given(docs=st.lists(st.lists(st.sampled_from(TERMS[:3] + ("oov", "zzz")), max_size=6),
+                         max_size=9),
+           batch=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    # a final short batch, a document of only out-of-vocabulary tokens and
+    # out-of-vocabulary tokens mixed into documents
+    @example(docs=[["a", "oov", "a", "c"], ["oov", "zzz"], ["c", "zzz", "c"], ["b"], []],
+             batch=4, seed=0)
+    def test_codes_count_each_batch_as_bow_matrix(self, docs, batch, seed):
+        # Training codes a permuted run of documents once, places modulo the
+        # batch size, and counts each batch's slice of the codes.
+        vocab = Vocabulary.from_terms(TERMS[:3])
+        corpus = make_corpus(docs + [["a"]], vocabulary=vocab)
+        order = np.random.default_rng(seed).permutation(corpus.num_documents)
+        codes, bounds = corpus._bow_codes(order, batch)
+        assert bounds.tolist() == [0, *np.cumsum([sum(t in vocab for t in corpus.tokens[i])
+                                                  for i in order])]
+        for start in range(0, order.size, batch):
+            rows = order[start:start + batch]
+            counts = corpus._bow_counts(codes[bounds[start]:bounds[start + rows.size]], rows.size)
+            assert counts.dtype == np.float64
+            assert counts.tobytes() == corpus.bow_matrix(rows).tobytes()
+
 
 def columns(corpus, **changes):
     """The keyword arguments that rebuild ``corpus``, with ``changes``."""

@@ -453,11 +453,12 @@ class TestPlanParsing:
             ExperimentPlan.from_dict({"datasets": ["d.jsonl"], "models": [entry]})
 
     def test_a_topic_count_too_large_for_a_float_is_named(self):
-        plan = json.loads('{"datasets": ["d.jsonl"], "models": [{"kind": "zeroshot"}], '
-                          '"topic_counts": [1' + "0" * 400 + "]}")
-        with pytest.raises(ValueError,
-                           match="topics: num_topics is too large for the default prior_alpha"):
-            ExperimentPlan.from_dict(plan)
+        # With prior_alpha given too: every cell would fail in nncore.prior_variance.
+        for entry in ('{"kind": "zeroshot"}', '{"kind": "zeroshot", "prior_alpha": 0.5}'):
+            plan = json.loads('{"datasets": ["d.jsonl"], "models": [' + entry + '], '
+                              '"topic_counts": [1' + "0" * 400 + "]}")
+            with pytest.raises(ValueError, match="topics: num_topics must be < 1.79"):
+                ExperimentPlan.from_dict(plan)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="'zeroshot' at 25 topics: seed must be >= 0"):

@@ -10,7 +10,7 @@ import pytest
 
 import mmtopic.metrics as metrics_module
 import mmtopic.models as models_module
-from mmtopic.corpus import SyntheticSpec, generate_synthetic
+from mmtopic.corpus import SyntheticSpec, Vocabulary, generate_synthetic
 from mmtopic.models import (
     ENCODERS,
     ModelConfig,
@@ -23,8 +23,8 @@ from mmtopic.models import (
     reconstruct_image_features,
     train,
 )
-from mmtopic.nncore import (_openblas_thread_calls, glorot_uniform, gradcheck, named_rng,
-                            one_blas_thread, softmax)
+from mmtopic.nncore import (AdamState, _openblas_thread_calls, adam_step, glorot_uniform,
+                            gradcheck, named_rng, one_blas_thread, softmax)
 
 from conftest import make_corpus, run_fresh_python
 from oracles import contrast_loss_reference, infonce_reference, mzs_loss_reference
@@ -108,15 +108,19 @@ class TestModelConfig:
 
     def test_a_huge_integer_is_compared_without_overflow(self):
         # Finiteness is tested on floats only: math.isfinite(10 ** 400) raises OverflowError.
-        assert ModelConfig(kind="zeroshot", num_topics=10 ** 400, prior_alpha=0.5).num_topics \
-            == 10 ** 400
+        assert ModelConfig(kind="zeroshot", num_topics=5, epochs=10 ** 400).epochs == 10 ** 400
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             ModelConfig(kind="zeroshot", num_topics=5, seed=-10 ** 400)
 
     def test_a_topic_count_too_large_for_the_default_prior_is_named(self):
         # 1.0 / num_topics would raise OverflowError, naming no field.
-        with pytest.raises(ValueError, match="^num_topics is too large for the default prior"):
+        with pytest.raises(ValueError, match="^num_topics must be < 1.79"):
             ModelConfig(kind="zeroshot", num_topics=10 ** 400)
+
+    def test_a_topic_count_too_large_for_a_float_is_named_with_any_prior(self):
+        # Training would raise OverflowError from prior_variance, naming no field.
+        with pytest.raises(ValueError, match="^num_topics must be < 1.79"):
+            ModelConfig(kind="zeroshot", num_topics=10 ** 400, prior_alpha=0.5)
 
     @pytest.mark.parametrize("field,value", [
         (f.name, sign * 10 ** 400) for f in dataclasses.fields(ModelConfig)
@@ -156,7 +160,8 @@ class TestInputs:
             config = ModelConfig(kind=kind, num_topics=3, hidden_dim=6)
             params = init_params(config, tiny_corpus.text_dim, tiny_corpus.image_dim,
                                  len(tiny_corpus.vocabulary), np.random.default_rng(0))
-            inputs = models_module._batch_inputs(tiny_corpus, kind, np.array([2, 0]))
+            inputs = models_module._batch_inputs(
+                tiny_corpus, kind, np.array([2, 0]), tiny_corpus.bow_matrix(np.array([2, 0])))
             for prefix, key, _, _ in ENCODERS[kind]:
                 assert params[f"{prefix}.W_hidden"].shape[1] == inputs[key].shape[1]
 
@@ -165,7 +170,10 @@ class TestInputs:
         t = tiny_corpus.text_dim
         text, image = tiny_corpus.text_embeddings[rows], tiny_corpus.image_embeddings[rows]
         counts = tiny_corpus.bow_matrix()[rows]
-        batch = {kind: models_module._batch_inputs(tiny_corpus, kind, rows) for kind in KINDS}
+        # the batch's own counts, as bow_matrix codes and counts them
+        batch = {kind: models_module._batch_inputs(tiny_corpus, kind, rows,
+                                                   tiny_corpus.bow_matrix(rows))
+                 for kind in KINDS}
         assert {kind: set(inputs) for kind, inputs in batch.items()} == {
             "zeroshot": {"x", "bow"}, "combined": {"x", "bow"},
             "multimodal_zeroshot": {"x", "bow", "image_target"},
@@ -188,9 +196,11 @@ class TestInputs:
 
     def test_batch_inputs_pass_a_lone_feature_uncopied(self, tiny_corpus):
         everything = slice(None)
-        mzs = models_module._batch_inputs(tiny_corpus, "multimodal_zeroshot", everything)
+        bow = tiny_corpus.bow_matrix(everything)
+        mzs = models_module._batch_inputs(tiny_corpus, "multimodal_zeroshot", everything, bow)
         assert np.shares_memory(mzs["image_target"], tiny_corpus.image_embeddings)
-        contrast = models_module._batch_inputs(tiny_corpus, "multimodal_contrast", everything)
+        contrast = models_module._batch_inputs(tiny_corpus, "multimodal_contrast", everything,
+                                               bow)
         assert np.shares_memory(contrast["x_text"], tiny_corpus.text_embeddings)
         assert np.shares_memory(contrast["x_image"], tiny_corpus.image_embeddings)
 
@@ -513,6 +523,52 @@ class TestTraining:
         np.testing.assert_array_equal(a.doc_topics, b.doc_topics)
         assert a.loss_trace == b.loss_trace
 
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_equals_one_draw_per_batch_and_encoder(self, kind, rate):
+        # The reference draws each batch's noise and dropout uniforms per
+        # encoder and counts the batch with bow_matrix; train draws and codes
+        # in blocks. No stored hash, so this holds on any SIMD feature set.
+        corpus = make_corpus([[f"w{(3 * d + j) % 9}" for j in range(d % 5)] + ["oov"] * (d % 3)
+                              for d in range(70)], vocabulary=Vocabulary.from_terms(
+                                  [f"w{i}" for i in range(9)]))
+        config = ModelConfig(kind=kind, num_topics=3, epochs=2, hidden_dim=6, batch_size=4,
+                             dropout_rate=rate, seed=7)
+        n, size = corpus.num_documents, config.batch_size
+        assert n % size and n // size > models_module._BLOCK_BATCHES
+        encoders = ENCODERS[kind]
+        params = init_params(config, corpus.text_dim, corpus.image_dim, len(corpus.vocabulary),
+                             named_rng(config.seed, "init"))
+        shuffle, dropout, noise_rng = (named_rng(config.seed, name)
+                                       for name in ("shuffle", "dropout", "noise"))
+        adam, trace = AdamState(learning_rate=config.learning_rate), []
+        for _ in range(config.epochs):
+            order, sums = shuffle.permutation(n), {}
+            for start in range(0, n, size):
+                idx = order[start:start + size]
+                noise = tuple(noise_rng.standard_normal((idx.size, config.num_topics))
+                              for _ in encoders)
+                masks = None if rate == 0.0 else tuple(
+                    (dropout.random((idx.size, config.hidden_dim)) >= rate) * (1.0 / (1.0 - rate))
+                    for _ in encoders)
+                _, grads, comps = batch_objective(
+                    kind, models_module._batch_inputs(corpus, kind, idx, corpus.bow_matrix(idx)),
+                    params, config, noise, dropout_masks=masks)
+                adam_step(params, grads, adam)
+                for name, rows in comps.items():
+                    sums[name] = sums.get(name, 0.0) + float(np.sum(rows))
+            trace.append({name: value / n for name, value in sums.items()})
+        prefix, _, features, _ = encoders[0]
+        doc_topics = np.concatenate([models_module._posterior_mean(
+            params, prefix, models_module._encoder_input(features, models_module._columns(
+                corpus, slice(start, start + size), features))) for start in range(0, n, size)])
+        model = train(corpus, config)
+        assert list(model.params) == list(params)
+        for name, block in params.items():
+            assert model.params[name].tobytes() == block.tobytes(), name
+        assert model.doc_topics.tobytes() == doc_topics.tobytes()
+        assert model.loss_trace == trace
+
     def test_different_seed_changes_model(self, tiny_corpus):
         base = dict(kind="zeroshot", num_topics=3, epochs=2, hidden_dim=8)
         a = train(tiny_corpus, ModelConfig(seed=0, **base))
@@ -659,7 +715,7 @@ class TestTraining:
 # of one inferred topic mixture.
 BLAS_PROBE = """
 import hashlib
-from mmtopic.corpus import SyntheticSpec, generate_synthetic
+from mmtopic.corpus import SyntheticSpec, Vocabulary, generate_synthetic
 from mmtopic.models import ModelConfig, infer_topic_distribution, train
 corpus, _ = generate_synthetic(SyntheticSpec(
     num_topics_true=5, vocab_size=200, docs=300, doc_length=30,
